@@ -34,7 +34,6 @@ from .model import (
     sample_batch,
     sample_source,
     sample_stream,
-    sample_transformed,
 )
 from .noise import (
     NoiseParams,
@@ -105,7 +104,6 @@ __all__ = [
     "sample_batch",
     "sample_source",
     "sample_stream",
-    "sample_transformed",
     "stability_report",
     "sup_distance",
     "wiener_path_value",

@@ -21,11 +21,12 @@ import numpy as np
 from . import csvio
 from .config import ESTIMATOR_INFINITE, RunConfig, load_config, parse_number
 from .errors import AmplificationError, ConfigError, GrowthOverflowError, KLDomainError
-from .estimation import convergence_study, error_report, estimate_until_stable, run_estimate
-from .manifest import RunManifest, atomic_write_text, fmt, write_csv
+from .estimation import (_cap_unrecoverable_modes, convergence_study, error_report,
+                         estimate_until_stable, run_estimate)
+from .manifest import ARTIFACT_VERSION, RunManifest, atomic_write_text, fmt, write_csv
 from .model import evolve_frames, sample_batch, sample_source, sample_stream
-from .noise import noise_covariance, noise_variance, ou_integral_exact, ou_joint_pairs
-from .spectral import mode_spectrum
+from .noise import noise_covariance, noise_variance, ou_joint_pairs
+from .spectral import AMPLIFICATION_CAP, mode_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,7 +143,10 @@ def cmd_estimate(args) -> int:
         estimate, n_used, converged = estimate_until_stable(
             stream, sc.op, sc.t0, sc.mode_count, epsilon=run.epsilon,
             window=run.window, n_max=run.n_max)
-        report = error_report(estimate, sc.theta, n_used=n_used)
+        # the factor applied depends only on the channel, so the capped estimate yields it again
+        _, amplification_max = _cap_unrecoverable_modes(estimate, sc.op, sc.t0, AMPLIFICATION_CAP)
+        report = error_report(estimate, sc.theta, n_used=n_used,
+                              amplification_max=amplification_max)
         est_path = out_dir / "estimate.csv"
         csvio.write_fourier_csv(estimate, est_path)
         outputs.append(est_path)
@@ -184,10 +188,12 @@ def cmd_verify(args) -> int:
     run, _ = _resolve(args)
     sc = run.scenario
     draws = args.n if args.n is not None else 100000
+    if draws < 2:
+        raise ConfigError("verify --n must be >= 2: a sample variance needs two draws")
     rows = []
 
-    rng = sample_source(sc, 0, subkey=(0,))
-    values = np.array([ou_integral_exact(sc.noise, sc.t0, rng) for _ in range(draws)])
+    # each check draws whole rows of its source: one for the variance, two for a covariance
+    values = math.sqrt(noise_variance(sc.noise, sc.t0)) * sample_source(sc, (0, 0)).normals(draws)
     analytic = noise_variance(sc.noise, sc.t0)
     empirical = float(values.var(ddof=1))
     se = analytic * math.sqrt(2.0 / (draws - 1))
@@ -196,7 +202,7 @@ def cmd_verify(args) -> int:
     fractions = [(0.25, 0.5), (0.25, 1.0), (0.5, 0.75), (0.5, 1.0), (0.75, 1.0)]
     for i, (fs, ft) in enumerate(fractions):
         s, t = fs * sc.t0, ft * sc.t0
-        pair_rng = sample_source(sc, i, subkey=(1,))
+        pair_rng = sample_source(sc, (1, i), quasi_shift=2 * i)
         early, late = ou_joint_pairs(sc.noise, s, t, draws, pair_rng)
         analytic = noise_covariance(sc.noise, s, t)
         empirical = float(np.mean((early - early.mean()) * (late - late.mean()))
@@ -241,6 +247,10 @@ def cmd_convergence(args) -> int:
 def replay_manifest(manifest_path, out_dir) -> int:
     """Re-run a recorded command with its saved config and arguments."""
     manifest = RunManifest.load(manifest_path)
+    if manifest.artifact_version != ARTIFACT_VERSION:
+        print(f"config error: {manifest_path} has artifact version {manifest.artifact_version}; "
+              f"version {ARTIFACT_VERSION} cannot reproduce its outputs", file=sys.stderr)
+        return EXIT_CONFIG
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_path = out_dir / "replayed.cfg"
@@ -313,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -322,7 +332,7 @@ def main(argv=None) -> int:
     except (GrowthOverflowError, AmplificationError, KLDomainError) as exc:
         print(f"numeric instability: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: unreadable input or unwritable --out
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -62,9 +62,9 @@ def _cap_unrecoverable_modes(mean_signal: FourierSignal, op: OperatorSpec, t0: f
     return mean_signal, math.exp(worst)
 
 
-def _estimate_with_info(samples: SampleSet, op: OperatorSpec, t0: float,
-                        mode_count: int, amplification_cap: float):
-    mean = samples.mean_signal()
+def _estimate_with_info(mean, op: OperatorSpec, t0: float, mode_count: int,
+                        amplification_cap: float):
+    """(estimate, amplification_max) of a mean observation; both estimators go through here."""
     if isinstance(mean, GridSignal):
         mean = extract_coefficients(mean, mode_count)
     else:
@@ -88,7 +88,7 @@ def estimate_signal(samples: SampleSet, op: OperatorSpec, t0: float,
         raise ValueError("need at least one sample")
     if mode_count is None:
         mode_count = samples.config.mode_count
-    return _estimate_with_info(samples, op, t0, mode_count, amplification_cap)[0]
+    return _estimate_with_info(samples.mean_signal(), op, t0, mode_count, amplification_cap)[0]
 
 
 def error_report(estimate: FourierSignal, truth: FourierSignal,
@@ -116,7 +116,7 @@ def run_estimate(samples: SampleSet, truth: FourierSignal | None = None,
     config = samples.config
     if truth is None:
         truth = config.theta
-    estimate, amplification_max = _estimate_with_info(samples, config.op, config.t0,
+    estimate, amplification_max = _estimate_with_info(samples.mean_signal(), config.op, config.t0,
                                                       config.mode_count, amplification_cap)
     return error_report(estimate, truth.padded(config.mode_count), probe_points,
                         n_used=samples.n, amplification_max=amplification_max)
@@ -127,8 +127,9 @@ def estimate_until_stable(stream, op: OperatorSpec, t0: float, mode_count: int,
                           probe_points: int = DEFAULT_PROBE_POINTS):
     """Running estimate with a Cauchy stopping rule.
 
-    Consumes samples from the stream, maintains the running mean, and stops
-    once all consecutive sup-norm gaps inside a window of `window` successive
+    Consumes samples from the stream, maintains the running mean, inverts it
+    as estimate_signal does (unrecoverable modes zeroed), and stops once all
+    consecutive sup-norm gaps inside a window of `window` successive
     estimates fall strictly below epsilon. Returns (estimate, n_used,
     converged); exhausting n_max is reported via converged=False, never by
     fabricating a value.
@@ -153,13 +154,13 @@ def estimate_until_stable(stream, op: OperatorSpec, t0: float, mode_count: int,
         else:
             mean_values += (values - mean_values) / n_used
         if is_grid:
-            mean = extract_coefficients(GridSignal(half_period, mean_values), mode_count)
+            mean = GridSignal(half_period, mean_values)
         else:
             k = (mean_values.size - 1) // 2
             mean = FourierSignal(half_period, mean_values[0],
-                                 mean_values[1: k + 1], mean_values[k + 1:]).padded(mode_count)
+                                 mean_values[1: k + 1], mean_values[k + 1:])
         previous = estimate
-        estimate = inverse_propagate(mean, op, t0)
+        estimate, _ = _estimate_with_info(mean, op, t0, mode_count, AMPLIFICATION_CAP)
         if previous is not None:
             gaps.append(sup_distance(estimate, previous, probe_points))
         if len(gaps) == window - 1 and all(g < epsilon for g in gaps):

@@ -14,7 +14,9 @@ import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-ARTIFACT_VERSION = "0.1.0"
+# Bumped whenever the same config and seed stop giving the same bytes; replay
+# refuses manifests written under another version.
+ARTIFACT_VERSION = "0.2.0"
 
 
 def fmt(value) -> str:

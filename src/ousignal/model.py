@@ -2,14 +2,15 @@
 
 Every observed sample is the deterministically propagated input plus a single
 scalar noise draw times the constant-one function, so the randomness lives
-entirely in the constant mode. Samples are reproducible: sample i is driven by
-its own stream derived from (seed, ..., i) in pseudo mode or by quasi stream
-base + i, which also makes parallel generation order-independent.
+entirely in the constant mode. Samples are reproducible: a batch or stream
+draws from one source, sample i taking row i of it (RandomSource.blocks), so
+sample i depends only on (seed, subkey, i) in pseudo mode and on quasi stream
+quasi_base + quasi_shift + i in quasi mode, never on how draws are grouped.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from .fourier import FourierSignal, GridSignal
 from .noise import (
     NoiseParams,
     RandomSource,
+    noise_variance,
     ou_integral_exact,
     ou_integral_series,
 )
@@ -31,6 +33,10 @@ SAMPLER_SERIES = "series"
 NOISE_NONE = "none"
 NOISE_PATH = "path"
 NOISE_IID = "iid"
+
+# Gaussians per drawn block (at least one sample's worth): noise memory stays
+# O(_BLOCK) whatever the sample count and series_terms.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -110,34 +116,36 @@ def analytic_mean(config: ScenarioConfig) -> FourierSignal:
     return propagate(config.theta, config.op, config.t0)
 
 
-def sample_source(config: ScenarioConfig, index: int, subkey: tuple[int, ...] = (),
+def sample_source(config: ScenarioConfig, subkey: tuple[int, ...] = (),
                   quasi_shift: int = 0) -> RandomSource:
-    """Driver for sample `index` (0-based), independent across indices."""
+    """The one driver of a batch or stream: keyed (seed, *subkey), or quasi stream
+    quasi_base + quasi_shift."""
     if config.quasi:
-        return RandomSource.quasi(config.quasi_base + quasi_shift + index)
+        return RandomSource.quasi(config.quasi_base + quasi_shift)
     if config.seed is None:
         raise ValueError("pseudo-random sampling needs a resolved seed")
-    return RandomSource.pseudo(config.seed, *subkey, index)
+    return RandomSource.pseudo(config.seed, *subkey)
 
 
-def _noise_draw(config: ScenarioConfig, rng: RandomSource) -> float:
-    if config.sampler == SAMPLER_EXACT:
-        return ou_integral_exact(config.noise, config.t0, rng)
-    coeffs = rng.normals(config.noise.series_terms + 1)
-    return ou_integral_series(config.noise, config.t0, coeffs, config.series_variant)
+def _noise_blocks(config: ScenarioConfig, subkey: tuple[int, ...] = (),
+                  quasi_shift: int = 0, count: int | None = None):
+    """Noise draws of samples 0, 1, ... in blocks: the first `count`, or endless.
 
-
-def sample_transformed(config: ScenarioConfig, rng: RandomSource):
-    """One observed signal at time t0 and its noise draw.
-
-    Returns (Z, eta) where Z is the propagated input shifted by the constant
-    eta, rendered per config.observation_form.
+    Endless blocks double from one sample up to a full block, so a stream that
+    stops early draws little past its stopping point.
     """
-    base = analytic_mean(config)
-    eta = _noise_draw(config, rng)
-    if config.observation_form == OBSERVE_GRID:
-        return base.evaluate_grid(config.grid_points) + eta, eta
-    return base.plus_constant(eta), eta
+    width = 1 if config.sampler == SAMPLER_EXACT else config.noise.series_terms + 1
+    block_rows = max(1, _BLOCK // width)
+    rng = sample_source(config, subkey, quasi_shift)
+    drawn = 0
+    while count is None or drawn < count:
+        rows = min(block_rows, max(drawn, 1) if count is None else count - drawn)
+        g = rng.blocks(rows, width)
+        if config.sampler == SAMPLER_EXACT:
+            yield math.sqrt(noise_variance(config.noise, config.t0)) * g[:, 0]
+        else:
+            yield ou_integral_series(config.noise, config.t0, g, config.series_variant)
+        drawn += rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,40 +209,31 @@ class SampleSet:
         return self.fourier_coef @ basis
 
 
-def _pack_coef(signal: FourierSignal) -> np.ndarray:
-    return np.concatenate([[signal.c0], signal.c, signal.d])
+def _noiseless(config: ScenarioConfig):
+    base = analytic_mean(config)
+    if config.observation_form == OBSERVE_GRID:
+        return base.evaluate_grid(config.grid_points)
+    return base
 
 
 def sample_batch(config: ScenarioConfig, subkey: tuple[int, ...] = (),
-                 quasi_shift: int = 0, parallel: bool = False) -> SampleSet:
-    """Draw n independent observations; identical results sequential or parallel."""
-    base = analytic_mean(config)
-
-    def draw(i: int) -> float:
-        return _noise_draw(config, sample_source(config, i, subkey, quasi_shift))
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            etas = np.array(list(pool.map(draw, range(config.n))))
-    else:
-        etas = np.array([draw(i) for i in range(config.n)])
-
-    if config.observation_form == OBSERVE_GRID:
-        base_values = base.evaluate_grid(config.grid_points).values
-        return SampleSet(config, etas, grid_values=base_values[None, :] + etas[:, None])
-    row = _pack_coef(base)
-    coef = np.tile(row, (config.n, 1))
+                 quasi_shift: int = 0) -> SampleSet:
+    """Draw n independent observations: the first n of the stream with the same keys."""
+    etas = np.concatenate(list(_noise_blocks(config, subkey, quasi_shift, config.n)))
+    base = _noiseless(config)
+    if isinstance(base, GridSignal):
+        return SampleSet(config, etas, grid_values=base.values[None, :] + etas[:, None])
+    coef = np.tile(np.concatenate([[base.c0], base.c, base.d]), (etas.size, 1))
     coef[:, 0] += 2.0 * etas
     return SampleSet(config, etas, fourier_coef=coef)
 
 
 def sample_stream(config: ScenarioConfig, subkey: tuple[int, ...] = ()):
-    """Endless generator of observations, sample i driven by its own stream."""
-    i = 0
-    while True:
-        z, _ = sample_transformed(config, sample_source(config, i, subkey))
-        yield z
-        i += 1
+    """Endless generator of observations; its first n equal sample_batch's rows."""
+    base = _noiseless(config)
+    for etas in _noise_blocks(config, subkey):
+        for eta in etas:
+            yield base + eta if isinstance(base, GridSignal) else base.plus_constant(eta)
 
 
 def empirical_moments(samples: SampleSet, x: float) -> tuple[float, float]:
@@ -263,7 +262,7 @@ def evolve_frames(config: ScenarioConfig, times, noise: str = NOISE_NONE,
     if noise not in (NOISE_NONE, NOISE_PATH, NOISE_IID):
         raise ValueError(f"unknown noise mode {noise!r}")
     if noise != NOISE_NONE and rng is None:
-        rng = sample_source(config, 0)
+        rng = sample_source(config)
     coeffs = rng.normals(config.noise.series_terms + 1) if noise == NOISE_PATH else None
 
     frames = []

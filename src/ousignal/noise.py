@@ -11,7 +11,6 @@ fractional parts of multiples of sqrt(prime).
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -68,78 +67,81 @@ _ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _ICDF_SPLIT = 0.02425
 
 
-def gaussian_inverse_cdf(p: float) -> float:
-    """Quantile z with Phi(z) = p for the standard normal law."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # numpy has no erfc; scipy stays a test-only dependency
+
+
+def gaussian_inverse_cdf(p):
+    """Quantile z with Phi(z) = p for the standard normal law, elementwise over arrays.
+
+    A scalar p gives a float; an array gives an array of the same shape.
+    """
+    p = np.asarray(p, dtype=float)
+    flat = np.atleast_1d(p)
+    if not np.all((flat > 0.0) & (flat < 1.0)):
         raise ValueError("p must lie strictly between 0 and 1")
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    if p < _ICDF_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p > 1.0 - _ICDF_SPLIT:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        z = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    else:
-        q = p - 0.5
-        r = q * q
-        z = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    if z * z < 2.0 * _SAFE_LOG:
-        err = 0.5 * math.erfc(-z / math.sqrt(2.0)) - p
-        if err != 0.0:
-            u = err * _SQRT2PI * math.exp(0.5 * z * z)
-            z -= u / (1.0 + 0.5 * z * u)
-    return z
+    low = flat < _ICDF_SPLIT
+    high = flat > 1.0 - _ICDF_SPLIT
+    q = np.sqrt(-2.0 * np.log(np.where(high, 1.0 - flat, flat)))
+    tail = np.polyval(_ICDF_C, q) / np.polyval(_ICDF_D + (1.0,), q)
+    q = flat - 0.5
+    r = q * q
+    central = np.polyval(_ICDF_A, r) * q / np.polyval(_ICDF_B + (1.0,), r)
+    z = np.where(low, tail, np.where(high, -tail, central))
+    # Halley step; skipped where exp(z^2 / 2) would overflow
+    err = 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=float) - flat
+    u = err * _SQRT2PI * np.exp(np.minimum(0.5 * z * z, _SAFE_LOG))
+    z = np.where(z * z < 2.0 * _SAFE_LOG, z - u / (1.0 + 0.5 * z * u), z)
+    return float(z[0]) if p.ndim == 0 else z.reshape(p.shape)
 
 
 # ---------------------------------------------------------------------------
 # quasi-random Gaussian sequence
 
-_sieve_primes: list[int] = [2, 3, 5, 7, 11, 13]
+_sieve_primes = np.array([2, 3, 5, 7, 11, 13])
 
 
-def nth_prime(index: int) -> int:
-    """The index-th prime (1-based: nth_prime(1) == 2), via a growing sieve."""
-    if index < 1:
+def nth_prime(index):
+    """The index-th prime (1-based: nth_prime(1) == 2), via a growing sieve; elementwise over arrays."""
+    global _sieve_primes
+    index = np.asarray(index)
+    if np.any(index < 1):
         raise ValueError("prime index starts at 1")
-    while len(_sieve_primes) < index:
-        limit = max(32, 2 * _sieve_primes[-1])
+    while _sieve_primes.size < np.max(index, initial=1):
+        limit = max(32, 2 * int(_sieve_primes[-1]))
         is_prime = np.ones(limit + 1, dtype=bool)
         is_prime[:2] = False
         for p in range(2, int(limit**0.5) + 1):
             if is_prime[p]:
                 is_prime[p * p:: p] = False
-        _sieve_primes[:] = np.nonzero(is_prime)[0].tolist()
-    return _sieve_primes[index - 1]
+        _sieve_primes = np.nonzero(is_prime)[0]
+    primes = _sieve_primes[index - 1]
+    return int(primes) if primes.ndim == 0 else primes
 
 
-def quasi_gaussian(stream: int, index: int) -> float:
+def quasi_gaussian(stream, index):
     """Deterministic standard-normal stand-in: Phi^-1 of {index * sqrt(p_stream)}.
 
-    The fractional parts of multiples of an irrational are equidistributed, so
-    the sequence has standard normal empirical law. An exactly integral
-    multiple (measure zero, impossible for sqrt of a prime in exact arithmetic)
-    is clamped away from the endpoints and logged.
+    Broadcasts over arrays of streams and indices. The fractional parts of
+    multiples of an irrational are equidistributed, so each stream has
+    standard normal empirical law. An exactly integral multiple (measure
+    zero, impossible for sqrt of a prime in exact arithmetic) is clamped away
+    from the endpoints and logged.
     """
-    if stream < 1 or index < 1:
+    stream, index = np.asarray(stream), np.asarray(index)
+    if np.any(stream < 1) or np.any(index < 1):
         raise ValueError("stream and index are 1-based positive integers")
-    u = math.fmod(index * math.sqrt(nth_prime(stream)), 1.0)
-    if u <= 0.0 or u >= 1.0:
-        warnings.warn(f"fractional part hit an endpoint at stream={stream} index={index}; "
-                      "clamping by machine epsilon")
-        u = min(max(u, _EPS), 1.0 - _EPS)
+    u = np.mod(index * np.sqrt(nth_prime(stream)), 1.0)
+    if np.any((u <= 0.0) | (u >= 1.0)):
+        warnings.warn("a fractional part hit an endpoint; clamping by machine epsilon")
+        u = np.clip(u, _EPS, 1.0 - _EPS)
     return gaussian_inverse_cdf(u)
 
 
 class RandomSource:
     """Deterministic Gaussian stream with a draw counter.
 
-    pseudo mode wraps numpy's PCG64 seeded by the key path, so independent
-    substreams derived from (seed, path...) can be drawn in any order; quasi
-    mode replays quasi_gaussian(stream, j) for j = 1, 2, ... The pair
+    pseudo mode wraps numpy's PCG64 seeded by the key path (seed, path...);
+    quasi mode replays quasi_gaussian(stream, j) for j = 1, 2, ... The pair
     (mode/key, counter) fully determines every draw.
     """
 
@@ -150,15 +152,13 @@ class RandomSource:
                  counter: int = 0):
         if mode not in (self.PSEUDO, self.QUASI):
             raise ValueError(f"unknown RandomSource mode {mode!r}")
+        if mode == self.QUASI and stream < 1:
+            raise ValueError("quasi stream index starts at 1")
         self.mode = mode
         self.key = tuple(int(k) for k in key)
         self.stream = int(stream)
         self.counter = int(counter)
         self._gen = None
-        if mode == self.QUASI:
-            if self.stream < 1:
-                raise ValueError("quasi stream index starts at 1")
-            self._sqrt_p = math.sqrt(nth_prime(self.stream))
 
     @classmethod
     def pseudo(cls, seed: int, *path: int) -> "RandomSource":
@@ -176,12 +176,7 @@ class RandomSource:
         return self._gen
 
     def normal(self) -> float:
-        if self.mode == self.PSEUDO:
-            value = float(self._generator().standard_normal())
-        else:
-            value = quasi_gaussian(self.stream, self.counter + 1)
-        self.counter += 1
-        return value
+        return float(self.normals(1)[0])
 
     def normals(self, count: int) -> np.ndarray:
         if count < 0:
@@ -189,29 +184,24 @@ class RandomSource:
         if self.mode == self.PSEUDO:
             values = self._generator().standard_normal(count)
         else:
-            j = np.arange(self.counter + 1, self.counter + count + 1, dtype=float)
-            u = np.mod(j * self._sqrt_p, 1.0)
-            u = np.clip(u, _EPS, 1.0 - _EPS)
-            values = np.array([gaussian_inverse_cdf(p) for p in u])
+            values = quasi_gaussian(self.stream, np.arange(self.counter + 1, self.counter + count + 1))
         self.counter += count
         return values
 
-    def substream(self, index: int) -> "RandomSource":
-        """Independent pseudo stream keyed by (this key..., index)."""
-        if self.mode != self.PSEUDO:
-            raise ValueError("quasi sources are indexed by stream, not substream")
-        return RandomSource(self.PSEUDO, key=self.key + (int(index),))
+    def blocks(self, rows: int, width: int) -> np.ndarray:
+        """A (rows, width) array of Gaussians whose rows are independent draws.
 
-    def clone(self) -> "RandomSource":
-        dup = RandomSource(self.mode, key=self.key, stream=self.stream, counter=self.counter)
-        if self.mode == self.PSEUDO and self._gen is not None:
-            dup._gen = copy.deepcopy(self._gen)
-        return dup
-
-    def describe(self) -> dict:
+        Pseudo rows are consecutive stretches of the stream. Quasi row r is
+        stream + r from the current index on, and the source then moves past
+        those streams: a later stretch of one Weyl sequence is a shifted copy
+        of an earlier one, so it cannot serve as an independent row.
+        """
         if self.mode == self.PSEUDO:
-            return {"mode": self.mode, "key": list(self.key), "counter": self.counter}
-        return {"mode": self.mode, "stream": self.stream, "counter": self.counter}
+            return self.normals(rows * width).reshape(rows, width)
+        streams = self.stream + np.arange(rows)[:, None]
+        values = quasi_gaussian(streams, np.arange(self.counter + 1, self.counter + width + 1))
+        self.stream += rows
+        return values
 
     def __repr__(self):
         ident = f"key={self.key}" if self.mode == self.PSEUDO else f"stream={self.stream}"
@@ -222,14 +212,16 @@ class RandomSource:
 # Karhunen-Loeve Brownian path and OU integrals
 
 
-def _kl_sum(coeffs: np.ndarray, s: float) -> float:
-    """x_0 s + sqrt(2) sum_n x_n sin(pi n s) / (pi n) over the given coefficients."""
+def _kl_sum(coeffs: np.ndarray, s: float):
+    """x_0 s + sqrt(2) sum_n x_n sin(pi n s) / (pi n); one value per coefficient row."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size < 1:
-        raise ValueError("coefficient vector must be one-dimensional and non-empty")
-    n = np.arange(1, coeffs.size)
-    tail = math.sqrt(2.0) * float(np.sum(coeffs[1:] * np.sin(np.pi * n * s) / (np.pi * n)))
-    return float(coeffs[0]) * s + tail
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] < 1:
+        raise ValueError("coefficients must be a non-empty vector or a matrix of such rows")
+    n = np.arange(1, coeffs.shape[-1])
+    # a row-wise sum, not a matrix product: a row's value must not depend on
+    # how many rows are evaluated with it
+    tail = np.sum(coeffs[..., 1:] * np.sin(np.pi * n * s) / (np.pi * n), axis=-1)
+    return coeffs[..., 0] * s + math.sqrt(2.0) * tail
 
 
 def wiener_path_value(coeffs, t: float) -> float:
@@ -272,7 +264,7 @@ def ou_integral_exact(params: NoiseParams, t0: float, rng: RandomSource) -> floa
 def ou_integral_series(params: NoiseParams, t0: float, coeffs,
                        variant: str = VARIANT_VARIANCE_MATCHED,
                        enforce_domain: bool = True) -> float:
-    """Series form of the noise draw, built from an explicit coefficient vector.
+    """Series form of the noise draw, built from an explicit coefficient vector (or matrix rows).
 
     The stochastic integral is a time-changed Brownian motion evaluated at
     u = exp(2 a0 t0) - 1; the sine-series path expansion representing it is
@@ -301,8 +293,6 @@ def ou_integral_series(params: NoiseParams, t0: float, coeffs,
             )
         warnings.warn(f"evaluating the noise series outside its validity interval (u={u:.6g} > 1); "
                       "sample variance will not match the analytic formula")
-    if params.sigma == 0.0:
-        return 0.0
     if variant == VARIANT_VARIANCE_MATCHED:
         prefactor = params.sigma / math.sqrt(2.0 * params.a0)
     else:
@@ -315,16 +305,15 @@ def ou_joint_pairs(params: NoiseParams, s: float, t: float, count: int,
     """Exact joint draws (noise(s), noise(t)) sharing one driving path.
 
     Uses the Markov decomposition: the later value is the earlier one decayed
-    (or grown) plus an independent increment. Consumes 2 * count Gaussians,
-    the first count for the earlier time.
+    (or grown) plus an independent increment. Draws rng.blocks(2, count): the
+    first row for the earlier time, the second for the increment.
     """
     if s < 0 or t < 0:
         raise ValueError("times must be non-negative")
     swap = s > t
     if swap:
         s, t = t, s
-    g_early = rng.normals(count)
-    g_inc = rng.normals(count)
+    g_early, g_inc = rng.blocks(2, count)
     early = math.sqrt(noise_variance(params, s)) * g_early
     if params.kernel == KERNEL_MEAN_REVERTING:
         carry = math.exp(-params.a0 * (t - s))

@@ -8,6 +8,7 @@ and rate formulas and cross-checked by independent scalar simulation.
 import math
 import time
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from ousignal import (
     propagate,
     run_estimate,
     sample_batch,
+    sample_stream,
 )
 from ousignal.cli import main as cli_main
 from ousignal.cli import replay_manifest
@@ -226,11 +228,15 @@ def test_criterion_9_reproducibility(tmp_path):
     byte_identical = ((first / "samples.csv").read_bytes()
                       == (replayed / "samples.csv").read_bytes())
 
+    # sample i depends only on (seed, i): a batch is a prefix of any larger batch
+    # and of the stream with the same keys
     cfg = make_config(n=128, seed=13)
-    sequential = sample_batch(cfg)
-    parallel = sample_batch(cfg, parallel=True)
-    batches_equal = (np.array_equal(sequential.grid_values, parallel.grid_values)
-                     and np.array_equal(sequential.etas, parallel.etas))
-    _finish(9, "replay and parallel reproducibility",
-            code == 0 and byte_identical and batches_equal,
-            f"replay={byte_identical} parallel={batches_equal}")
+    whole = sample_batch(replace(cfg, n=2000))
+    streamed = np.array([z.values for z in islice(sample_stream(cfg), 128)])
+    prefix = sample_batch(cfg)
+    prefix_equal = (np.array_equal(prefix.grid_values, whole.grid_values[:128])
+                    and np.array_equal(prefix.etas, whole.etas[:128])
+                    and np.array_equal(prefix.grid_values, streamed))
+    _finish(9, "replay and prefix reproducibility",
+            code == 0 and byte_identical and prefix_equal,
+            f"replay={byte_identical} prefix={prefix_equal}")

@@ -250,6 +250,39 @@ def test_cli_verify_passes(tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+def test_cli_verify_quasi_passes(tmp_path):
+    # the covariance increment comes from its own quasi stream, not a shifted copy
+    assert run_cli("verify", "--config", "ex42", "--out", str(tmp_path), "--quasi",
+                   "--n", "20000") == 0
+    lines = (tmp_path / "verify.csv").read_text().splitlines()
+    assert all(abs(float(line.split(",")[6])) <= 3.0 for line in lines[1:])
+
+
+def test_cli_estimate_infinite_zeroes_modes_and_reports_amplification(tmp_path):
+    cfg = tmp_path / "heat.cfg"
+    cfg.write_text("A.0 = 1\nA.2 = 1\nc.15 = 1\nt0 = 0.2\nsigma = 1\nn = 10\nseed = 1\n"
+                   "estimator = infinite\nepsilon = 1e-1\n")
+    with pytest.warns(UserWarning, match="unrecoverable"):
+        assert run_cli("estimate", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    report = (tmp_path / "estimate_report.csv").read_text().splitlines()[1].split(",")
+    assert 1.0 < float(report[6]) <= 1e12  # amplification_max, no longer NaN
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--config", "ex42", "--n", "1"], "--n must be >= 2"),
+    (["estimate", "--config", "ex42", "--samples", "{tmp}/missing.csv"], "missing.csv"),
+    (["spectrum", "--config", "ex42", "--out", "{tmp}/afile/sub"], "afile/sub"),
+])
+def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
+    (tmp_path / "afile").write_text("")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_cli_verify_zero_noise_trivially_passes(tmp_path):
     cfg = tmp_path / "quiet.cfg"
     cfg.write_text("A.0 = 2\nsigma = 0\nt0 = 1\nK = 2\nG = 8\nseed = 1\n")
@@ -297,6 +330,19 @@ def test_manifest_replay_is_byte_identical(tmp_path):
     replayed = tmp_path / "replayed"
     assert replay_manifest(manifest_path, replayed) == 0
     assert (first / "samples.csv").read_bytes() == (replayed / "samples.csv").read_bytes()
+
+
+def test_manifest_replay_refuses_older_artifact_version(tmp_path, capsys):
+    first = tmp_path / "run"
+    assert run_cli("sample", "--config", "ex42", "--out", str(first), "--seed", "21") == 0
+    manifest_path = first / "sample.manifest.json"
+    data = json.loads(manifest_path.read_text())
+    data["artifact_version"] = "0.1.0"
+    manifest_path.write_text(json.dumps(data))
+    replayed = tmp_path / "replayed"
+    assert replay_manifest(manifest_path, replayed) == 2
+    assert "0.1.0" in capsys.readouterr().err
+    assert not replayed.exists()  # refused before writing anything
 
 
 def test_manifest_replay_convergence(tmp_path):

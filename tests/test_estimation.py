@@ -138,6 +138,23 @@ def test_amplification_capped_modes_are_zeroed_with_warning():
     assert report.amplification_max <= 1e12
 
 
+def test_both_estimators_zero_the_same_unrecoverable_modes():
+    # heat channel: modes 12..20 would need an inverse factor above the 1e12 cap
+    theta = FourierSignal.build(PI, c0=1.0, cos={15: 1.0}, mode_count=20)
+    cfg = make_config(theta=theta, op=OperatorSpec.of(1.0, 0.0, 1.0), sigma=1.0, t0=0.2,
+                      n=10, seed=1)
+    with pytest.warns(UserWarning, match="unrecoverable modes \\[12, .*, 20\\]"):
+        mean = run_estimate(sample_batch(cfg)).estimate
+    with pytest.warns(UserWarning, match="unrecoverable modes \\[12, .*, 20\\]"):
+        running, n_used, _ = estimate_until_stable(
+            sample_stream(cfg), cfg.op, cfg.t0, cfg.mode_count, epsilon=0.0, n_max=10)
+    assert n_used == 10
+    for estimate in (mean, running):
+        assert not np.any(estimate.c[11:]) and not np.any(estimate.d[11:])
+    # the same ten samples: the two means agree to roundoff
+    assert sup_distance(mean, running) < 1e-9
+
+
 def test_stable_estimate_converges_immediately_without_noise():
     cfg = make_config(sigma=0.0, n=1)
     estimate, n_used, converged = estimate_until_stable(

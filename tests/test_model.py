@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -22,11 +23,10 @@ from ousignal import (
     ou_joint_pairs,
     quasi_gaussian,
     sample_batch,
-    sample_source,
     sample_stream,
-    sample_transformed,
     sup_distance,
 )
+from ousignal import model
 from ousignal.model import OBSERVE_FOURIER
 
 from _util import example_theta, make_config
@@ -58,8 +58,9 @@ def test_config_pads_theta():
 
 def test_noiseless_sample_equals_propagated_input():
     for form in ("grid", "fourier"):
-        cfg = make_config(sigma=0.0, observation_form=form)
-        z, eta = sample_transformed(cfg, sample_source(cfg, 0))
+        cfg = make_config(sigma=0.0, n=1, observation_form=form)
+        batch = sample_batch(cfg)
+        z, eta = batch.signal(0), batch.etas[0]
         assert eta == 0.0
         expected = analytic_mean(cfg)
         if form == "grid":
@@ -70,8 +71,8 @@ def test_noiseless_sample_equals_propagated_input():
 
 def test_sample_mode_radii_under_first_order_channel():
     # every mode rate is 2, so radii scale by exp(2 t0); noise leaves k >= 1 alone
-    cfg = make_config(sigma=150.0)
-    z, _ = sample_transformed(cfg, sample_source(cfg, 0))
+    cfg = make_config(sigma=150.0, n=1)
+    z = sample_batch(cfg).signal(0)
     coeffs = extract_coefficients(z, cfg.mode_count)
     radii = coeffs.mode_radii()
     factor = math.exp(2.0 * T0)
@@ -81,21 +82,13 @@ def test_sample_mode_radii_under_first_order_channel():
     assert np.max(others) < 1e-9
 
 
-def test_sample_reproducible_from_cloned_source():
-    cfg = make_config()
-    rng = sample_source(cfg, 0)
-    z1, eta1 = sample_transformed(cfg, rng.clone())
-    z2, eta2 = sample_transformed(cfg, rng.clone())
-    assert eta1 == eta2
-    assert np.array_equal(z1.values, z2.values)
-
-
 def test_constant_signal_pins_noise_entry():
     # observed constant level shifts by eta itself; stored c0 shifts by 2 eta
     theta = FourierSignal.build(PI, c0=2.0)
     cfg = make_config(theta=theta, op=OperatorSpec.of(0.5), sigma=3.0, mode_count=1,
-                      grid_points=8)
-    z, eta = sample_transformed(cfg, sample_source(cfg, 0))
+                      grid_points=8, n=1)
+    batch = sample_batch(cfg)
+    z, eta = batch.signal(0), batch.etas[0]
     coeffs = extract_coefficients(z, 1)
     base_c0 = 2.0 * math.exp(0.5 * T0)
     assert coeffs.c0 - base_c0 == pytest.approx(2.0 * eta, rel=1e-12)
@@ -116,12 +109,42 @@ def test_batch_noiseless_samples_identical():
     assert np.all(batch.etas == 0.0)
 
 
-def test_batch_parallel_equals_sequential():
-    cfg = make_config(n=64, seed=5)
-    sequential = sample_batch(cfg)
-    parallel = sample_batch(cfg, parallel=True)
-    assert np.array_equal(sequential.grid_values, parallel.grid_values)
-    assert np.array_equal(sequential.etas, parallel.etas)
+def test_batch_rows_are_prefix_of_larger_batch():
+    small = sample_batch(make_config(n=64, seed=5))
+    large = sample_batch(make_config(n=model._BLOCK + 100, seed=5))
+    assert np.array_equal(small.grid_values, large.grid_values[:64])
+    assert np.array_equal(small.etas, large.etas[:64])
+
+
+def test_pseudo_batch_seeds_one_generator(monkeypatch):
+    seeded = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        seeded.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    sample_batch(make_config(n=model._BLOCK, seed=5, sampler="series", t0=0.1,
+                             series_terms=9))  # eleven blocks
+    assert seeded == [((5,),)]
+
+
+@pytest.mark.parametrize("sampler", ["exact", "series"])
+@pytest.mark.parametrize("form", ["grid", "fourier"])
+@pytest.mark.parametrize("quasi", [False, True])
+def test_stream_prefix_equals_batch(quasi, form, sampler):
+    # more samples than one block, so block seams and the stream's growing blocks are crossed
+    width = 1 if sampler == "exact" else 100
+    cfg = make_config(n=model._BLOCK // width + 5, seed=3, quasi=quasi, quasi_base=4,
+                      observation_form=form, sampler=sampler, t0=0.1, series_terms=99,
+                      theta=example_theta(mode_count=5), mode_count=5, grid_points=11)
+    batch = sample_batch(cfg)
+    for i, z in enumerate(islice(sample_stream(cfg), cfg.n)):
+        if form == "grid":
+            assert np.array_equal(z.values, batch.grid_values[i])
+        else:
+            assert np.array_equal(np.concatenate([[z.c0], z.c, z.d]), batch.fourier_coef[i])
 
 
 def test_batch_mean_noise_obeys_clt_band():
@@ -214,8 +237,6 @@ def test_joint_value_covariance_matches_formula():
 
 def test_stream_is_deterministic_and_matches_batch():
     cfg = make_config(n=3, seed=12)
-    from itertools import islice
-
     streamed = list(islice(sample_stream(cfg), 3))
     batch = sample_batch(cfg)
     for i, z in enumerate(streamed):

@@ -61,6 +61,16 @@ def test_icdf_agrees_with_reference_inversion():
     assert np.max(np.abs(ours - reference)) < 1e-9
 
 
+def test_icdf_array_matches_scalar_calls():
+    ps = np.array([[1e-300, 0.01, 0.3], [0.5, 0.97, 1 - 1e-12]])
+    values = gaussian_inverse_cdf(ps)
+    assert values.shape == ps.shape
+    assert values.ravel().tolist() == [gaussian_inverse_cdf(p) for p in ps.ravel()]
+    assert isinstance(gaussian_inverse_cdf(0.3), float)
+    with pytest.raises(ValueError):
+        gaussian_inverse_cdf(np.array([0.5, 1.0]))
+
+
 def test_icdf_domain():
     for p in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
@@ -114,11 +124,12 @@ def test_pseudo_source_reproducible():
 
 
 def test_pseudo_substreams_are_order_independent():
-    root = RandomSource.pseudo(7)
-    early = root.substream(3).normals(4)
-    root.normals(100)  # consuming the parent does not disturb substreams
-    again = root.substream(3).normals(4)
-    assert np.array_equal(early, again)
+    # a keyed stream's draws depend on its key alone, not on how they are split
+    early = RandomSource.pseudo(7, 3).normals(4)
+    RandomSource.pseudo(7).normals(100)
+    split = RandomSource.pseudo(7, 3)
+    assert np.array_equal(early, np.concatenate([split.normals(1), split.normals(3)]))
+    assert not np.array_equal(early, RandomSource.pseudo(7, 4).normals(4))
 
 
 def test_counter_tracks_consumption():
@@ -126,13 +137,6 @@ def test_counter_tracks_consumption():
     src.normal()
     src.normals(4)
     assert src.counter == 5
-
-
-def test_clone_continues_identically():
-    src = RandomSource.pseudo(99)
-    src.normals(3)
-    dup = src.clone()
-    assert np.array_equal(src.normals(5), dup.normals(5))
 
 
 def test_counter_reconstruction_matches_sequence():
@@ -149,9 +153,16 @@ def test_quasi_source_matches_pointwise_map():
     assert drawn == pytest.approx(expected, abs=0.0)
 
 
-def test_quasi_source_has_no_substreams():
-    with pytest.raises(ValueError):
-        RandomSource.quasi(1).substream(0)
+def test_blocks_rows_are_independent_draws():
+    # pseudo rows are consecutive stretches of one stream
+    assert np.array_equal(RandomSource.pseudo(8).blocks(3, 4).ravel(),
+                          RandomSource.pseudo(8).normals(12))
+    # quasi rows are consecutive streams, never a shifted stretch of one sequence
+    src = RandomSource.quasi(3)
+    rows = src.blocks(2, 5)
+    for r, stream in enumerate((3, 4)):
+        assert rows[r].tolist() == [quasi_gaussian(stream, j) for j in range(1, 6)]
+    assert src.blocks(1, 1)[0, 0] == quasi_gaussian(5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +347,15 @@ def test_series_variance_matches_analytic():
     se = analytic * math.sqrt(2.0 / (draws.size - 1))
     truncation = math.exp(-2 * p.a0 * t0) * 2.0 / (math.pi**2 * 999)
     assert abs(draws.var(ddof=1) - analytic) < 3 * se + truncation
+
+
+def test_series_matrix_rows_match_vector_calls():
+    p = params(sigma=1.0, a0=0.5)
+    coeffs = np.random.default_rng(16).standard_normal((6, 40))
+    rows = ou_integral_series(p, 0.4, coeffs)
+    one_by_one = [ou_integral_series(p, 0.4, row) for row in coeffs]
+    assert rows.shape == (6,)
+    assert rows == pytest.approx(one_by_one, rel=1e-13, abs=1e-15)
 
 
 def test_series_domain_enforced():
