@@ -51,11 +51,9 @@ from .noise import (
 from .spectral import (
     ModeSpectrum,
     OperatorSpec,
-    StabilityReport,
     inverse_propagate,
     mode_spectrum,
     propagate,
-    stability_report,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +76,6 @@ __all__ = [
     "RunConfig",
     "SampleSet",
     "ScenarioConfig",
-    "StabilityReport",
     "analytic_mean",
     "convergence_study",
     "empirical_moments",
@@ -104,7 +101,6 @@ __all__ = [
     "sample_batch",
     "sample_source",
     "sample_stream",
-    "stability_report",
     "sup_distance",
     "wiener_path_value",
 ]

@@ -16,13 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fourier import (
-    DEFAULT_PROBE_POINTS,
-    FourierSignal,
-    GridSignal,
-    extract_coefficients,
-    sup_distance,
-)
+from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distance
 from .model import SampleSet, ScenarioConfig, sample_batch
 from .spectral import AMPLIFICATION_CAP, OperatorSpec, inverse_propagate, mode_spectrum
 
@@ -91,15 +85,14 @@ def estimate_signal(samples: SampleSet, op: OperatorSpec, t0: float,
     return _estimate_with_info(samples.mean_signal(), op, t0, mode_count, amplification_cap)[0]
 
 
-def error_report(estimate: FourierSignal, truth: FourierSignal,
-                 probe_points: int = DEFAULT_PROBE_POINTS, n_used: int = 1,
+def error_report(estimate: FourierSignal, truth: FourierSignal, n_used: int = 1,
                  amplification_max: float = float("nan")) -> EstimateReport:
     """Error metrics of an estimate against the known input signal."""
     if estimate.half_period != truth.half_period:
         raise ValueError("half_period mismatch between estimate and truth")
     if estimate.mode_count != truth.mode_count:
         raise ValueError("mode count mismatch between estimate and truth")
-    sup_error = sup_distance(estimate, truth, probe_points)
+    sup_error = sup_distance(estimate, truth)
     c0_error = estimate.c0 - truth.c0
     if estimate.mode_count:
         max_mode_error = float(np.max(np.hypot(estimate.c - truth.c, estimate.d - truth.d)))
@@ -110,7 +103,6 @@ def error_report(estimate: FourierSignal, truth: FourierSignal,
 
 
 def run_estimate(samples: SampleSet, truth: FourierSignal | None = None,
-                 probe_points: int = DEFAULT_PROBE_POINTS,
                  amplification_cap: float = AMPLIFICATION_CAP) -> EstimateReport:
     """Estimate from a sample set and score it against the scenario's input."""
     config = samples.config
@@ -118,27 +110,26 @@ def run_estimate(samples: SampleSet, truth: FourierSignal | None = None,
         truth = config.theta
     estimate, amplification_max = _estimate_with_info(samples.mean_signal(), config.op, config.t0,
                                                       config.mode_count, amplification_cap)
-    return error_report(estimate, truth.padded(config.mode_count), probe_points,
-                        n_used=samples.n, amplification_max=amplification_max)
+    return error_report(estimate, truth.padded(config.mode_count), n_used=samples.n,
+                        amplification_max=amplification_max)
 
 
 def estimate_until_stable(stream, op: OperatorSpec, t0: float, mode_count: int,
-                          epsilon: float, window: int = 4, n_max: int = 10000,
-                          probe_points: int = DEFAULT_PROBE_POINTS):
+                          epsilon: float, window: int = 4, n_max: int = 10000):
     """Running estimate with a Cauchy stopping rule.
 
-    Consumes samples from the stream, maintains the running mean, inverts it
-    as estimate_signal does (unrecoverable modes zeroed), and stops once all
+    Consumes samples from the stream, keeps their running sum (so the mean
+    is SampleSet.mean_signal's bit for bit), inverts the mean as
+    estimate_signal does (unrecoverable modes zeroed), and stops once all
     consecutive sup-norm gaps inside a window of `window` successive
-    estimates fall strictly below epsilon. Returns (estimate, n_used,
-    converged); exhausting n_max is reported via converged=False, never by
-    fabricating a value.
+    estimates fall strictly below epsilon. Returns (estimate, n_used, converged); exhausting n_max is
+    reported via converged=False, never by fabricating a value.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     if window < 2:
         raise ValueError("window must be >= 2")
-    mean_values = None
+    total = None
     estimate = None
     gaps: deque[float] = deque(maxlen=window - 1)
     n_used = 0
@@ -147,12 +138,13 @@ def estimate_until_stable(stream, op: OperatorSpec, t0: float, mode_count: int,
         values = z.values if isinstance(z, GridSignal) else None
         if values is None:
             values = np.concatenate([[z.c0], z.c, z.d])
-        if mean_values is None:
-            mean_values = values.astype(float).copy()
+        if total is None:
+            total = values.astype(float).copy()
             half_period = z.half_period
             is_grid = isinstance(z, GridSignal)
         else:
-            mean_values += (values - mean_values) / n_used
+            total += values
+        mean_values = total / n_used
         if is_grid:
             mean = GridSignal(half_period, mean_values)
         else:
@@ -162,7 +154,7 @@ def estimate_until_stable(stream, op: OperatorSpec, t0: float, mode_count: int,
         previous = estimate
         estimate, _ = _estimate_with_info(mean, op, t0, mode_count, AMPLIFICATION_CAP)
         if previous is not None:
-            gaps.append(sup_distance(estimate, previous, probe_points))
+            gaps.append(sup_distance(estimate, previous))
         if len(gaps) == window - 1 and all(g < epsilon for g in gaps):
             return estimate, n_used, True
         if n_used >= n_max:

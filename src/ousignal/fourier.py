@@ -9,33 +9,26 @@ which makes the rectangle rule exact for trig polynomials once G >= 2K+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import AliasingError
 
-DEFAULT_PROBE_POINTS = 4096
+_PROBE_POINTS = 4096
 
 
-@lru_cache(maxsize=64)
-def _grid(half_period: float, points: int) -> np.ndarray:
-    x = half_period * (2.0 * np.arange(points) / points - 1.0)
-    x.flags.writeable = False
-    return x
+def _grid_values(signal: FourierSignal, points: int) -> np.ndarray:
+    """Values on the uniform left-endpoint grid of M points by one inverse real FFT.
 
-
-@lru_cache(maxsize=64)
-def _trig_basis(half_period: float, mode_count: int, points: int):
-    """Cosine/sine tables on the uniform grid, shape (points, mode_count)."""
-    x = _grid(half_period, points)
-    k = np.arange(1, mode_count + 1)
-    angles = np.outer(x, k * (np.pi / half_period))
-    cos_tab = np.cos(angles)
-    sin_tab = np.sin(angles)
-    cos_tab.flags.writeable = False
-    sin_tab.flags.writeable = False
-    return cos_tab, sin_tab
+    M is the smallest multiple of `points` that holds 2K+1 points, so every
+    mode stays below the Nyquist frequency and the values are exact, not
+    folded; every (M // points)-th value is the `points`-point grid. The grid
+    starts at -l, which puts a (-1)^k phase on mode k.
+    """
+    size = points * -(-(2 * signal.mode_count + 1) // points)
+    spectrum = 0.5 * np.concatenate([[signal.c0], signal.c - 1j * signal.d])
+    spectrum[1::2] *= -1.0
+    return np.fft.irfft(spectrum, size, norm="forward")
 
 
 def _as_coeff_array(values, name: str) -> np.ndarray:
@@ -104,11 +97,8 @@ class FourierSignal:
         """Sample onto the uniform left-endpoint grid of the given size."""
         if grid_points < 1:
             raise ValueError("grid_points must be >= 1")
-        values = np.full(grid_points, 0.5 * self.c0)
-        if self.mode_count:
-            cos_tab, sin_tab = _trig_basis(self.half_period, self.mode_count, grid_points)
-            values = values + cos_tab @ self.c + sin_tab @ self.d
-        return GridSignal(self.half_period, values)
+        values = _grid_values(self, grid_points)
+        return GridSignal(self.half_period, values[:: values.size // grid_points])
 
     def padded(self, mode_count: int) -> "FourierSignal":
         """Copy with zero-padded coefficients up to mode_count."""
@@ -174,7 +164,8 @@ class GridSignal:
 
     @property
     def grid(self) -> np.ndarray:
-        return _grid(self.half_period, self.grid_points)
+        points = self.grid_points
+        return self.half_period * (2.0 * np.arange(points) / points - 1.0)
 
     def nearest_index(self, x: float) -> int:
         """Index of the grid point closest to x (periodic wrap)."""
@@ -204,7 +195,7 @@ class GridSignal:
 
 
 def extract_coefficients(grid: GridSignal, mode_count: int) -> FourierSignal:
-    """Recover Fourier coefficients by the periodic rectangle rule.
+    """Recover Fourier coefficients by the periodic rectangle rule (one real FFT).
 
     Exact (to roundoff) for signals band-limited to mode_count once the grid
     has at least 2*mode_count + 1 points; coarser grids alias mode energy and
@@ -218,33 +209,24 @@ def extract_coefficients(grid: GridSignal, mode_count: int) -> FourierSignal:
             f"{points} grid points cannot resolve {mode_count} modes without aliasing; "
             f"need at least {2 * mode_count + 1}"
         )
-    weight = 2.0 / points
-    c0 = weight * float(np.sum(grid.values))
-    cos_tab, sin_tab = _trig_basis(grid.half_period, mode_count, points)
-    c = weight * (grid.values @ cos_tab)
-    d = weight * (grid.values @ sin_tab)
-    return FourierSignal(grid.half_period, c0, c, d)
+    spectrum = np.fft.rfft(grid.values)[: mode_count + 1] * (2.0 / points)
+    spectrum[1::2] *= -1.0
+    return FourierSignal(grid.half_period, spectrum[0].real, spectrum[1:].real,
+                         -spectrum[1:].imag)
 
 
-def _probe_values(signal: FourierSignal, points: int) -> np.ndarray:
-    out = np.full(points, 0.5 * signal.c0)
-    if signal.mode_count:
-        cos_tab, sin_tab = _trig_basis(signal.half_period, signal.mode_count, points)
-        out = out + cos_tab @ signal.c + sin_tab @ signal.d
-    return out
-
-
-def sup_distance(a, b, probe_points: int = DEFAULT_PROBE_POINTS) -> float:
+def sup_distance(a, b) -> float:
     """Largest pointwise gap between two signals of the same kind.
 
-    Fourier inputs are compared on a dense probe grid (the true sup of a trig
-    polynomial has no closed form, so this is a tight lower bound); grid
-    inputs are compared on their own points.
+    Fourier inputs are compared through their difference on a dense probe
+    grid of 4096 points, or the smallest multiple of 4096 that holds 2K+1
+    (the true sup of a trig polynomial has no closed form, so this is a tight
+    lower bound); grid inputs are compared on their own points.
     """
     if isinstance(a, FourierSignal) and isinstance(b, FourierSignal):
         if a.half_period != b.half_period:
             raise ValueError("half_period mismatch")
-        return float(np.max(np.abs(_probe_values(a, probe_points) - _probe_values(b, probe_points))))
+        return float(np.max(np.abs(_grid_values(a - b, _PROBE_POINTS))))
     if isinstance(a, GridSignal) and isinstance(b, GridSignal):
         if a.half_period != b.half_period:
             raise ValueError("half_period mismatch")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 # Bumped whenever the same config and seed stop giving the same bytes; replay
 # refuses manifests written under another version.
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 
 def fmt(value) -> str:

@@ -163,41 +163,3 @@ def inverse_propagate(signal: FourierSignal, op: OperatorSpec, t: float,
         k = int(np.argmax(over)) + 1
         raise AmplificationError(k, float(-spectrum.sigma[k - 1] * t), amplification_cap)
     return _transform(signal, -op.a0 * t, -spectrum.sigma * t, -spectrum.omega * t)
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Conditioning summary for forward and inverse propagation."""
-
-    max_forward_factor: float
-    max_inverse_factor: float
-    leading_sign: int
-    forward_unstable: bool
-    inverse_ill_conditioned: bool
-
-
-def stability_report(op: OperatorSpec, mode_count: int, half_period: float, t: float,
-                     amplification_cap: float = AMPLIFICATION_CAP) -> StabilityReport:
-    """Numeric surrogate for well-posedness of the evolution over [0, t].
-
-    forward_unstable flags rates sigma_k that grow without bound in k
-    (decided by the highest-order nonzero even coefficient);
-    inverse_ill_conditioned flags any mode whose inverse factor over t
-    exceeds the amplification cap.
-    """
-    spectrum = mode_spectrum(op, mode_count, half_period)
-    rates = np.concatenate([[spectrum.sigma0], spectrum.sigma])
-    with np.errstate(over="ignore"):
-        max_forward = float(np.max(np.exp(rates * t)))
-        max_inverse = float(np.max(np.exp(-rates * t)))
-    m = op.order // 2
-    lead = op.coefficients[-1] * (-1.0) ** m
-    leading_sign = int(np.sign(lead))
-    forward_unstable = False
-    for n in range(op.order // 2, 0, -1):
-        a = op.coefficients[2 * n]
-        if a != 0.0:
-            forward_unstable = ((-1.0) ** n) * a > 0
-            break
-    ill = bool(np.min(spectrum.sigma * t) < -np.log(amplification_cap))
-    return StabilityReport(max_forward, max_inverse, leading_sign, forward_unstable, ill)

@@ -337,12 +337,13 @@ def test_manifest_replay_refuses_older_artifact_version(tmp_path, capsys):
     assert run_cli("sample", "--config", "ex42", "--out", str(first), "--seed", "21") == 0
     manifest_path = first / "sample.manifest.json"
     data = json.loads(manifest_path.read_text())
-    data["artifact_version"] = "0.1.0"
-    manifest_path.write_text(json.dumps(data))
-    replayed = tmp_path / "replayed"
-    assert replay_manifest(manifest_path, replayed) == 2
-    assert "0.1.0" in capsys.readouterr().err
-    assert not replayed.exists()  # refused before writing anything
+    for version in ("0.1.0", "0.2.0"):
+        data["artifact_version"] = version
+        manifest_path.write_text(json.dumps(data))
+        replayed = tmp_path / f"replayed-{version}"
+        assert replay_manifest(manifest_path, replayed) == 2
+        assert version in capsys.readouterr().err
+        assert not replayed.exists()  # refused before writing anything
 
 
 def test_manifest_replay_convergence(tmp_path):

@@ -1,6 +1,7 @@
 """Fourier representation: evaluation, quadrature extraction, sup distance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,10 +50,12 @@ def test_evaluate_grid_single_cosine():
 
 
 def test_evaluate_grid_matches_pointwise():
-    s = example_theta()
-    grid = s.evaluate_grid(200)
-    direct = np.array([s.evaluate(x) for x in grid.grid])
-    assert np.max(np.abs(grid.values - direct)) < 1e-12
+    # grids coarser than 2K+1 = 41 points get exact values, not folded ones
+    for s in (example_theta(), random_signal(np.random.default_rng(5), math.pi, 20, scale=1.0)):
+        for points in (200, 32, 7, 1):
+            grid = s.evaluate_grid(points)
+            direct = np.array([s.evaluate(x) for x in grid.grid])
+            assert np.max(np.abs(grid.values - direct)) < 1e-12
 
 
 def test_extract_constant_grid():
@@ -156,6 +159,35 @@ def test_sup_distance_cos_vs_sin():
     b = FourierSignal.build(math.pi, sin={1: 1.0})
     # max |cos x - sin x| = sqrt(2), attained inside the probe grid
     assert sup_distance(a, b) == pytest.approx(math.sqrt(2.0), abs=1e-6)
+
+
+def test_sup_distance_probe_grows_with_mode_count():
+    # mode 3000 peaks at 1 halfway between the points of the 4096-point grid
+    phase = math.pi / 512
+    a = FourierSignal.build(math.pi, cos={3000: math.cos(phase)}, sin={3000: -math.sin(phase)})
+    zero = FourierSignal.build(math.pi)
+    xs = math.pi * (2.0 * np.arange(4096) / 4096 - 1.0)
+    on_4096 = max(np.max(np.abs(a.evaluate(chunk))) for chunk in np.split(xs, 16))
+    assert on_4096 < 1.0 - 1e-5
+    assert sup_distance(a, zero) >= on_4096
+    assert sup_distance(a, zero) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_wideband_transforms_are_exact_in_little_memory():
+    # K = 2000 on G = 4001: (G, K) cos/sin tables would take 128 MB
+    s = random_signal(np.random.default_rng(11), math.pi, 2000)
+    tracemalloc.start()
+    try:
+        back = extract_coefficients(s.evaluate_grid(4001), 2000)
+        gap = sup_distance(back, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert abs(back.c0 - s.c0) < 1e-10
+    assert np.max(np.abs(back.c - s.c)) < 1e-10
+    assert np.max(np.abs(back.d - s.d)) < 1e-10
+    assert gap < 1e-10
 
 
 def test_sup_distance_rejects_mismatches():

@@ -14,7 +14,6 @@ from ousignal import (
     inverse_propagate,
     mode_spectrum,
     propagate,
-    stability_report,
     sup_distance,
 )
 from ousignal.csvio import write_spectrum_csv
@@ -238,27 +237,6 @@ def test_negative_time_rejected():
         propagate(s, OperatorSpec.of(2.0), -0.1)
     with pytest.raises(ValueError):
         inverse_propagate(s, OperatorSpec.of(2.0), -0.1)
-
-
-def test_stability_report_heat_like():
-    report = stability_report(OperatorSpec.of(1.0, 0.0, 1.0), 20, PI, 1.0)
-    assert not report.forward_unstable
-    assert report.inverse_ill_conditioned
-    assert report.max_inverse_factor == pytest.approx(math.exp(399.0), rel=1e-9)
-    assert report.leading_sign == -1
-
-
-def test_stability_report_first_order():
-    report = stability_report(OperatorSpec.of(2.0, -1.0), 20, PI, 0.5)
-    assert not report.forward_unstable
-    assert not report.inverse_ill_conditioned
-    assert report.max_forward_factor == pytest.approx(math.exp(1.0), rel=1e-12)
-
-
-def test_stability_report_backward_heat():
-    report = stability_report(OperatorSpec.of(1.0, 0.0, -1.0), 20, PI, 1.0)
-    assert report.forward_unstable
-    assert report.leading_sign == 1
 
 
 def test_spectrum_csv(tmp_path):
