@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-
 import numpy as np
 
 from .errors import ConfigError
 from .fourier import FourierSignal, GridSignal
-from .manifest import write_csv
+from .manifest import write_csv, write_long_csv
 from .model import OBSERVE_GRID, SampleSet, ScenarioConfig
 from .spectral import ModeSpectrum
 
@@ -22,17 +19,16 @@ def write_fourier_csv(signal: FourierSignal, path) -> None:
 
 
 def read_fourier_csv(path, half_period: float) -> FourierSignal:
-    rows = _read_rows(path, ["k", "c", "d"])
-    coeffs = {int(r["k"]): (float(r["c"]), float(r["d"])) for r in rows}
-    if 0 not in coeffs:
+    _, body = _read_table(path, "k,c,d")
+    k = _integers(path, body[:, 0], "k", minimum=0).astype(np.intp)
+    if not (k == 0).any():
         raise ConfigError("missing k=0 row", source=str(path))
-    top = max(coeffs)
-    c = np.zeros(top)
-    d = np.zeros(top)
-    for k, (ck, dk) in coeffs.items():
-        if k > 0:
-            c[k - 1], d[k - 1] = ck, dk
-    return FourierSignal(half_period, coeffs[0][0], c, d)
+    c = np.zeros(k.max())
+    d = np.zeros(k.max())
+    mode = k > 0
+    c[k[mode] - 1] = body[mode, 1]
+    d[k[mode] - 1] = body[mode, 2]
+    return FourierSignal(half_period, float(body[k == 0, 1][-1]), c, d)
 
 
 def write_grid_csv(grid: GridSignal, path) -> None:
@@ -40,8 +36,8 @@ def write_grid_csv(grid: GridSignal, path) -> None:
 
 
 def read_grid_csv(path, half_period: float) -> GridSignal:
-    rows = _read_rows(path, ["x", "value"])
-    return GridSignal(half_period, [float(r["value"]) for r in rows])
+    _, body = _read_table(path, "x,value")
+    return GridSignal(half_period, body[:, 1])
 
 
 def write_spectrum_csv(spectrum: ModeSpectrum, path) -> None:
@@ -53,83 +49,82 @@ def write_spectrum_csv(spectrum: ModeSpectrum, path) -> None:
 
 def write_samples_csv(samples: SampleSet, path) -> None:
     """Long format: sample_id,x,value for grids, sample_id,k,c,d for coefficients."""
+    ids = np.arange(samples.n)
     if samples.form == OBSERVE_GRID:
-        x = samples.signal(0).grid
-        rows = ((i, x[g], samples.grid_values[i, g])
-                for i in range(samples.n) for g in range(x.size))
-        write_csv(path, ["sample_id", "x", "value"], rows)
+        write_long_csv(path, ["sample_id", "x", "value"], ids, samples.signal(0).grid,
+                       samples.grid_values)
         return
-    k_count = samples.config.mode_count
-
-    def coef_rows():
-        for i in range(samples.n):
-            row = samples.fourier_coef[i]
-            yield (i, 0, row[0], 0.0)
-            for k in range(k_count):
-                yield (i, k + 1, row[1 + k], row[1 + k_count + k])
-
-    write_csv(path, ["sample_id", "k", "c", "d"], coef_rows())
+    coef = samples.fourier_coef
+    k_count = (coef.shape[1] - 1) // 2
+    d = np.hstack([np.zeros((samples.n, 1)), coef[:, k_count + 1:]])  # the k=0 row has d = 0
+    write_long_csv(path, ["sample_id", "k", "c", "d"], ids, np.arange(k_count + 1),
+                   np.stack([coef[:, :k_count + 1], d], axis=-1))
 
 
 def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
-    """Rebuild a SampleSet written by write_samples_csv (noise draws unknown)."""
-    with open(path, newline="") as handle:
-        header = next(csv.reader(handle), None)
-    try:
-        if header == ["sample_id", "x", "value"]:
-            rows = _read_rows(path, header)
-            by_sample: dict[int, list[float]] = {}
-            for r in rows:
-                by_sample.setdefault(int(r["sample_id"]), []).append(float(r["value"]))
-            sizes = {len(v) for v in by_sample.values()}
-            if len(sizes) != 1:
-                raise ConfigError("samples have inconsistent grid sizes", source=str(path))
-            values = np.array([by_sample[i] for i in sorted(by_sample)])
-            return SampleSet(config, etas=np.full(len(by_sample), np.nan),
-                             grid_values=values)
-        if header == ["sample_id", "k", "c", "d"]:
-            rows = _read_rows(path, header)
-            k_count = max(int(r["k"]) for r in rows)
-            ids = sorted({int(r["sample_id"]) for r in rows})
-            row_of = {sample_id: row for row, sample_id in enumerate(ids)}
-            coef = np.zeros((len(ids), 2 * k_count + 1))
-            for r in rows:
-                i, k = row_of[int(r["sample_id"])], int(r["k"])
-                if k == 0:
-                    coef[i, 0] = float(r["c"])
-                else:
-                    coef[i, k] = float(r["c"])
-                    coef[i, k_count + k] = float(r["d"])
-            return SampleSet(config, etas=np.full(len(ids), np.nan), fourier_coef=coef)
-    except ValueError as exc:
-        raise ConfigError(f"bad cell value: {exc}", source=str(path)) from exc
-    raise ConfigError(
-        "unrecognized samples file: expected header sample_id,x,value or sample_id,k,c,d",
-        source=str(path),
-    )
+    """Rebuild a SampleSet written by write_samples_csv (noise draws unknown).
+
+    Samples are taken in ascending sample_id order, each sample's rows in file
+    order. sample_id must be an integer and k an integer >= 0; in the grid
+    schema every sample must have the same number of rows.
+    """
+    header, body = _read_table(path, "sample_id,x,value", "sample_id,k,c,d")
+    ids = _integers(path, body[:, 0], "sample_id")
+    if header == "sample_id,x,value":
+        _, counts = np.unique(ids, return_counts=True)
+        if counts.min() != counts.max():
+            raise ConfigError(f"samples have inconsistent grid sizes: {counts.min()} to "
+                              f"{counts.max()} rows per sample_id", source=str(path))
+        values = body[np.argsort(ids, kind="stable"), 2].reshape(counts.size, counts[0])
+        return SampleSet(config, etas=np.full(counts.size, np.nan), grid_values=values)
+    k = _integers(path, body[:, 1], "k", minimum=0).astype(np.intp)
+    _, row = np.unique(ids, return_inverse=True)
+    k_count = k.max()
+    coef = np.zeros((row.max() + 1, 2 * k_count + 1))
+    coef[row, k] = body[:, 2]
+    mode = k > 0
+    coef[row[mode], k_count + k[mode]] = body[mode, 3]
+    return SampleSet(config, etas=np.full(coef.shape[0], np.nan), fourier_coef=coef)
 
 
 def write_frames_csv(frames, path) -> None:
-    """Long format t,x,value over all frames."""
-    def rows():
-        for t, grid in frames:
-            x = grid.grid
-            for g in range(x.size):
-                yield (t, x[g], grid.values[g])
-
-    write_csv(path, ["t", "x", "value"], rows())
+    """Long format t,x,value over all frames (they share one grid)."""
+    times = np.asarray([t for t, _ in frames])
+    values = np.array([grid.values for _, grid in frames])
+    write_long_csv(path, ["t", "x", "value"], times, frames[0][1].grid, values)
 
 
-def _read_rows(path, expected_header: list[str]) -> list[dict]:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError("file not found", source=str(path))
+def _read_table(path, *headers: str) -> tuple[str, np.ndarray]:
+    """The header of a CSV, which must be one of `headers`, and its rows as a float array.
+
+    Blank lines are skipped. There must be at least one row, and every row
+    must hold one number per column.
+    """
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or list(reader.fieldnames) != expected_header:
-            raise ConfigError(
-                f"expected columns {','.join(expected_header)}, "
-                f"found {','.join(reader.fieldnames or ['<empty>'])}",
-                source=str(path),
-            )
-        return [row for row in reader if any(v != "" for v in row.values())]
+        header = handle.readline().rstrip("\r\n")
+        has_rows = any(not line.isspace() for line in handle)
+    if header not in headers:
+        raise ConfigError(f"expected columns {' or '.join(headers)}, found {header or '<empty>'}",
+                          source=str(path))
+    if not has_rows:
+        raise ConfigError("no data rows", source=str(path))
+    try:
+        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError as exc:  # a row with a missing, extra or non-numeric cell
+        raise ConfigError(f"bad row: {exc}", source=str(path)) from exc
+    columns = header.count(",") + 1
+    if body.shape[1] != columns:
+        raise ConfigError(f"expected {columns} columns per row, found {body.shape[1]}",
+                          source=str(path))
+    return header, body
+
+
+def _integers(path, column: np.ndarray, name: str, minimum: float = -np.inf) -> np.ndarray:
+    """The column unchanged; a fraction, non-finite value or value below minimum is refused."""
+    bad = ~np.isfinite(column) | (column != np.floor(column)) | (column < minimum)
+    if bad.any():
+        row = int(np.argmax(bad))
+        rule = "an integer" if minimum == -np.inf else f"an integer >= {minimum:g}"
+        raise ConfigError(f"{name} must be {rule}, found {column[row]:g} in data row {row + 1}",
+                          source=str(path))
+    return column

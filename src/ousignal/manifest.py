@@ -50,6 +50,36 @@ def write_csv(path, header: list[str], rows, trailer: str | None = None) -> None
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _cells(values) -> list[str]:
+    """`fmt` of every entry of a numeric array, by one %-format call over all of them.
+
+    `%.17g` and `f"{v:.17g}"` share Python's correctly rounded conversion, so
+    each cell has the bytes `fmt` gives it.
+    """
+    flat = values.ravel().tolist()
+    spec = "%.17g\n" if values.dtype.kind == "f" else "%d\n"
+    return (spec * len(flat) % tuple(flat)).split("\n")[:-1]
+
+
+def write_long_csv(path, header: list[str], keys, shared, table) -> None:
+    """Long-format table: one row per pair (keys[i], shared[j]), i major.
+
+    Row (i, j) reads keys[i], shared[j], then table[i, j] (one float, or a
+    row of them when table has a third axis). The bytes equal `write_csv`
+    over the same rows. keys and shared are formatted once each; each key's
+    rows are one %-format call over table[i], through a template that holds
+    the shared cells.
+    """
+    spec = ",%.17g" * (table.shape[2] if table.ndim == 3 else 1)
+    rows = [cell + spec for cell in _cells(shared)]
+    parts = [",".join(header) + "\n"]
+    for i, key in enumerate(_cells(keys)):
+        head = key + ","
+        template = head + ("\n" + head).join(rows) + "\n"
+        parts.append(template % tuple(table[i].ravel().tolist()))
+    atomic_write_text(path, "".join(parts))
+
+
 @dataclass
 class RunManifest:
     """Provenance record of one command invocation."""

@@ -1,5 +1,6 @@
 """Config parsing, presets, and the command-line harness end to end."""
 
+import hashlib
 import json
 import math
 
@@ -171,6 +172,43 @@ def test_cli_sample_reruns_byte_identical(tmp_path):
     assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
 
 
+# SHA-256 of the outputs under ARTIFACT_VERSION 0.3.0; these bytes must not
+# move without a version bump.
+PINNED_DIGESTS = {
+    "grid": {
+        "samples.csv": "1e5ad693d203c27254c902cc76a3e1091aec33255df74514adf3f7b17718f270",
+        "estimate.csv": "49994806c8364f192eaa59ef8a2e5924f4614be6222fbc565fafe4768d21ba5c",
+        "estimate_report.csv":
+            "0f1d8c247110a9e367f1748881137cea78e6230cc74e4ebea95b68f7a2ea3656",
+    },
+    "fourier": {
+        "samples.csv": "a61d04f0971622afb25b747a819801846ee169a933aebaa9f69f04578585a97e",
+        "estimate.csv": "a4c68a46933f7496ba290abd772fca46b3d735cb54c699c64ea068504512629f",
+        "estimate_report.csv":
+            "32b76d131fe8cc0f6ab8e35cd81c0e2d11faa9fac102bb8aaadf68b80ff9225d",
+    },
+}
+
+
+@pytest.mark.parametrize("observation", ["grid", "fourier"])
+def test_cli_sample_and_estimate_bytes_match_pinned_digests(tmp_path, observation):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(preset_text("ex42") + f"observation = {observation}\n")
+    assert run_cli("sample", "--config", str(cfg), "--seed", "5", "--n", "50",
+                   "--out", str(tmp_path)) == 0
+    assert run_cli("estimate", "--config", str(cfg), "--seed", "5",
+                   "--samples", str(tmp_path / "samples.csv"), "--out", str(tmp_path)) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_DIGESTS[observation]}
+    assert digests == PINNED_DIGESTS[observation]
+
+
+def test_cli_evolve_frames_match_pinned_digest(tmp_path):
+    assert run_cli("evolve", "--config", "ex41", "--out", str(tmp_path)) == 0
+    digest = hashlib.sha256((tmp_path / "frames.csv").read_bytes()).hexdigest()
+    assert digest == "ab293ce54a72b4d51d97bbe3954256c98951ce84ecf25f04d142604cafb03395"
+
+
 def test_cli_sample_seed_changes_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_cli("sample", "--config", "ex42", "--out", str(out1), "--seed", "5")
@@ -217,12 +255,32 @@ def test_cli_estimate_reads_samples_file(tmp_path):
     assert float(report[1].split(",")[1]) == 4  # n_used
 
 
-def test_cli_estimate_missing_columns_exits_2(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    pytest.param("id,position\n0,1\n", "expected columns", id="wrong-header"),
+    pytest.param("sample_id,x,value\n0,0,1\n0,1\n", "number of columns changed",
+                 id="missing-cell"),
+    pytest.param("sample_id,x,value\n0,0\n1,0\n", "expected 3 columns per row",
+                 id="wrong-column-count"),
+    pytest.param("sample_id,x,value\n0,,1\n", "bad row", id="empty-cell"),
+    pytest.param("sample_id,x,value\n", "no data rows", id="header-only-grid"),
+    pytest.param("sample_id,k,c,d\n\n", "no data rows", id="header-only-coefficients"),
+    pytest.param("sample_id,x,value\n1.5,0,1\n", "sample_id must be an integer",
+                 id="fractional-sample-id"),
+    pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1.5,1,1\n", "k must be an integer",
+                 id="fractional-k"),
+    pytest.param("sample_id,k,c,d\n0,0,1,0\n0,-3,1,1\n", "k must be an integer >= 0",
+                 id="negative-k"),
+    pytest.param("sample_id,x,value\n0,0,1\n0,1,2\n1,0,3\n", "inconsistent grid sizes",
+                 id="unequal-grid-sizes"),
+])
+def test_cli_estimate_missing_columns_exits_2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"
-    bad.write_text("id,position\n0,1\n")
+    bad.write_text(text)
     code = run_cli("estimate", "--config", "ex42", "--out", str(tmp_path),
                    "--samples", str(bad))
     assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err and "bad cell value" not in err
 
 
 def test_cli_estimate_infinite_mode_exit_codes(tmp_path):

@@ -1,0 +1,96 @@
+"""Columnar CSV writers and readers against the per-cell reference format."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from _util import make_config
+from ousignal import ConfigError, SampleSet
+from ousignal.csvio import (read_fourier_csv, read_grid_csv, read_samples_csv,
+                            write_frames_csv, write_samples_csv)
+from ousignal.fourier import GridSignal
+from ousignal.manifest import write_csv
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308]
+FINITE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _reference_samples_csv(samples, path):
+    """Reference writer: one fmt call per cell, through write_csv."""
+    n = samples.n
+    if samples.grid_values is not None:
+        x = samples.signal(0).grid
+        rows = ((i, x[g], samples.grid_values[i, g]) for i in range(n) for g in range(x.size))
+        write_csv(path, ["sample_id", "x", "value"], rows)
+        return
+    coef = samples.fourier_coef
+    k_count = (coef.shape[1] - 1) // 2
+    rows = []
+    for i in range(n):
+        rows.append((i, 0, coef[i, 0], 0.0))
+        rows += [(i, k, coef[i, k], coef[i, k_count + k]) for k in range(1, k_count + 1)]
+    write_csv(path, ["sample_id", "k", "c", "d"], rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), width=st.integers(1, 6),
+       form=st.sampled_from(["grid", "fourier"]))
+def test_samples_csv_matches_per_cell_format_and_round_trips_bits(tmp_path_factory, data, n,
+                                                                   width, form):
+    tmp = tmp_path_factory.mktemp("samples")
+    config = make_config()
+    if form == "grid":
+        values = data.draw(arrays(np.float64, (n, width), elements=FINITE))
+        samples = SampleSet(config, etas=np.zeros(n), grid_values=values)
+    else:
+        values = data.draw(arrays(np.float64, (n, 2 * width + 1), elements=FINITE))
+        samples = SampleSet(config, etas=np.zeros(n), fourier_coef=values)
+    write_samples_csv(samples, tmp / "columnar.csv")
+    _reference_samples_csv(samples, tmp / "reference.csv")
+    assert (tmp / "columnar.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+    back = read_samples_csv(tmp / "columnar.csv", config)
+    read = back.grid_values if form == "grid" else back.fourier_coef
+    assert read.tobytes() == values.tobytes()  # bit for bit, -0.0 and subnormals included
+    write_samples_csv(back, tmp / "again.csv")
+    assert (tmp / "again.csv").read_bytes() == (tmp / "columnar.csv").read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), frames=st.integers(1, 4), points=st.integers(1, 6))
+def test_frames_csv_matches_per_cell_format(tmp_path_factory, data, frames, points):
+    tmp = tmp_path_factory.mktemp("frames")
+    times = sorted(data.draw(st.lists(FINITE.map(abs), min_size=frames, max_size=frames)))
+    values = data.draw(arrays(np.float64, (frames, points), elements=FINITE))
+    series = [(t, GridSignal(math.pi, row)) for t, row in zip(times, values)]
+    write_frames_csv(series, tmp / "columnar.csv")
+    rows = ((t, x, v) for t, grid in series for x, v in zip(grid.grid, grid.values))
+    write_csv(tmp / "reference.csv", ["t", "x", "value"], rows)
+    assert (tmp / "columnar.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+
+def test_samples_reader_groups_by_id_and_keeps_row_order(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("sample_id,x,value\n7,0,1\n-2,0,5\n7,1,2\n-2,1,6\n")
+    back = read_samples_csv(path, make_config())
+    assert back.grid_values.tolist() == [[5.0, 6.0], [1.0, 2.0]]
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_fourier_csv, "k,c,d\n0,1,0\n1,2\n", "number of columns changed"),
+    (read_fourier_csv, "k,c,d\n1,2,3\n", "missing k=0 row"),
+    (read_fourier_csv, "k,c,d\n0,1,0\n-1,2,3\n", "k must be an integer >= 0"),
+    (read_fourier_csv, "k,v\n0,1\n", "expected columns k,c,d, found k,v"),
+    (read_grid_csv, "x,value\n0,1\n1\n", "number of columns changed"),
+    (read_grid_csv, "x,value\n", "no data rows"),
+    (read_grid_csv, "", "expected columns x,value, found <empty>"),
+])
+def test_signal_readers_refuse_malformed_files(tmp_path, reader, text, message):
+    path = tmp_path / "signal.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        reader(path, math.pi)
