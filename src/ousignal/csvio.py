@@ -48,25 +48,33 @@ def write_spectrum_csv(spectrum: ModeSpectrum, path) -> None:
 
 
 def write_samples_csv(samples: SampleSet, path) -> None:
-    """Long format: sample_id,x,value for grids, sample_id,k,c,d for coefficients."""
+    """Long format: sample_id,x,value for grids, sample_id,k,c,d for coefficients.
+
+    Rows are formatted and written one block of samples at a time.
+    """
     ids = np.arange(samples.n)
+    first = samples.signal(0)
     if samples.form == OBSERVE_GRID:
-        write_long_csv(path, ["sample_id", "x", "value"], ids, samples.signal(0).grid,
-                       samples.grid_values)
+        write_long_csv(path, ["sample_id", "x", "value"], ids, first.grid, samples._blocks())
         return
-    coef = samples.fourier_coef
-    k_count = (coef.shape[1] - 1) // 2
-    d = np.hstack([np.zeros((samples.n, 1)), coef[:, k_count + 1:]])  # the k=0 row has d = 0
+    k_count = first.mode_count
     write_long_csv(path, ["sample_id", "k", "c", "d"], ids, np.arange(k_count + 1),
-                   np.stack([coef[:, :k_count + 1], d], axis=-1))
+                   (_coefficient_table(block, k_count) for block in samples._blocks()))
+
+
+def _coefficient_table(coef: np.ndarray, k_count: int) -> np.ndarray:
+    """(rows, 2K+1) coefficients as (rows, K+1, 2) pairs (c_k, d_k); the k=0 row has d = 0."""
+    d = np.hstack([np.zeros((coef.shape[0], 1)), coef[:, k_count + 1:]])
+    return np.stack([coef[:, :k_count + 1], d], axis=-1)
 
 
 def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
     """Rebuild a SampleSet written by write_samples_csv (noise draws unknown).
 
     Samples are taken in ascending sample_id order, each sample's rows in file
-    order. sample_id must be an integer and k an integer >= 0; in the grid
-    schema every sample must have the same number of rows.
+    order. sample_id must be an integer and k an integer from 0 to the
+    config's mode count; in the grid schema every sample must have the same
+    number of rows.
     """
     header, body = _read_table(path, "sample_id,x,value", "sample_id,k,c,d")
     ids = _integers(path, body[:, 0], "sample_id")
@@ -77,7 +85,12 @@ def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
                               f"{counts.max()} rows per sample_id", source=str(path))
         values = body[np.argsort(ids, kind="stable"), 2].reshape(counts.size, counts[0])
         return SampleSet(config, etas=np.full(counts.size, np.nan), grid_values=values)
-    k = _integers(path, body[:, 1], "k", minimum=0).astype(np.intp)
+    k = _integers(path, body[:, 1], "k", minimum=0)
+    if k.max() > config.mode_count:  # refused before k sizes the coefficient matrix
+        at = int(np.argmax(k > config.mode_count))
+        raise ConfigError(f"k must be at most the mode count K = {config.mode_count}, found "
+                          f"{k[at]:g} in data row {at + 1}", source=str(path))
+    k = k.astype(np.intp)
     _, row = np.unique(ids, return_inverse=True)
     k_count = k.max()
     coef = np.zeros((row.max() + 1, 2 * k_count + 1))
@@ -91,7 +104,7 @@ def write_frames_csv(frames, path) -> None:
     """Long format t,x,value over all frames (they share one grid)."""
     times = np.asarray([t for t, _ in frames])
     values = np.array([grid.values for _, grid in frames])
-    write_long_csv(path, ["t", "x", "value"], times, frames[0][1].grid, values)
+    write_long_csv(path, ["t", "x", "value"], times, frames[0][1].grid, [values])
 
 
 def _read_table(path, *headers: str) -> tuple[str, np.ndarray]:

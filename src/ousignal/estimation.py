@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distance
-from .model import SampleSet, ScenarioConfig, sample_batch
+from .model import (OBSERVE_FOURIER, OBSERVE_GRID, SampleSet, ScenarioConfig, _add_rows,
+                    _row_signal, _signal_row, sample_batch)
 from .spectral import AMPLIFICATION_CAP, OperatorSpec, inverse_propagate, mode_spectrum
 
 
@@ -118,12 +119,13 @@ def estimate_until_stable(stream, op: OperatorSpec, t0: float, mode_count: int,
                           epsilon: float, window: int = 4, n_max: int = 10000):
     """Running estimate with a Cauchy stopping rule.
 
-    Consumes samples from the stream, keeps their running sum (so the mean
-    is SampleSet.mean_signal's bit for bit), inverts the mean as
-    estimate_signal does (unrecoverable modes zeroed), and stops once all
-    consecutive sup-norm gaps inside a window of `window` successive
-    estimates fall strictly below epsilon. Returns (estimate, n_used, converged); exhausting n_max is
-    reported via converged=False, never by fabricating a value.
+    Consumes samples from the stream, adds each to a running sum by the fold
+    SampleSet.mean_signal uses (so the mean is a batch's bit for bit),
+    inverts the mean as estimate_signal does (unrecoverable modes zeroed),
+    and stops once all consecutive sup-norm gaps inside a window of `window`
+    successive estimates fall strictly below epsilon. Returns (estimate,
+    n_used, converged); exhausting n_max is reported via converged=False,
+    never by fabricating a value.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
@@ -135,22 +137,9 @@ def estimate_until_stable(stream, op: OperatorSpec, t0: float, mode_count: int,
     n_used = 0
     for z in stream:
         n_used += 1
-        values = z.values if isinstance(z, GridSignal) else None
-        if values is None:
-            values = np.concatenate([[z.c0], z.c, z.d])
-        if total is None:
-            total = values.astype(float).copy()
-            half_period = z.half_period
-            is_grid = isinstance(z, GridSignal)
-        else:
-            total += values
-        mean_values = total / n_used
-        if is_grid:
-            mean = GridSignal(half_period, mean_values)
-        else:
-            k = (mean_values.size - 1) // 2
-            mean = FourierSignal(half_period, mean_values[0],
-                                 mean_values[1: k + 1], mean_values[k + 1:])
+        form = OBSERVE_GRID if isinstance(z, GridSignal) else OBSERVE_FOURIER
+        total = _add_rows(total, _signal_row(z)[None, :])
+        mean = _row_signal(z.half_period, form, total / n_used)
         previous = estimate
         estimate, _ = _estimate_with_info(mean, op, t0, mode_count, AMPLIFICATION_CAP)
         if previous is not None:

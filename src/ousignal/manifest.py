@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -28,18 +29,26 @@ def fmt(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path, text: str) -> None:
+@contextmanager
+def _atomic_file(path):
+    """A text handle on a temp file beside path, renamed onto path when the block ends
+    (deleted instead if it raises)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    with _atomic_file(path) as handle:
+        handle.write(text)
 
 
 def write_csv(path, header: list[str], rows, trailer: str | None = None) -> None:
@@ -61,23 +70,29 @@ def _cells(values) -> list[str]:
     return (spec * len(flat) % tuple(flat)).split("\n")[:-1]
 
 
-def write_long_csv(path, header: list[str], keys, shared, table) -> None:
+def write_long_csv(path, header: list[str], keys, shared, blocks) -> None:
     """Long-format table: one row per pair (keys[i], shared[j]), i major.
 
-    Row (i, j) reads keys[i], shared[j], then table[i, j] (one float, or a
-    row of them when table has a third axis). The bytes equal `write_csv`
-    over the same rows. keys and shared are formatted once each; each key's
-    rows are one %-format call over table[i], through a template that holds
-    the shared cells.
+    blocks yields the value table in consecutive blocks of rows, one row
+    per key. Row (i, j) reads keys[i], shared[j], then table[i, j] (one
+    float, or a row of them when the table has a third axis). The bytes
+    equal `write_csv` over the same rows. shared is formatted once; each
+    key's rows are one %-format call over table[i], through a template that
+    holds the shared cells, written to the file as it is made, so memory
+    holds one block and one key's text.
     """
-    spec = ",%.17g" * (table.shape[2] if table.ndim == 3 else 1)
-    rows = [cell + spec for cell in _cells(shared)]
-    parts = [",".join(header) + "\n"]
-    for i, key in enumerate(_cells(keys)):
-        head = key + ","
-        template = head + ("\n" + head).join(rows) + "\n"
-        parts.append(template % tuple(table[i].ravel().tolist()))
-    atomic_write_text(path, "".join(parts))
+    shared = _cells(shared)
+    done = 0
+    with _atomic_file(path) as handle:
+        handle.write(",".join(header) + "\n")
+        for block in blocks:
+            spec = ",%.17g" * (block.shape[2] if block.ndim == 3 else 1)
+            rows = [cell + spec for cell in shared]
+            for key, values in zip(_cells(keys[done:done + len(block)]), block):
+                head = key + ","
+                template = head + ("\n" + head).join(rows) + "\n"
+                handle.write(template % tuple(values.ravel().tolist()))
+            done += len(block)
 
 
 @dataclass

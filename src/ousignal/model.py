@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -148,65 +149,123 @@ def _noise_blocks(config: ScenarioConfig, subkey: tuple[int, ...] = (),
         drawn += rows
 
 
-@dataclass(frozen=True, eq=False)
+def _signal_row(signal) -> np.ndarray:
+    """A signal as one row: its grid values, or its coefficients c0, c_1..c_K, d_1..d_K."""
+    if isinstance(signal, GridSignal):
+        return signal.values
+    return np.concatenate([[signal.c0], signal.c, signal.d])
+
+
+def _row_signal(half_period: float, form: str, row: np.ndarray):
+    """The signal a row holds: the inverse of _signal_row."""
+    if form == OBSERVE_GRID:
+        return GridSignal(half_period, row)
+    k = (row.size - 1) // 2
+    return FourierSignal(half_period, float(row[0]), row[1: k + 1], row[k + 1:])
+
+
+def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    """total plus the rows of block, added one after another (total None: the rows alone).
+
+    numpy reduces axis 0 of a C-ordered matrix row by row, so folding a
+    matrix through here in blocks of any size gives the bits of its
+    sum(axis=0), and dividing by n those of its mean(axis=0).
+    """
+    return np.add.reduce(block if total is None else np.vstack([total, block]), axis=0)
+
+
 class SampleSet:
     """A batch of observed signals with their noise draws and provenance.
 
-    Grid observations are stored as one (n, G) value matrix, Fourier
-    observations as an (n, 2K+1) coefficient matrix with columns
-    c0, c_1..c_K, d_1..d_K. etas holds the per-sample noise draws for
-    diagnostics (NaN when the set was read back from disk).
+    Each sample is one row: G grid values, or 2K+1 coefficients with columns
+    c0, c_1..c_K, d_1..d_K. A drawn batch keeps what it is made of, the
+    noiseless observation `base` and the per-sample noise draws `etas`: row
+    i is base with eta_i added to its constant mode. A set read back from
+    disk keeps its row matrix (`grid_values` or `fourier_coef`; etas NaN).
+    Rows are read in contiguous blocks of at most max(1, _BLOCK // width),
+    so the mean and the CSV writer hold one block whatever n is. Only the
+    grid_values and fourier_coef views build a drawn set's whole matrix,
+    on first use.
     """
 
-    config: ScenarioConfig
-    etas: np.ndarray
-    grid_values: np.ndarray | None = None
-    fourier_coef: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.grid_values is None) == (self.fourier_coef is None):
-            raise ValueError("exactly one of grid_values / fourier_coef must be set")
+    def __init__(self, config: ScenarioConfig, etas: np.ndarray,
+                 grid_values: np.ndarray | None = None,
+                 fourier_coef: np.ndarray | None = None,
+                 base: GridSignal | FourierSignal | None = None):
+        if sum(a is not None for a in (grid_values, fourier_coef, base)) != 1:
+            raise ValueError("exactly one of grid_values / fourier_coef / base must be set")
+        self.config = config
+        self.etas = etas
+        self._base = None if base is None else _signal_row(base)
+        self._rows = grid_values if grid_values is not None else fourier_coef
+        grid = grid_values is not None or isinstance(base, GridSignal)
+        self.form = OBSERVE_GRID if grid else OBSERVE_FOURIER
 
     @property
     def n(self) -> int:
-        data = self.grid_values if self.grid_values is not None else self.fourier_coef
-        return data.shape[0]
+        return self.etas.size if self._rows is None else self._rows.shape[0]
 
-    @property
-    def form(self) -> str:
-        return OBSERVE_GRID if self.grid_values is not None else OBSERVE_FOURIER
+    @cached_property
+    def grid_values(self) -> np.ndarray | None:
+        """The (n, G) value matrix of a grid set, else None."""
+        return self._matrix() if self.form == OBSERVE_GRID else None
 
-    def _split_coef(self, row: np.ndarray):
-        k = (row.size - 1) // 2
-        return float(row[0]), row[1: k + 1], row[k + 1:]
+    @cached_property
+    def fourier_coef(self) -> np.ndarray | None:
+        """The (n, 2K+1) coefficient matrix of a Fourier set, else None."""
+        return self._matrix() if self.form == OBSERVE_FOURIER else None
+
+    def _matrix(self) -> np.ndarray:
+        """All rows: the stored matrix, or a drawn set's rows built once, read-only."""
+        if self._rows is not None:
+            return self._rows
+        rows = self._block(0, self.n)
+        rows.flags.writeable = False
+        return rows
+
+    def _block(self, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop-1."""
+        if self._rows is not None:
+            return self._rows[start:stop]
+        etas = self.etas[start:stop]
+        if self.form == OBSERVE_GRID:
+            return self._base[None, :] + etas[:, None]
+        rows = np.tile(self._base, (etas.size, 1))
+        rows[:, 0] += 2.0 * etas
+        return rows
+
+    def _blocks(self):
+        """All rows in order, in contiguous blocks of at most max(1, _BLOCK // width) rows."""
+        width = (self._base if self._rows is None else self._rows).shape[-1]
+        step = max(1, _BLOCK // width)
+        for start in range(0, self.n, step):
+            yield self._block(start, start + step)
 
     def signal(self, i: int):
         """Materialize sample i as a GridSignal or FourierSignal."""
-        if self.grid_values is not None:
-            return GridSignal(self.config.theta.half_period, self.grid_values[i])
-        c0, c, d = self._split_coef(self.fourier_coef[i])
-        return FourierSignal(self.config.theta.half_period, c0, c, d)
+        i = range(self.n)[i]
+        return _row_signal(self.config.theta.half_period, self.form, self._block(i, i + 1)[0])
 
     def signals(self) -> list:
         return [self.signal(i) for i in range(self.n)]
 
     def mean_signal(self):
-        """Pointwise (grid) or coefficient-wise (Fourier) sample mean."""
-        if self.grid_values is not None:
-            return GridSignal(self.config.theta.half_period, self.grid_values.mean(axis=0))
-        c0, c, d = self._split_coef(self.fourier_coef.mean(axis=0))
-        return FourierSignal(self.config.theta.half_period, c0, c, d)
+        """Pointwise (grid) or coefficient-wise (Fourier) sample mean: the row sum over n."""
+        total = None
+        for block in self._blocks():
+            total = _add_rows(total, block)
+        return _row_signal(self.config.theta.half_period, self.form, total / self.n)
 
     def values_at(self, x: float) -> np.ndarray:
         """All sample values at location x (nearest grid point in grid form)."""
-        if self.grid_values is not None:
-            g = GridSignal(self.config.theta.half_period, self.grid_values[0]).nearest_index(x)
-            return self.grid_values[:, g].copy()
+        if self.form == OBSERVE_GRID:
+            g = self.signal(0).nearest_index(x)
+            return np.concatenate([block[:, g] for block in self._blocks()])
         k = self.config.mode_count
         q = np.pi / self.config.theta.half_period
         modes = np.arange(1, k + 1)
         basis = np.concatenate([[0.5], np.cos(modes * q * x), np.sin(modes * q * x)])
-        return self.fourier_coef @ basis
+        return np.concatenate([block @ basis for block in self._blocks()])
 
 
 def _noiseless(config: ScenarioConfig):
@@ -220,12 +279,7 @@ def sample_batch(config: ScenarioConfig, subkey: tuple[int, ...] = (),
                  quasi_shift: int = 0) -> SampleSet:
     """Draw n independent observations: the first n of the stream with the same keys."""
     etas = np.concatenate(list(_noise_blocks(config, subkey, quasi_shift, config.n)))
-    base = _noiseless(config)
-    if isinstance(base, GridSignal):
-        return SampleSet(config, etas, grid_values=base.values[None, :] + etas[:, None])
-    coef = np.tile(np.concatenate([[base.c0], base.c, base.d]), (etas.size, 1))
-    coef[:, 0] += 2.0 * etas
-    return SampleSet(config, etas, fourier_coef=coef)
+    return SampleSet(config, etas, base=_noiseless(config))
 
 
 def sample_stream(config: ScenarioConfig, subkey: tuple[int, ...] = ()):

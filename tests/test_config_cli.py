@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ousignal import ConfigError, load_config, parse_config_text
+from ousignal import ConfigError, load_config, model, parse_config_text
 from ousignal.cli import main, replay_manifest
 from ousignal.config import preset_text
 from ousignal.manifest import RunManifest
@@ -209,6 +209,35 @@ def test_cli_evolve_frames_match_pinned_digest(tmp_path):
     assert digest == "ab293ce54a72b4d51d97bbe3954256c98951ce84ecf25f04d142604cafb03395"
 
 
+def test_cli_convergence_matches_pinned_digests(tmp_path):
+    # n = 1000 spans 13 blocks of 81 rows, so the blockwise mean is pinned too
+    assert run_cli("convergence", "--config", "ex42", "--n-grid", "10,100,1000", "--trials", "3",
+                   "--seed", "9", "--out", str(tmp_path)) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("experiment.csv", "summary.csv")}
+    assert digests == {
+        "experiment.csv": "e2a81bd92c907da971987b38ef856cd3ca217ceef56c7d01a7146eb4948341f6",
+        "summary.csv": "0fbc1a8a8e0b71f873024008d859ffb8cec874a4179204dc3c2de764624596fe",
+    }
+
+
+@pytest.mark.parametrize("observation, width", [("grid", 200), ("fourier", 41)])
+def test_cli_estimate_from_file_equals_in_memory_bytes(tmp_path, observation, width):
+    # three full blocks of rows and five more: the file's rows and the drawn rows fold alike
+    n = str(3 * (model._BLOCK // width) + 5)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(preset_text("ex42") + f"observation = {observation}\n")
+    on_disk, in_memory = tmp_path / "file", tmp_path / "memory"
+    assert run_cli("sample", "--config", str(cfg), "--seed", "5", "--n", n,
+                   "--out", str(on_disk)) == 0
+    assert run_cli("estimate", "--config", str(cfg), "--seed", "5",
+                   "--samples", str(on_disk / "samples.csv"), "--out", str(on_disk)) == 0
+    assert run_cli("estimate", "--config", str(cfg), "--seed", "5", "--n", n,
+                   "--out", str(in_memory)) == 0
+    for name in ("estimate.csv", "estimate_report.csv"):
+        assert (on_disk / name).read_bytes() == (in_memory / name).read_bytes()
+
+
 def test_cli_sample_seed_changes_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_cli("sample", "--config", "ex42", "--out", str(out1), "--seed", "5")
@@ -272,6 +301,12 @@ def test_cli_estimate_reads_samples_file(tmp_path):
                  id="negative-k"),
     pytest.param("sample_id,x,value\n0,0,1\n0,1,2\n1,0,3\n", "inconsistent grid sizes",
                  id="unequal-grid-sizes"),
+    pytest.param("sample_id,k,c,d\n0,0,1,0\n0,21,1,1\n",
+                 "k must be at most the mode count K = 20, found 21 in data row 2",
+                 id="k-above-mode-count"),
+    pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1000000000000000,1,1\n",
+                 "k must be at most the mode count K = 20, found 1e+15 in data row 2",
+                 id="huge-k"),
 ])
 def test_cli_estimate_missing_columns_exits_2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"

@@ -1,6 +1,7 @@
 """Columnar CSV writers and readers against the per-cell reference format."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _util import make_config
-from ousignal import ConfigError, SampleSet
+from ousignal import ConfigError, SampleSet, sample_batch
 from ousignal.csvio import (read_fourier_csv, read_grid_csv, read_samples_csv,
                             write_frames_csv, write_samples_csv)
 from ousignal.fourier import GridSignal
@@ -94,3 +95,16 @@ def test_signal_readers_refuse_malformed_files(tmp_path, reader, text, message):
     path.write_text(text)
     with pytest.raises(ConfigError, match=message):
         reader(path, math.pi)
+
+
+def test_samples_writer_memory_does_not_grow_with_the_batch(tmp_path):
+    # 2000 x 200 rows: the matrix is 3.2 MB and its text about 18 MB
+    batch = sample_batch(make_config(n=2000, seed=4))
+    tracemalloc.start()
+    try:
+        write_samples_csv(batch, tmp_path / "samples.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert (tmp_path / "samples.csv").stat().st_size > 1.5e7

@@ -1,6 +1,8 @@
 """Estimator behavior: exact recovery without noise, error structure, convergence."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -14,12 +16,14 @@ from ousignal import (
     estimate_signal,
     estimate_until_stable,
     inverse_propagate,
+    load_config,
     noise_variance,
     run_estimate,
     sample_batch,
     sample_stream,
     sup_distance,
 )
+from ousignal import model
 from ousignal.model import OBSERVE_FOURIER, SampleSet
 
 from _util import example_theta, make_config, random_signal
@@ -232,3 +236,36 @@ def test_estimate_from_stream_limited_by_n_max():
         stream, cfg.op, cfg.t0, cfg.mode_count, epsilon=1e-12, window=2, n_max=1000)
     assert not converged
     assert n_used == 10
+
+
+@pytest.mark.parametrize("form", ["grid", "fourier"])
+def test_blockwise_mean_is_bit_identical_to_matrix_mean_and_running_sum(form):
+    # width 201 in both forms: three full blocks of 81 rows and five more
+    cfg = make_config(theta=example_theta(mode_count=100), mode_count=100, grid_points=201,
+                      observation_form=form, seed=8, n=3 * (model._BLOCK // 201) + 5)
+    batch = sample_batch(cfg)
+    row = model._signal_row
+    matrix = batch.grid_values if form == "grid" else batch.fourier_coef
+    assert np.array_equal(row(batch.mean_signal()), np.mean(matrix, axis=0))
+
+    stored = SampleSet(cfg, etas=batch.etas, **{
+        "grid_values" if form == "grid" else "fourier_coef": np.array(matrix)})
+    assert np.array_equal(row(stored.mean_signal()), row(batch.mean_signal()))
+
+    folded = estimate_signal(batch, cfg.op, cfg.t0)
+    running, n_used, _ = estimate_until_stable(sample_stream(cfg), cfg.op, cfg.t0,
+                                               cfg.mode_count, epsilon=0.0, n_max=cfg.n)
+    assert n_used == cfg.n
+    assert np.array_equal(row(running), row(folded))
+
+
+def test_batch_estimate_memory_does_not_grow_with_n():
+    # the whole (10000, 200) matrix alone would take 16 MB
+    cfg = replace(load_config("ex42").scenario, n=10000, seed=3)
+    tracemalloc.start()
+    try:
+        run_estimate(sample_batch(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
