@@ -25,7 +25,7 @@ from .estimation import (_cap_unrecoverable_modes, convergence_study, error_repo
                          estimate_until_stable, run_estimate)
 from .manifest import ARTIFACT_VERSION, RunManifest, atomic_write_text, fmt, write_csv
 from .model import evolve_frames, sample_batch, sample_source, sample_stream
-from .noise import noise_covariance, noise_variance, ou_joint_pairs
+from .noise import _BLOCK, _markov_step, noise_covariance, noise_variance
 from .spectral import AMPLIFICATION_CAP, mode_spectrum
 
 EXIT_OK = 0
@@ -192,10 +192,14 @@ def cmd_verify(args) -> int:
         raise ConfigError("verify --n must be >= 2: a sample variance needs two draws")
     rows = []
 
-    # each check draws whole rows of its source: one for the variance, two for a covariance
-    values = math.sqrt(noise_variance(sc.noise, sc.t0)) * sample_source(sc, (0, 0)).normals(draws)
+    # each check reads its rows a block at a time: one row for the variance, and
+    # for a covariance the early row and the increment row that ou_joint_pairs
+    # would take whole from rng.blocks(2, draws)
+    rng = sample_source(sc, (0, 0))
     analytic = noise_variance(sc.noise, sc.t0)
-    empirical = float(values.var(ddof=1))
+    scale = math.sqrt(analytic)
+    values = (scale * rng.normals(m) for m in _block_sizes(draws))
+    empirical = _sample_covariance((x, x) for x in values)
     se = analytic * math.sqrt(2.0 / (draws - 1))
     rows.append(_check_row("variance", sc.t0, sc.t0, analytic, empirical, se))
 
@@ -203,10 +207,11 @@ def cmd_verify(args) -> int:
     for i, (fs, ft) in enumerate(fractions):
         s, t = fs * sc.t0, ft * sc.t0
         pair_rng = sample_source(sc, (1, i), quasi_shift=2 * i)
-        early, late = ou_joint_pairs(sc.noise, s, t, draws, pair_rng)
+        early_rng, inc_rng = pair_rng._row(0, draws), pair_rng._row(1, draws)
         analytic = noise_covariance(sc.noise, s, t)
-        empirical = float(np.mean((early - early.mean()) * (late - late.mean()))
-                          * draws / (draws - 1))
+        empirical = _sample_covariance(
+            _markov_step(sc.noise, s, t, early_rng.normals(m), inc_rng.normals(m))
+            for m in _block_sizes(draws))
         spread = noise_variance(sc.noise, s) * noise_variance(sc.noise, t) + analytic**2
         se = math.sqrt(spread / (draws - 1))
         rows.append(_check_row("covariance", s, t, analytic, empirical, se))
@@ -216,6 +221,30 @@ def cmd_verify(args) -> int:
     _finish(args, run, "verify", [out], started,
             extra={"draws": draws, "all_passed": all(r[-1] for r in rows)})
     return EXIT_OK if all(r[-1] for r in rows) else EXIT_NUMERIC
+
+
+def _block_sizes(count: int):
+    """Sizes of the consecutive blocks of at most _BLOCK draws that make up count."""
+    return (min(_BLOCK, count - start) for start in range(0, count, _BLOCK))
+
+
+def _sample_covariance(blocks) -> float:
+    """Unbiased sample covariance of the pairs (x_j, y_j), read as blocks (x, y).
+
+    Each block's count, means and co-moment are merged into the running ones
+    by the pairwise update of Chan, Golub & LeVeque (1983), so memory is one
+    block whatever the count; blocks (x, x) give the sample variance.
+    """
+    n, mean_x, mean_y, comoment = 0, 0.0, 0.0, 0.0
+    for x, y in blocks:
+        m = x.size
+        bx, by = float(x.mean()), float(y.mean())
+        dx, dy = bx - mean_x, by - mean_y
+        comoment += float(np.dot(x - bx, y - by)) + dx * dy * n * m / (n + m)
+        mean_x += dx * m / (n + m)
+        mean_y += dy * m / (n + m)
+        n += m
+    return comoment / (n - 1)
 
 
 def _check_row(name, s, t, analytic, empirical, se):

@@ -157,6 +157,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             sampler=values.get("sampler", "exact"),
             series_variant=values.get("series_variant", "variance_matched"),
         )
+        for sigma in values.get("sigma_grid", ()):  # each sweep entry is checked up front
+            scenario.with_sigma(sigma)
     except ConfigError:
         raise
     except ValueError as exc:

@@ -74,7 +74,8 @@ def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
     Samples are taken in ascending sample_id order, each sample's rows in file
     order. sample_id must be an integer and k an integer from 0 to the
     config's mode count; in the grid schema every sample must have the same
-    number of rows.
+    number of rows, and in the coefficient schema every sample must list each
+    k from 0 to the file's largest k exactly once.
     """
     header, body = _read_table(path, "sample_id,x,value", "sample_id,k,c,d")
     ids = _integers(path, body[:, 0], "sample_id")
@@ -91,9 +92,17 @@ def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
         raise ConfigError(f"k must be at most the mode count K = {config.mode_count}, found "
                           f"{k[at]:g} in data row {at + 1}", source=str(path))
     k = k.astype(np.intp)
-    _, row = np.unique(ids, return_inverse=True)
+    sample_ids, row = np.unique(ids, return_inverse=True)
     k_count = k.max()
-    coef = np.zeros((row.max() + 1, 2 * k_count + 1))
+    listed = np.bincount(row * (k_count + 1) + k, minlength=sample_ids.size * (k_count + 1))
+    listed = listed.reshape(sample_ids.size, k_count + 1)
+    bad = np.argwhere(listed != 1)
+    if bad.size:  # a missing mode would read as 0, a repeated one hide a row
+        at, k_bad = bad[0]
+        fault = "missing" if listed[at, k_bad] == 0 else "repeated"
+        raise ConfigError(f"sample_id {sample_ids[at]:g} must list every k from 0 to {k_count} "
+                          f"exactly once; k = {k_bad} is {fault}", source=str(path))
+    coef = np.zeros((sample_ids.size, 2 * k_count + 1))
     coef[row, k] = body[:, 2]
     mode = k > 0
     coef[row[mode], k_count + k[mode]] = body[mode, 3]

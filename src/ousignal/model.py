@@ -18,6 +18,7 @@ import numpy as np
 
 from .fourier import FourierSignal, GridSignal
 from .noise import (
+    _BLOCK,
     NoiseParams,
     RandomSource,
     noise_variance,
@@ -34,11 +35,6 @@ SAMPLER_SERIES = "series"
 NOISE_NONE = "none"
 NOISE_PATH = "path"
 NOISE_IID = "iid"
-
-# Gaussians per drawn block (at least one sample's worth): noise memory stays
-# O(_BLOCK) whatever the sample count and series_terms.
-_BLOCK = 1 << 14
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:

@@ -28,6 +28,10 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _EPS = np.finfo(float).eps
 _SAFE_LOG = 700.0
 
+# Gaussians drawn at once (at least one sample's worth), so no draw or replay
+# holds more than O(_BLOCK) memory whatever the count
+_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -47,6 +51,10 @@ class NoiseParams:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.series_terms < 1:
             raise ValueError("series_terms must be >= 1")
+        # sigma * sigma is sigma**2 but gives inf where ** would raise OverflowError
+        if not math.isfinite(self.sigma * self.sigma / (2.0 * self.a0)):
+            raise ValueError(f"sigma = {self.sigma:g} is too large: the noise variance scale "
+                             f"sigma^2 / (2 a0) overflows")
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +179,8 @@ class RandomSource:
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
             self._gen = np.random.default_rng(self.key)
-            if self.counter:
-                self._gen.standard_normal(self.counter)
+            for start in range(0, self.counter, _BLOCK):  # replayed a block at a time
+                self._gen.standard_normal(min(_BLOCK, self.counter - start))
         return self._gen
 
     def normal(self) -> float:
@@ -202,6 +210,13 @@ class RandomSource:
         values = quasi_gaussian(streams, np.arange(self.counter + 1, self.counter + width + 1))
         self.stream += rows
         return values
+
+    def _row(self, r: int, width: int) -> "RandomSource":
+        """A new source whose draws are row r of blocks(rows, width) taken from here:
+        the same stream resumed r * width draws on (pseudo), or stream + r (quasi)."""
+        if self.mode == self.PSEUDO:
+            return RandomSource(self.PSEUDO, self.key, counter=self.counter + r * width)
+        return RandomSource(self.QUASI, stream=self.stream + r, counter=self.counter)
 
     def __repr__(self):
         ident = f"key={self.key}" if self.mode == self.PSEUDO else f"stream={self.stream}"
@@ -313,11 +328,17 @@ def ou_joint_pairs(params: NoiseParams, s: float, t: float, count: int,
     swap = s > t
     if swap:
         s, t = t, s
-    g_early, g_inc = rng.blocks(2, count)
+    early, late = _markov_step(params, s, t, *rng.blocks(2, count))
+    return (late, early) if swap else (early, late)
+
+
+def _markov_step(params: NoiseParams, s: float, t: float, g_early: np.ndarray,
+                 g_inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(noise(s), noise(t)) for s <= t from the early draws and the increment draws."""
     early = math.sqrt(noise_variance(params, s)) * g_early
     if params.kernel == KERNEL_MEAN_REVERTING:
         carry = math.exp(-params.a0 * (t - s))
     else:
         carry = math.exp(params.a0 * (t - s))
     late = carry * early + math.sqrt(noise_variance(params, t - s)) * g_inc
-    return (late, early) if swap else (early, late)
+    return early, late

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ousignal import ConfigError, load_config, model, parse_config_text
+from ousignal import (ConfigError, load_config, model, noise_variance, ou_joint_pairs,
+                      parse_config_text)
 from ousignal.cli import main, replay_manifest
 from ousignal.config import preset_text
 from ousignal.manifest import RunManifest
@@ -172,8 +175,8 @@ def test_cli_sample_reruns_byte_identical(tmp_path):
     assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
 
 
-# SHA-256 of the outputs under ARTIFACT_VERSION 0.3.0; these bytes must not
-# move without a version bump.
+# SHA-256 of the outputs under ARTIFACT_VERSION 0.4.0, the same bytes as under
+# 0.3.0 (0.4.0 moved only verify.csv); they must not move without a version bump.
 PINNED_DIGESTS = {
     "grid": {
         "samples.csv": "1e5ad693d203c27254c902cc76a3e1091aec33255df74514adf3f7b17718f270",
@@ -307,6 +310,9 @@ def test_cli_estimate_reads_samples_file(tmp_path):
     pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1000000000000000,1,1\n",
                  "k must be at most the mode count K = 20, found 1e+15 in data row 2",
                  id="huge-k"),
+    pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1,1,1\n1,0,1,0\n1,1,1,1\n1,1,2,2\n",
+                 "sample_id 1 must list every k from 0 to 1 exactly once; k = 1 is repeated",
+                 id="repeated-k"),
 ])
 def test_cli_estimate_missing_columns_exits_2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"
@@ -316,6 +322,45 @@ def test_cli_estimate_missing_columns_exits_2(tmp_path, capsys, text, message):
     assert code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err and "bad cell value" not in err
+
+
+def test_cli_estimate_refuses_a_coefficient_file_with_missing_rows(tmp_path, capsys):
+    # read as zeros, the two missing modes once gave max_mode_error 1.67 and exit 0
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(preset_text("ex42") + "observation = fourier\n")
+    assert run_cli("sample", "--config", str(cfg), "--seed", "5", "--n", "3",
+                   "--out", str(tmp_path)) == 0
+    path = tmp_path / "samples.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines
+                            if not line.startswith(("2,1,", "2,5,"))))
+    assert len(path.read_text().splitlines()) == len(lines) - 2
+    assert run_cli("estimate", "--config", str(cfg), "--seed", "5", "--samples", str(path),
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "sample_id 2 must list every k from 0 to 20 exactly once; k = 1 is missing" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, preset, old, new", [
+    ("sample", "ex42", "sigma = 150", "sigma = 1e308"),
+    ("estimate", "ex42", "sigma = 150", "sigma = 1e308"),
+    ("verify", "ex42", "sigma = 150", "sigma = 1e308"),
+    ("convergence", "ex42", "sigma = 150", "sigma = 1e308"),
+    ("estimate", "ex43", "15000", "1e308"),  # the last sigma_grid entry
+])
+def test_cli_sigma_whose_variance_overflows_exits_2(tmp_path, capsys, command, preset, old, new):
+    # sigma^2 overflows a float: this once ended in an OverflowError traceback
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text(preset_text(preset).replace(old, new))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    if command == "convergence":
+        argv += ["--n-grid", "10,20", "--trials", "1"]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "sigma = 1e+308 is too large" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []  # refused before anything is drawn or written
 
 
 def test_cli_estimate_infinite_mode_exit_codes(tmp_path):
@@ -351,6 +396,45 @@ def test_cli_verify_quasi_passes(tmp_path):
     assert all(abs(float(line.split(",")[6])) <= 3.0 for line in lines[1:])
 
 
+def _verify_rows(out):
+    return [line.split(",") for line in (out / "verify.csv").read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("quasi", [False, True], ids=["pseudo", "quasi"])
+def test_cli_verify_streamed_moments_equal_whole_array_formulas(tmp_path, quasi):
+    # three full blocks and five more draws: each moment is folded over four blocks
+    draws = 3 * model._BLOCK + 5
+    flags = ["--quasi"] if quasi else ["--seed", "9"]
+    assert run_cli("verify", "--config", "ex42", "--n", str(draws), "--out", str(tmp_path),
+                   *flags) in (0, 3)
+    rows = _verify_rows(tmp_path)
+    sc = replace(load_config("ex42").scenario, quasi=quasi, seed=9)
+    values = (math.sqrt(noise_variance(sc.noise, sc.t0))
+              * model.sample_source(sc, (0, 0)).normals(draws))
+    expected = [values.var(ddof=1)]
+    for i, row in enumerate(rows[1:]):
+        rng = model.sample_source(sc, (1, i), quasi_shift=2 * i)
+        early, late = ou_joint_pairs(sc.noise, float(row[1]), float(row[2]), draws, rng)
+        expected.append(np.cov(early, late)[0, 1])
+    assert [float(row[4]) for row in rows] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    for row in rows:  # a numpy bool would print True / False
+        assert row[7] == ("1" if abs(float(row[6])) <= 3.0 else "0")
+
+
+@pytest.mark.parametrize("flags", [["--seed", "9", "--n", "1000000"], ["--quasi", "--n", "200000"]],
+                         ids=["pseudo", "quasi"])
+def test_cli_verify_memory_does_not_grow_with_n(tmp_path, flags):
+    # whole rows held 61.3 MB (pseudo, 1e6 draws) and 40.7 MB (quasi, 2e5 draws)
+    tracemalloc.start()
+    try:
+        code = run_cli("verify", "--config", "ex42", "--out", str(tmp_path), *flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 3)
+    assert peak < 4e6
+
+
 def test_cli_estimate_infinite_zeroes_modes_and_reports_amplification(tmp_path):
     cfg = tmp_path / "heat.cfg"
     cfg.write_text("A.0 = 1\nA.2 = 1\nc.15 = 1\nt0 = 0.2\nsigma = 1\nn = 10\nseed = 1\n"
@@ -381,6 +465,8 @@ def test_cli_verify_zero_noise_trivially_passes(tmp_path):
     cfg.write_text("A.0 = 2\nsigma = 0\nt0 = 1\nK = 2\nG = 8\nseed = 1\n")
     assert run_cli("verify", "--config", str(cfg), "--out", str(tmp_path),
                    "--n", "100") == 0
+    for row in _verify_rows(tmp_path):
+        assert (float(row[4]), float(row[6]), row[7]) == (0.0, 0.0, "1")  # empirical, z, passed
 
 
 def test_cli_convergence_single_trial_rows(tmp_path):
@@ -430,7 +516,7 @@ def test_manifest_replay_refuses_older_artifact_version(tmp_path, capsys):
     assert run_cli("sample", "--config", "ex42", "--out", str(first), "--seed", "21") == 0
     manifest_path = first / "sample.manifest.json"
     data = json.loads(manifest_path.read_text())
-    for version in ("0.1.0", "0.2.0"):
+    for version in ("0.1.0", "0.2.0", "0.3.0"):
         data["artifact_version"] = version
         manifest_path.write_text(json.dumps(data))
         replayed = tmp_path / f"replayed-{version}"

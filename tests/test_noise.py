@@ -1,6 +1,7 @@
 """Gaussian drivers, the KL path, and the scalar OU integral against analytic moments."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from ousignal import (
     quasi_gaussian,
     wiener_path_value,
 )
+from ousignal import noise
 
 MR = "mean_reverting"
 GR = "growth"
@@ -146,6 +148,31 @@ def test_counter_reconstruction_matches_sequence():
     assert np.allclose(whole[4:], resumed)
 
 
+def test_resumed_stream_replays_in_blocks_and_bounded_memory():
+    # a resume past several replay blocks continues the unresumed stream exactly
+    counter = 3 * noise._BLOCK + 5
+    whole = RandomSource.pseudo(5, 2).normals(counter + 7)
+    resumed = RandomSource(RandomSource.PSEUDO, key=(5, 2), counter=counter)
+    assert np.array_equal(resumed.normals(7), whole[counter:])
+    # replaying 4e6 draws at once would hold 32 MB
+    tracemalloc.start()
+    try:
+        RandomSource(RandomSource.PSEUDO, key=(5,), counter=4_000_000).normal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_row_sources_read_the_rows_of_blocks():
+    # a row's source yields that row of blocks(rows, width), a piece at a time
+    for make in (lambda: RandomSource.pseudo(8, 1), lambda: RandomSource.quasi(3)):
+        rows = make().blocks(2, 9)
+        for r in range(2):
+            src = make()._row(r, 9)
+            assert np.array_equal(np.concatenate([src.normals(4), src.normals(5)]), rows[r])
+
+
 def test_quasi_source_matches_pointwise_map():
     src = RandomSource.quasi(3)
     drawn = [src.normal() for _ in range(5)]
@@ -208,6 +235,14 @@ def test_wiener_path_midpoint_variance():
 
 # ---------------------------------------------------------------------------
 # analytic moments
+
+
+def test_sigma_whose_variance_scale_overflows_is_refused():
+    # sigma^2 overflows, or sigma^2 is finite but sigma^2 / (2 a0) is not
+    for sigma, a0 in ((1e308, 2.0), (1e155, 2.0), (1e150, 1e-10)):
+        with pytest.raises(ValueError, match="sigma"):
+            params(sigma=sigma, a0=a0)
+    assert math.isfinite(noise_variance(params(sigma=1e150), 0.5))
 
 
 def test_variance_zero_at_time_zero():
