@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import secrets
+import os
 import sys
 import time
 from dataclasses import replace
@@ -60,7 +60,7 @@ def _resolve(args) -> tuple[RunConfig, int | None]:
     if getattr(args, "seed", None) is not None:
         seed = args.seed
     if seed is None and not scenario.quasi:
-        seed = secrets.randbits(63)
+        seed = int.from_bytes(os.urandom(8), "big") >> 1  # 63 bits of OS entropy
     scenario = replace(scenario, seed=seed)
     if getattr(args, "n", None) is not None:
         if args.n < 1:

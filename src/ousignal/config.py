@@ -3,14 +3,13 @@
 Grammar: one `key = value` pair per line, `#` starts a comment. Signal
 coefficients use sparse keys (`c0`, `c.3`, `d.5`), operator coefficients
 `A.0`, `A.1`, ... Numeric values may be plain numbers or the tokens `pi`,
-`-pi`, `pi/<int>` for common observation times. Unknown or duplicate keys are
-rejected with their line number.
+`-pi`, `pi/<int>` (an integer >= 1) for common observation times. Unknown or
+duplicate keys are rejected with their line number.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -25,8 +24,6 @@ PRESETS = ("ex41", "ex42", "ex43")
 ESTIMATOR_MEAN = "mean"
 ESTIMATOR_INFINITE = "infinite"
 
-_KEY_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*(\.[0-9]+)?$")
-
 _ENUM_KEYS = {
     "kernel": ("mean_reverting", "growth"),
     "observation": ("grid", "fourier"),
@@ -37,6 +34,8 @@ _ENUM_KEYS = {
 _INT_KEYS = {"n", "K", "G", "seed", "quasi_base", "series_terms", "window", "n_max", "quasi"}
 _FLOAT_KEYS = {"l", "c0", "sigma", "t0", "epsilon"}
 _LIST_KEYS = {"sigma_grid"}
+# prefixes of the indexed keys c.<k>, d.<k> (signal) and A.<n> (operator)
+_INDEXED = frozenset(("c.", "d.", "A."))
 
 
 @dataclass(frozen=True)
@@ -52,80 +51,101 @@ class RunConfig:
     text: str = ""
 
 
-def parse_number(token: str):
+def parse_number(token: str) -> float:
+    """A number: float(token), or pi, -pi, pi/<int> or -pi/<int> with an integer >= 1.
+
+    A token without "pi" goes straight to float(), since no float literal
+    contains "pi".
+    """
     token = token.strip()
-    sign = 1.0
-    body = token
+    if "pi" not in token:
+        return float(token)
+    sign, body = 1.0, token
     if body.startswith("-"):
         sign, body = -1.0, body[1:].strip()
     if body == "pi":
         return sign * math.pi
-    m = re.fullmatch(r"pi\s*/\s*(\d+)", body)
-    if m:
-        return sign * math.pi / int(m.group(1))
+    head, slash, divisor = body.partition("/")
+    divisor = divisor.strip()
+    if slash and head.rstrip() == "pi" and divisor.isdecimal():
+        if int(divisor) < 1:
+            raise ValueError(f"pi/<int> needs an integer >= 1, got {token!r}")
+        return sign * math.pi / int(divisor)
     return float(token)
 
 
-def _parse_lines(text: str, source: str) -> dict[str, tuple[str, int]]:
-    entries: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno, source)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not _KEY_RE.match(key):
-            raise ConfigError(f"malformed key {key!r}", lineno, source)
-        if key in entries:
-            raise ConfigError(f"duplicate key {key!r} (first given on line {entries[key][1]})",
-                              lineno, source)
-        if not value:
-            raise ConfigError(f"empty value for key {key!r}", lineno, source)
-        entries[key] = (value, lineno)
-    return entries
+def _valid_key(key: str) -> bool:
+    """key is a name (a letter, then letters, digits or _), then optionally .<digits>."""
+    name, dot, index = key.partition(".")
+    return (key.isascii() and name[:1].isalpha() and name.replace("_", "0").isalnum()
+            and (not dot or index.isdigit()))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    entries = _parse_lines(text, source)
+    """Parse a config in one pass over its lines.
+
+    Line structure (the `key = value` shape, the key, duplicates, empty
+    values) is checked on every line before any value is: a value error is
+    kept and raised only once the whole text is known to be well formed.
+    """
+    seen: dict[str, int] = {}
     values: dict = {}
     theta_cos: dict[int, float] = {}
     theta_sin: dict[int, float] = {}
     op_coeffs: dict[int, float] = {}
+    value_error: ConfigError | None = None
 
-    for key, (raw, lineno) in entries.items():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        key, eq, value = (raw.partition("#")[0] if "#" in raw else raw).partition("=")
+        key = key.strip()
+        if not eq:
+            if key:
+                raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno, source)
+            continue
+        value = value.strip()
+        head = key[:2]
+        indexed = head in _INDEXED
+        if not (key[2:].isdigit() and key.isascii() if indexed else _valid_key(key)):
+            raise ConfigError(f"malformed key {key!r}", lineno, source)
+        if key in seen:
+            raise ConfigError(f"duplicate key {key!r} (first given on line {seen[key]})",
+                              lineno, source)
+        if not value:
+            raise ConfigError(f"empty value for key {key!r}", lineno, source)
+        seen[key] = lineno
+        if value_error is not None:
+            continue
         try:
-            if key.startswith("c.") or key.startswith("d."):
+            if indexed:
                 index = int(key[2:])
-                if index < 1:
+                if index < 1 and head != "A.":
                     raise ConfigError("mode indices start at 1; use c0 for the constant term",
                                       lineno, source)
-                target = theta_cos if key[0] == "c" else theta_sin
-                target[index] = parse_number(raw)
-            elif key.startswith("A."):
-                op_coeffs[int(key[2:])] = parse_number(raw)
+                target = op_coeffs if head == "A." else theta_cos if head == "c." else theta_sin
+                target[index] = float(value) if "pi" not in value else parse_number(value)
             elif key in _ENUM_KEYS:
-                if raw not in _ENUM_KEYS[key]:
+                if value not in _ENUM_KEYS[key]:
                     raise ConfigError(
-                        f"{key} must be one of {', '.join(_ENUM_KEYS[key])}; got {raw!r}",
+                        f"{key} must be one of {', '.join(_ENUM_KEYS[key])}; got {value!r}",
                         lineno, source)
-                values[key] = raw
+                values[key] = value
             elif key in _INT_KEYS:
-                values[key] = int(raw)
+                values[key] = int(value)
             elif key in _FLOAT_KEYS:
-                values[key] = float(parse_number(raw))
+                values[key] = parse_number(value)
             elif key in _LIST_KEYS:
-                values[key] = tuple(float(parse_number(tok)) for tok in raw.split(","))
+                values[key] = tuple(parse_number(tok) for tok in value.split(","))
             else:
                 raise ConfigError(f"unknown key {key!r}", lineno, source)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}", lineno, source) from exc
+        except ValueError as exc:  # ConfigError included
+            value_error = exc if isinstance(exc, ConfigError) else ConfigError(
+                f"bad value for {key!r}: {exc}", lineno, source)
+    if value_error is not None:
+        raise value_error
 
-    if "A.0" not in entries:
+    if "A.0" not in seen:
         raise ConfigError("operator needs at least A.0", source=source)
-    if "t0" not in entries:
+    if "t0" not in seen:
         raise ConfigError("observation time t0 is required", source=source)
 
     top_order = max(op_coeffs)

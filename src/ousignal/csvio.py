@@ -6,16 +6,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .fourier import FourierSignal, GridSignal
-from .manifest import write_csv, write_long_csv
+from .manifest import write_columns, write_csv, write_long_csv
 from .model import OBSERVE_GRID, SampleSet, ScenarioConfig
 from .spectral import ModeSpectrum
 
 
 def write_fourier_csv(signal: FourierSignal, path) -> None:
     """Rows k,c,d; the k=0 row carries (c0, 0)."""
-    rows = [(0, signal.c0, 0.0)]
-    rows += [(k + 1, signal.c[k], signal.d[k]) for k in range(signal.mode_count)]
-    write_csv(path, ["k", "c", "d"], rows)
+    _write_modes(path, ["k", "c", "d"], signal.c0, signal.c, signal.d)
 
 
 def read_fourier_csv(path, half_period: float) -> FourierSignal:
@@ -42,9 +40,14 @@ def read_grid_csv(path, half_period: float) -> GridSignal:
 
 def write_spectrum_csv(spectrum: ModeSpectrum, path) -> None:
     """Rows k,sigma,omega; the k=0 row carries the constant-mode rate."""
-    rows = [(0, spectrum.sigma0, 0.0)]
-    rows += [(k + 1, spectrum.sigma[k], spectrum.omega[k]) for k in range(spectrum.mode_count)]
-    write_csv(path, ["k", "sigma", "omega"], rows)
+    _write_modes(path, ["k", "sigma", "omega"], spectrum.sigma0, spectrum.sigma, spectrum.omega)
+
+
+def _write_modes(path, header: list[str], at_zero: float, first, second) -> None:
+    """Rows k = 0..K of a per-mode pair of columns; the k=0 row is (0, at_zero, 0)."""
+    write_columns(path, header, [np.arange(first.size + 1),
+                                 np.concatenate([[at_zero], first]),
+                                 np.concatenate([[0.0], second])])
 
 
 def write_samples_csv(samples: SampleSet, path) -> None:

@@ -64,19 +64,19 @@ class FourierSignal:
         """Assemble a signal from sparse {mode index: coefficient} maps."""
         cos = cos or {}
         sin = sin or {}
-        top = max([0, *cos.keys(), *sin.keys()])
+        indices = [*cos, *sin]
+        top = max(indices, default=0)
         if mode_count is None:
             mode_count = top
         if top > mode_count:
             raise ValueError(f"coefficient index {top} exceeds mode_count {mode_count}")
-        if any(k < 1 for k in (*cos, *sin)):
+        if min(indices, default=1) < 1:
             raise ValueError("mode indices start at 1; use c0 for the constant mode")
         c = np.zeros(mode_count)
         d = np.zeros(mode_count)
-        for k, v in cos.items():
-            c[k - 1] = v
-        for k, v in sin.items():
-            d[k - 1] = v
+        for target, sparse in ((c, cos), (d, sin)):
+            target[np.fromiter(sparse, np.intp, len(sparse)) - 1] = np.fromiter(
+                sparse.values(), float, len(sparse))
         return cls(half_period, c0, c, d)
 
     @property

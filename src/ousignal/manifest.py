@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 # Bumped whenever the same config and seed stop giving the same bytes; replay
@@ -70,6 +70,14 @@ def _cells(values) -> list[str]:
     return (spec * len(flat) % tuple(flat)).split("\n")[:-1]
 
 
+def write_columns(path, header: list[str], columns) -> None:
+    """`write_csv` over the rows of equal-length numeric columns, each formatted by one
+    `_cells` call (float columns as %.17g, integer ones as %d), with the same bytes."""
+    cells = [_cells(column) for column in columns]
+    rows = [",".join(header), *map(",".join, zip(*cells))]
+    atomic_write_text(path, "\n".join(rows) + "\n")
+
+
 def write_long_csv(path, header: list[str], keys, shared, blocks) -> None:
     """Long-format table: one row per pair (keys[i], shared[j]), i major.
 
@@ -110,7 +118,8 @@ class RunManifest:
     extra: dict = field(default_factory=dict)
 
     def save(self, path) -> None:
-        atomic_write_text(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        fields = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        atomic_write_text(path, json.dumps(fields, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "RunManifest":

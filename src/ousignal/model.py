@@ -82,15 +82,13 @@ class ScenarioConfig:
         return replace(self, noise=replace(self.noise, sigma=sigma))
 
     def to_dict(self) -> dict:
-        """Plain-data view of the resolved scenario, e.g. for run manifests."""
-        live = [(k + 1, self.theta.c[k], self.theta.d[k])
-                for k in range(self.theta.mode_count)
-                if self.theta.c[k] != 0.0 or self.theta.d[k] != 0.0]
+        """Plain-data summary of the resolved scenario, e.g. for run manifests.
+
+        It holds no signal coefficients: a manifest's config text records the
+        input signal, and this summary stays the same size whatever K is.
+        """
         return {
             "half_period": self.theta.half_period,
-            "theta": {"c0": self.theta.c0,
-                      "cos": {str(k): c for k, c, _ in live if c != 0.0},
-                      "sin": {str(k): d for k, _, d in live if d != 0.0}},
             "operator": list(self.op.coefficients),
             "sigma": self.noise.sigma,
             "kernel": self.noise.kernel,

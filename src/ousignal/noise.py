@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KLDomainError
+from .errors import GrowthOverflowError, KLDomainError
 
 KERNEL_MEAN_REVERTING = "mean_reverting"
 KERNEL_GROWTH = "growth"
@@ -246,6 +246,21 @@ def wiener_path_value(coeffs, t: float) -> float:
     return _kl_sum(coeffs, float(t))
 
 
+def _grown(scale: float, grow, exponent: float, t: float) -> float:
+    """scale * grow(exponent), where grow is math.exp or math.expm1 of a growth exponent.
+
+    Raises GrowthOverflowError (on the constant mode, where the noise enters)
+    where the value would overflow a float.
+    """
+    try:
+        value = scale * grow(exponent)
+    except OverflowError:
+        value = math.inf if scale else 0.0
+    if math.isinf(value):
+        raise GrowthOverflowError(0, exponent + math.log(scale), t)
+    return value
+
+
 def noise_variance(params: NoiseParams, t: float) -> float:
     """Variance of the accumulated channel noise at time t."""
     if t < 0:
@@ -253,7 +268,7 @@ def noise_variance(params: NoiseParams, t: float) -> float:
     scale = params.sigma**2 / (2.0 * params.a0)
     if params.kernel == KERNEL_MEAN_REVERTING:
         return scale * (-math.expm1(-2.0 * params.a0 * t))
-    return scale * math.expm1(2.0 * params.a0 * t)
+    return _grown(scale, math.expm1, 2.0 * params.a0 * t, t)
 
 
 def noise_covariance(params: NoiseParams, s: float, t: float) -> float:
@@ -265,7 +280,7 @@ def noise_covariance(params: NoiseParams, s: float, t: float) -> float:
     scale = params.sigma**2 / (2.0 * params.a0)
     if params.kernel == KERNEL_MEAN_REVERTING:
         return scale * (math.exp(-params.a0 * (t - s)) - math.exp(-params.a0 * (t + s)))
-    return scale * math.exp(params.a0 * (s + t)) * (-math.expm1(-2.0 * params.a0 * s))
+    return _grown(scale, math.exp, params.a0 * (s + t), t) * (-math.expm1(-2.0 * params.a0 * s))
 
 
 def ou_integral_exact(params: NoiseParams, t0: float, rng: RandomSource) -> float:
@@ -298,7 +313,7 @@ def ou_integral_series(params: NoiseParams, t0: float, coeffs,
         raise ValueError("the series sampler is defined for the mean_reverting kernel only")
     if variant not in (VARIANT_VARIANCE_MATCHED, VARIANT_PAPER_FAITHFUL):
         raise ValueError(f"unknown series variant {variant!r}")
-    u = math.expm1(2.0 * params.a0 * t0)
+    u = _grown(1.0, math.expm1, 2.0 * params.a0 * t0, t0)
     if u > 1.0:
         if enforce_domain:
             raise KLDomainError(
@@ -339,6 +354,6 @@ def _markov_step(params: NoiseParams, s: float, t: float, g_early: np.ndarray,
     if params.kernel == KERNEL_MEAN_REVERTING:
         carry = math.exp(-params.a0 * (t - s))
     else:
-        carry = math.exp(params.a0 * (t - s))
+        carry = _grown(1.0, math.exp, params.a0 * (t - s), t)
     late = carry * early + math.sqrt(noise_variance(params, t - s)) * g_inc
     return early, late

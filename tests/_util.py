@@ -1,5 +1,7 @@
 """Shared factories for randomized test scenarios."""
 
+import random
+
 import numpy as np
 
 from ousignal import FourierSignal, NoiseParams, OperatorSpec, ScenarioConfig
@@ -30,3 +32,20 @@ def make_config(theta=None, op=None, sigma=150.0, t0=np.pi / 7, n=4, mode_count=
     return ScenarioConfig(theta=theta, op=op, noise=noise, t0=t0, n=n,
                           mode_count=mode_count, grid_points=grid_points, seed=seed,
                           observation_form=observation_form, **kwargs)
+
+
+def wideband_config_text(modes=2000, seed=2000):
+    """Config text of a K = modes scenario with every mode live and a three-level sweep.
+
+    Each coefficient is (u - 1/2) / k for a `random.Random` draw u, so the
+    text is the same on every platform. The operator is dispersive only
+    (A.0 and A.3), so no mode is damped away or overflows.
+    """
+    rng = random.Random(seed)
+    lines = ["l = pi", f"c0 = {rng.random() - 0.5!r}"]
+    for k in range(1, modes + 1):
+        lines.append(f"c.{k} = {(rng.random() - 0.5) / k!r}")
+        lines.append(f"d.{k} = {(rng.random() - 0.5) / k!r}")
+    lines += ["A.0 = 1", "A.3 = 5e-7", "sigma = 1", "sigma_grid = 0.5, 5, 50", "t0 = 0.3",
+              f"K = {modes}", f"G = {2 * modes + 1}", "n = 8", "seed = 11"]
+    return "\n".join(lines) + "\n"

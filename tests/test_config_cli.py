@@ -9,10 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _util import wideband_config_text
 from ousignal import (ConfigError, load_config, model, noise_variance, ou_joint_pairs,
                       parse_config_text)
 from ousignal.cli import main, replay_manifest
-from ousignal.config import preset_text
+from ousignal.config import parse_number, preset_text
 from ousignal.manifest import RunManifest
 
 PI = math.pi
@@ -78,6 +79,68 @@ def test_parse_pi_tokens():
     run = parse_config_text("A.0 = 1\nt0 = pi/14\nl = pi\n")
     assert run.scenario.t0 == pytest.approx(PI / 14)
     assert run.scenario.theta.half_period == PI
+
+
+def test_parse_number_pi_over_zero_is_a_value_error():
+    with pytest.raises(ValueError, match="integer >= 1"):  # once a ZeroDivisionError
+        parse_number("-pi/0")
+    assert parse_number(" - pi / 07 ") == -PI / 7
+
+
+# Messages as the line-by-line parser gave them; a structural error on a later
+# line wins over a bad value on an earlier one.
+_BASE = "A.0 = 2\nt0 = 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("l = pi\nbogus_key = 3\n", "case.cfg:2: unknown key 'bogus_key'"),
+    ("A.0 = 1\nA.0 = 2\nt0 = 1\n", "case.cfg:2: duplicate key 'A.0' (first given on line 1)"),
+    ("A.0 = 1\nt0 = 1\nnot a pair\n", "case.cfg:3: expected 'key = value', got 'not a pair'"),
+    ("A.0 = zebra\nt0 = 1\n",
+     "case.cfg:1: bad value for 'A.0': could not convert string to float: 'zebra'"),
+    ("t0 = 1\n", "case.cfg: operator needs at least A.0"),
+    ("A.0 = 1\n", "case.cfg: observation time t0 is required"),
+    (_BASE + "kernel = wrong\n",
+     "case.cfg:3: kernel must be one of mean_reverting, growth; got 'wrong'"),
+    (_BASE + "1x = 2\n", "case.cfg:3: malformed key '1x'"),
+    (_BASE + "c. = 2\n", "case.cfg:3: malformed key 'c.'"),
+    (_BASE + "c.1.2 = 2\n", "case.cfg:3: malformed key 'c.1.2'"),
+    (_BASE + "c.x = 2\n", "case.cfg:3: malformed key 'c.x'"),
+    (_BASE + "_a = 2\n", "case.cfg:3: malformed key '_a'"),
+    (_BASE + " = 2\n", "case.cfg:3: malformed key ''"),
+    (_BASE + "c.1 = # nothing\n", "case.cfg:3: empty value for key 'c.1'"),
+    (_BASE + "c.0 = zebra\n", "case.cfg:3: mode indices start at 1; use c0 for the constant term"),
+    (_BASE + "c.1 = 1\nc.01 = 2\nc.1 = 3\n",
+     "case.cfg:5: duplicate key 'c.1' (first given on line 3)"),
+    (_BASE + "c.1 = pi/7/2\n",
+     "case.cfg:3: bad value for 'c.1': could not convert string to float: 'pi/7/2'"),
+    (_BASE + "A.1 = pi/+7\n",
+     "case.cfg:3: bad value for 'A.1': could not convert string to float: 'pi/+7'"),
+    (_BASE + "n = 2.5\n",
+     "case.cfg:3: bad value for 'n': invalid literal for int() with base 10: '2.5'"),
+    (_BASE + "sigma_grid = 1, , 2\n",
+     "case.cfg:3: bad value for 'sigma_grid': could not convert string to float: ''"),
+    (_BASE + "foo.3 = 1\n", "case.cfg:3: unknown key 'foo.3'"),
+    (_BASE + "c.1 = zebra\nc.1 = 2\n", "case.cfg:4: duplicate key 'c.1' (first given on line 3)"),
+    (_BASE + "c.1 = zebra\nwhat = ever\n",
+     "case.cfg:3: bad value for 'c.1': could not convert string to float: 'zebra'"),
+    (_BASE + "c.1 = zebra\nno pair here\n",
+     "case.cfg:4: expected 'key = value', got 'no pair here'"),
+])
+def test_parse_error_messages_and_lines(text, message):
+    with pytest.raises(ConfigError) as caught:
+        parse_config_text(text, source="case.cfg")
+    assert str(caught.value) == message
+
+
+def test_parse_wideband_config_gives_the_bits_of_float():
+    text = wideband_config_text()
+    theta = parse_config_text(text).scenario.theta
+    tokens = dict(line.split(" = ") for line in text.splitlines())
+    for column, prefix in ((theta.c, "c."), (theta.d, "d.")):
+        expected = np.array([float(tokens[f"{prefix}{k}"]) for k in range(1, 2001)])
+        assert column.tobytes() == expected.tobytes()
+    assert theta.c0 == float(tokens["c0"])
 
 
 def test_presets_load_and_match_expectations():
@@ -156,6 +219,27 @@ def test_cli_evolve_overflow_exits_3(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "sample", "estimate"])
+def test_cli_growth_noise_overflow_exits_3(tmp_path, capsys, command):
+    # 2 A.0 t0 = 1600: the growth kernel's noise variance overflows a float;
+    # this once ended in an OverflowError traceback
+    cfg = tmp_path / "growth.cfg"
+    cfg.write_text("A.0 = 2\nsigma = 1\nt0 = 400\nK = 2\nG = 8\nseed = 1\nkernel = growth\n")
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "numeric instability" in err and "mode 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["t0 = pi/0\n", "t0 = 1\nsigma_grid = 1, pi/0\n"])
+def test_cli_pi_over_zero_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("A.0 = 2\n" + text)
+    assert run_cli("estimate", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    line = text.count("\n") + 1
+    assert f"zero.cfg:{line}: bad value for" in err and "Traceback" not in err
+
+
 def test_cli_sample_noiseless_rows_repeat(tmp_path):
     cfg = tmp_path / "quiet.cfg"
     cfg.write_text("A.0 = 2\nA.1 = -1\nc.1 = 5\nc0 = 1\nsigma = 0\nt0 = pi/7\n"
@@ -222,6 +306,51 @@ def test_cli_convergence_matches_pinned_digests(tmp_path):
         "experiment.csv": "e2a81bd92c907da971987b38ef856cd3ca217ceef56c7d01a7146eb4948341f6",
         "summary.csv": "0fbc1a8a8e0b71f873024008d859ffb8cec874a4179204dc3c2de764624596fe",
     }
+
+
+# the K = 2000 sweep of `wideband_config_text`, whose writers format whole columns
+WIDEBAND_DIGESTS = {
+    "estimate_sigma0.5.csv": "8cc54b4a48ca5e248e5205da73377ba46e8b876c9b70be161b3ee137226dae65",
+    "estimate_sigma5.csv": "277e7f08ce189edba5a3d1f1eff31579cd5cf495f93fa07fadb7eca3783f27c7",
+    "estimate_sigma50.csv": "8d5f83f9a4f34e5413026bc36f4f8c6087ddf54b3266bebeeaa58b03c7454b60",
+    "estimate_report.csv": "9b1c0fc31dd3e1b9f874671c5be39bcaffb4ed0108ee3766a78fd3c63eef0805",
+    "spectrum.csv": "17f8a7bc9356dbf1e837d779ab75c8012468638d09a61a8bff131e5d8e4b14b2",
+}
+
+
+def _wideband_run(tmp_path, *commands):
+    cfg = tmp_path / "wideband.cfg"
+    cfg.write_text(wideband_config_text())
+    out = tmp_path / "run"
+    for command in commands:
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 0
+    return cfg, out
+
+
+def test_cli_wideband_sweep_matches_pinned_digests(tmp_path):
+    _, out = _wideband_run(tmp_path, "estimate", "spectrum")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in WIDEBAND_DIGESTS}
+    assert digests == WIDEBAND_DIGESTS
+
+
+def test_wideband_manifest_is_its_config_text_and_a_summary(tmp_path):
+    cfg, out = _wideband_run(tmp_path, "estimate")
+    path = out / "estimate.manifest.json"
+    manifest = json.loads(path.read_text())
+    text = cfg.read_text()
+    assert manifest["config_text"] == text
+    # JSON escapes each of the 4011 newlines with one more byte; past the text
+    # itself the manifest holds at most 4 KB, whatever K is
+    assert path.stat().st_size <= len(json.dumps(text)) + 4096
+    scenario = manifest["scenario"]
+    assert "theta" not in scenario and scenario["mode_count"] == 2000
+    assert all(not isinstance(v, (dict, list)) or len(v) <= 8 for v in scenario.values())
+
+    replayed = tmp_path / "replayed"
+    assert replay_manifest(path, replayed) == 0
+    for name in manifest["outputs"]:
+        assert (replayed / name).read_bytes() == (out / name).read_bytes()
 
 
 @pytest.mark.parametrize("observation, width", [("grid", 200), ("fourier", 41)])

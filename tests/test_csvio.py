@@ -12,9 +12,11 @@ from hypothesis.extra.numpy import arrays
 from _util import make_config
 from ousignal import ConfigError, SampleSet, sample_batch
 from ousignal.csvio import (read_fourier_csv, read_grid_csv, read_samples_csv,
-                            write_frames_csv, write_samples_csv)
-from ousignal.fourier import GridSignal
+                            write_fourier_csv, write_frames_csv, write_samples_csv,
+                            write_spectrum_csv)
+from ousignal.fourier import FourierSignal, GridSignal
 from ousignal.manifest import write_csv
+from ousignal.spectral import ModeSpectrum
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308]
 FINITE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
@@ -72,6 +74,23 @@ def test_frames_csv_matches_per_cell_format(tmp_path_factory, data, frames, poin
     rows = ((t, x, v) for t, grid in series for x, v in zip(grid.grid, grid.values))
     write_csv(tmp / "reference.csv", ["t", "x", "value"], rows)
     assert (tmp / "columnar.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), modes=st.integers(0, 6))
+def test_fourier_and_spectrum_csv_match_per_cell_format(tmp_path_factory, data, modes):
+    tmp = tmp_path_factory.mktemp("modes")
+    at_zero = data.draw(FINITE)
+    first, second = (data.draw(arrays(np.float64, modes, elements=FINITE)) for _ in range(2))
+    reference = [(0, at_zero, 0.0)] + [(k + 1, first[k], second[k]) for k in range(modes)]
+
+    write_fourier_csv(FourierSignal(math.pi, at_zero, first, second), tmp / "fourier.csv")
+    write_csv(tmp / "fourier_reference.csv", ["k", "c", "d"], reference)
+    assert (tmp / "fourier.csv").read_bytes() == (tmp / "fourier_reference.csv").read_bytes()
+
+    write_spectrum_csv(ModeSpectrum(at_zero, first, second), tmp / "spectrum.csv")
+    write_csv(tmp / "spectrum_reference.csv", ["k", "sigma", "omega"], reference)
+    assert (tmp / "spectrum.csv").read_bytes() == (tmp / "spectrum_reference.csv").read_bytes()
 
 
 def test_samples_reader_groups_by_id_and_keeps_row_order(tmp_path):

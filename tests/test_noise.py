@@ -9,6 +9,7 @@ import pytest
 from scipy import special, stats
 
 from ousignal import (
+    GrowthOverflowError,
     KLDomainError,
     NoiseParams,
     RandomSource,
@@ -262,6 +263,22 @@ def test_variance_growth_kernel():
     p = params(sigma=3.0, a0=0.5, kernel=GR)
     t = 0.7
     assert noise_variance(p, t) == pytest.approx(9.0 * math.expm1(t), rel=1e-12)
+
+
+def test_growth_kernel_overflow_raises_growth_overflow_error():
+    p = params(sigma=1.0, a0=2.0, kernel=GR)
+    with pytest.raises(GrowthOverflowError, match="mode 0"):
+        noise_variance(p, 400.0)      # expm1(1600) overflows
+    with pytest.raises(GrowthOverflowError):
+        noise_variance(params(sigma=1e150, a0=2.0, kernel=GR), 100.0)  # the product does
+    with pytest.raises(GrowthOverflowError):
+        noise_covariance(p, 1.0, 400.0)
+    with pytest.raises(GrowthOverflowError):  # the carry exp(a0 (t - s)) of the Markov step
+        ou_joint_pairs(p, 0.1, 400.0, 4, RandomSource.pseudo(1))
+    with pytest.raises(GrowthOverflowError):  # u = expm1(2 a0 t0), checked before the domain
+        ou_integral_series(params(a0=2.0), 400.0, np.ones(4), enforce_domain=False)
+    assert noise_variance(params(sigma=0.0, a0=2.0, kernel=GR), 400.0) == 0.0
+    assert math.isfinite(noise_variance(p, 100.0))  # 1.3e173, as before
 
 
 def test_variance_monotone_in_time():
