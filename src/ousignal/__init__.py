@@ -20,7 +20,6 @@ from .estimation import (
     EstimateReport,
     convergence_study,
     error_report,
-    estimate_signal,
     estimate_until_stable,
     run_estimate,
 )
@@ -29,7 +28,6 @@ from .model import (
     SampleSet,
     ScenarioConfig,
     analytic_mean,
-    empirical_moments,
     evolve_frames,
     sample_batch,
     sample_source,
@@ -38,15 +36,11 @@ from .model import (
 from .noise import (
     NoiseParams,
     RandomSource,
-    gaussian_inverse_cdf,
     noise_covariance,
     noise_variance,
-    nth_prime,
     ou_integral_exact,
     ou_integral_series,
     ou_joint_pairs,
-    quasi_gaussian,
-    wiener_path_value,
 )
 from .spectral import (
     ModeSpectrum,
@@ -78,29 +72,23 @@ __all__ = [
     "ScenarioConfig",
     "analytic_mean",
     "convergence_study",
-    "empirical_moments",
     "error_report",
-    "estimate_signal",
     "estimate_until_stable",
     "evolve_frames",
     "extract_coefficients",
-    "gaussian_inverse_cdf",
     "inverse_propagate",
     "load_config",
     "mode_spectrum",
     "noise_covariance",
     "noise_variance",
-    "nth_prime",
     "ou_integral_exact",
     "ou_integral_series",
     "ou_joint_pairs",
     "parse_config_text",
     "propagate",
-    "quasi_gaussian",
     "run_estimate",
     "sample_batch",
     "sample_source",
     "sample_stream",
     "sup_distance",
-    "wiener_path_value",
 ]

@@ -50,7 +50,7 @@ def _parse_times(spec: str) -> list[float]:
     return [parse_number(tok) for tok in spec.split(",")]
 
 
-def _resolve(args) -> tuple[RunConfig, int | None]:
+def _resolve(args) -> RunConfig:
     """Load the config and settle the effective seed (flag > file > entropy)."""
     run = load_config(args.config)
     scenario = run.scenario
@@ -66,7 +66,7 @@ def _resolve(args) -> tuple[RunConfig, int | None]:
         if args.n < 1:
             raise ConfigError("--n must be >= 1")
         scenario = replace(scenario, n=args.n)
-    return replace(run, scenario=scenario), seed
+    return replace(run, scenario=scenario)
 
 
 def _finish(args, run: RunConfig, command: str, outputs: list[Path], started: float,
@@ -88,7 +88,7 @@ def _finish(args, run: RunConfig, command: str, outputs: list[Path], started: fl
 
 def cmd_spectrum(args) -> int:
     started = time.monotonic()
-    run, _ = _resolve(args)
+    run = _resolve(args)
     sc = run.scenario
     spectrum = mode_spectrum(sc.op, sc.mode_count, sc.theta.half_period)
     out = Path(args.out) / "spectrum.csv"
@@ -99,7 +99,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_evolve(args) -> int:
     started = time.monotonic()
-    run, _ = _resolve(args)
+    run = _resolve(args)
     sc = run.scenario
     times = _parse_times(args.times) if args.times else list(np.linspace(0.0, sc.t0, 64))
     frames = evolve_frames(sc, times, noise=args.noise)
@@ -111,7 +111,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_sample(args) -> int:
     started = time.monotonic()
-    run, _ = _resolve(args)
+    run = _resolve(args)
     batch = sample_batch(run.scenario)
     out = Path(args.out) / "samples.csv"
     csvio.write_samples_csv(batch, out)
@@ -130,7 +130,7 @@ def _single_estimate(run: RunConfig, samples_path: str | None):
 
 def cmd_estimate(args) -> int:
     started = time.monotonic()
-    run, _ = _resolve(args)
+    run = _resolve(args)
     out_dir = Path(args.out)
     outputs: list[Path] = []
     rows = []
@@ -185,7 +185,7 @@ def cmd_estimate(args) -> int:
 def cmd_verify(args) -> int:
     """Monte Carlo check of the analytic noise moments (3 standard errors)."""
     started = time.monotonic()
-    run, _ = _resolve(args)
+    run = _resolve(args)
     sc = run.scenario
     draws = args.n if args.n is not None else 100000
     if draws < 2:
@@ -255,7 +255,7 @@ def _check_row(name, s, t, analytic, empirical, se):
 
 def cmd_convergence(args) -> int:
     started = time.monotonic()
-    run, _ = _resolve(args)
+    run = _resolve(args)
     try:
         n_grid = [int(tok) for tok in args.n_grid.split(",")]
     except ValueError as exc:

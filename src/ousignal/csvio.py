@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .fourier import FourierSignal, GridSignal
-from .manifest import write_columns, write_csv, write_long_csv
+from .fourier import FourierSignal
+from .manifest import write_columns, write_long_csv
 from .model import OBSERVE_GRID, SampleSet, ScenarioConfig
 from .spectral import ModeSpectrum
 
@@ -14,28 +14,6 @@ from .spectral import ModeSpectrum
 def write_fourier_csv(signal: FourierSignal, path) -> None:
     """Rows k,c,d; the k=0 row carries (c0, 0)."""
     _write_modes(path, ["k", "c", "d"], signal.c0, signal.c, signal.d)
-
-
-def read_fourier_csv(path, half_period: float) -> FourierSignal:
-    _, body = _read_table(path, "k,c,d")
-    k = _integers(path, body[:, 0], "k", minimum=0).astype(np.intp)
-    if not (k == 0).any():
-        raise ConfigError("missing k=0 row", source=str(path))
-    c = np.zeros(k.max())
-    d = np.zeros(k.max())
-    mode = k > 0
-    c[k[mode] - 1] = body[mode, 1]
-    d[k[mode] - 1] = body[mode, 2]
-    return FourierSignal(half_period, float(body[k == 0, 1][-1]), c, d)
-
-
-def write_grid_csv(grid: GridSignal, path) -> None:
-    write_csv(path, ["x", "value"], zip(grid.grid, grid.values))
-
-
-def read_grid_csv(path, half_period: float) -> GridSignal:
-    _, body = _read_table(path, "x,value")
-    return GridSignal(half_period, body[:, 1])
 
 
 def write_spectrum_csv(spectrum: ModeSpectrum, path) -> None:

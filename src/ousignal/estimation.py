@@ -69,23 +69,6 @@ def _estimate_with_info(mean, op: OperatorSpec, t0: float, mode_count: int,
     return estimate, amplification_max
 
 
-def estimate_signal(samples: SampleSet, op: OperatorSpec, t0: float,
-                    mode_count: int | None = None,
-                    amplification_cap: float = AMPLIFICATION_CAP) -> FourierSignal:
-    """Average the samples and invert the channel.
-
-    Grid samples are averaged pointwise and converted to coefficients by
-    quadrature first. Modes damped so strongly that inverting them would
-    amplify beyond the cap are zeroed (with a warning) instead of exploding
-    quadrature roundoff into the estimate.
-    """
-    if samples.n < 1:
-        raise ValueError("need at least one sample")
-    if mode_count is None:
-        mode_count = samples.config.mode_count
-    return _estimate_with_info(samples.mean_signal(), op, t0, mode_count, amplification_cap)[0]
-
-
 def error_report(estimate: FourierSignal, truth: FourierSignal, n_used: int = 1,
                  amplification_max: float = float("nan")) -> EstimateReport:
     """Error metrics of an estimate against the known input signal."""
@@ -105,7 +88,14 @@ def error_report(estimate: FourierSignal, truth: FourierSignal, n_used: int = 1,
 
 def run_estimate(samples: SampleSet, truth: FourierSignal | None = None,
                  amplification_cap: float = AMPLIFICATION_CAP) -> EstimateReport:
-    """Estimate from a sample set and score it against the scenario's input."""
+    """Average the samples, invert the channel, and score the estimate against the input.
+
+    Grid samples are averaged pointwise and converted to coefficients by
+    quadrature first. Modes damped so strongly that inverting them would
+    amplify beyond the cap are zeroed (with a warning) instead of exploding
+    quadrature roundoff into the estimate. The truth defaults to the
+    scenario's input signal.
+    """
     config = samples.config
     if truth is None:
         truth = config.theta
@@ -121,7 +111,7 @@ def estimate_until_stable(stream, op: OperatorSpec, t0: float, mode_count: int,
 
     Consumes samples from the stream, adds each to a running sum by the fold
     SampleSet.mean_signal uses (so the mean is a batch's bit for bit),
-    inverts the mean as estimate_signal does (unrecoverable modes zeroed),
+    inverts the mean as run_estimate does (unrecoverable modes zeroed),
     and stops once all consecutive sup-norm gaps inside a window of `window`
     successive estimates fall strictly below epsilon. Returns (estimate,
     n_used, converged); exhausting n_max is reported via converged=False,

@@ -167,14 +167,6 @@ class GridSignal:
         points = self.grid_points
         return self.half_period * (2.0 * np.arange(points) / points - 1.0)
 
-    def nearest_index(self, x: float) -> int:
-        """Index of the grid point closest to x (periodic wrap)."""
-        g = round((float(x) + self.half_period) * self.grid_points / (2.0 * self.half_period))
-        return int(g % self.grid_points)
-
-    def value_near(self, x: float) -> float:
-        return float(self.values[self.nearest_index(x)])
-
     def __add__(self, other):
         if isinstance(other, GridSignal):
             if other.half_period != self.half_period or other.grid_points != self.grid_points:
@@ -185,13 +177,6 @@ class GridSignal:
         return NotImplemented
 
     __radd__ = __add__
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return GridSignal(self.half_period, float(scalar) * self.values)
-
-    __rmul__ = __mul__
 
 
 def extract_coefficients(grid: GridSignal, mode_count: int) -> FourierSignal:

@@ -175,11 +175,11 @@ class SampleSet:
     c0, c_1..c_K, d_1..d_K. A drawn batch keeps what it is made of, the
     noiseless observation `base` and the per-sample noise draws `etas`: row
     i is base with eta_i added to its constant mode. A set read back from
-    disk keeps its row matrix (`grid_values` or `fourier_coef`; etas NaN).
-    Rows are read in contiguous blocks of at most max(1, _BLOCK // width),
-    so the mean and the CSV writer hold one block whatever n is. Only the
-    grid_values and fourier_coef views build a drawn set's whole matrix,
-    on first use.
+    disk keeps its row matrix (passed as `grid_values` or `fourier_coef`;
+    etas NaN). Rows are read in contiguous blocks of at most
+    max(1, _BLOCK // width), so the mean and the CSV writer hold one block
+    whatever n is. Only the grid_values view builds a drawn set's whole
+    matrix, on first use.
     """
 
     def __init__(self, config: ScenarioConfig, etas: np.ndarray,
@@ -201,16 +201,12 @@ class SampleSet:
 
     @cached_property
     def grid_values(self) -> np.ndarray | None:
-        """The (n, G) value matrix of a grid set, else None."""
-        return self._matrix() if self.form == OBSERVE_GRID else None
+        """The (n, G) value matrix of a grid set, else None.
 
-    @cached_property
-    def fourier_coef(self) -> np.ndarray | None:
-        """The (n, 2K+1) coefficient matrix of a Fourier set, else None."""
-        return self._matrix() if self.form == OBSERVE_FOURIER else None
-
-    def _matrix(self) -> np.ndarray:
-        """All rows: the stored matrix, or a drawn set's rows built once, read-only."""
+        A drawn set builds its rows once, on first use, read-only.
+        """
+        if self.form != OBSERVE_GRID:
+            return None
         if self._rows is not None:
             return self._rows
         rows = self._block(0, self.n)
@@ -240,26 +236,12 @@ class SampleSet:
         i = range(self.n)[i]
         return _row_signal(self.config.theta.half_period, self.form, self._block(i, i + 1)[0])
 
-    def signals(self) -> list:
-        return [self.signal(i) for i in range(self.n)]
-
     def mean_signal(self):
         """Pointwise (grid) or coefficient-wise (Fourier) sample mean: the row sum over n."""
         total = None
         for block in self._blocks():
             total = _add_rows(total, block)
         return _row_signal(self.config.theta.half_period, self.form, total / self.n)
-
-    def values_at(self, x: float) -> np.ndarray:
-        """All sample values at location x (nearest grid point in grid form)."""
-        if self.form == OBSERVE_GRID:
-            g = self.signal(0).nearest_index(x)
-            return np.concatenate([block[:, g] for block in self._blocks()])
-        k = self.config.mode_count
-        q = np.pi / self.config.theta.half_period
-        modes = np.arange(1, k + 1)
-        basis = np.concatenate([[0.5], np.cos(modes * q * x), np.sin(modes * q * x)])
-        return np.concatenate([block @ basis for block in self._blocks()])
 
 
 def _noiseless(config: ScenarioConfig):
@@ -282,14 +264,6 @@ def sample_stream(config: ScenarioConfig, subkey: tuple[int, ...] = ()):
     for etas in _noise_blocks(config, subkey):
         for eta in etas:
             yield base + eta if isinstance(base, GridSignal) else base.plus_constant(eta)
-
-
-def empirical_moments(samples: SampleSet, x: float) -> tuple[float, float]:
-    """Sample mean and unbiased variance of the observed values at x."""
-    values = samples.values_at(x)
-    if values.size < 2:
-        raise ValueError("variance needs at least two samples")
-    return float(values.mean()), float(values.var(ddof=1))
 
 
 def evolve_frames(config: ScenarioConfig, times, noise: str = NOISE_NONE,

@@ -239,13 +239,6 @@ def _kl_sum(coeffs: np.ndarray, s: float):
     return coeffs[..., 0] * s + math.sqrt(2.0) * tail
 
 
-def wiener_path_value(coeffs, t: float) -> float:
-    """Brownian path value at t in [0, 1] from its sine-series coefficients."""
-    if not 0.0 <= t <= 1.0:
-        raise KLDomainError(f"the sine-series Brownian expansion is valid only on [0, 1]; got t={t}")
-    return _kl_sum(coeffs, float(t))
-
-
 def _grown(scale: float, grow, exponent: float, t: float) -> float:
     """scale * grow(exponent), where grow is math.exp or math.expm1 of a growth exponent.
 

@@ -53,10 +53,6 @@ class OperatorSpec:
     def a0(self) -> float:
         return self.coefficients[0]
 
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
 
 @dataclass(frozen=True, eq=False)
 class ModeSpectrum:
@@ -65,10 +61,6 @@ class ModeSpectrum:
     sigma0: float
     sigma: np.ndarray
     omega: np.ndarray
-
-    @property
-    def mode_count(self) -> int:
-        return self.sigma.size
 
 
 def mode_spectrum(op: OperatorSpec, mode_count: int, half_period: float) -> ModeSpectrum:

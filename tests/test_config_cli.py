@@ -417,6 +417,8 @@ def test_cli_estimate_reads_samples_file(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
+    pytest.param("", "expected columns sample_id,x,value or sample_id,k,c,d, found <empty>",
+                 id="empty-file"),
     pytest.param("id,position\n0,1\n", "expected columns", id="wrong-header"),
     pytest.param("sample_id,x,value\n0,0,1\n0,1\n", "number of columns changed",
                  id="missing-cell"),

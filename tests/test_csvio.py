@@ -4,38 +4,36 @@ import math
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _util import make_config
-from ousignal import ConfigError, SampleSet, sample_batch
-from ousignal.csvio import (read_fourier_csv, read_grid_csv, read_samples_csv,
-                            write_fourier_csv, write_frames_csv, write_samples_csv,
-                            write_spectrum_csv)
+from ousignal import SampleSet, sample_batch
+from ousignal.csvio import (read_samples_csv, write_fourier_csv, write_frames_csv,
+                            write_samples_csv, write_spectrum_csv)
 from ousignal.fourier import FourierSignal, GridSignal
 from ousignal.manifest import write_csv
+from ousignal.model import _signal_row
 from ousignal.spectral import ModeSpectrum
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308]
 FINITE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
 
 
-def _reference_samples_csv(samples, path):
-    """Reference writer: one fmt call per cell, through write_csv."""
-    n = samples.n
-    if samples.grid_values is not None:
-        x = samples.signal(0).grid
-        rows = ((i, x[g], samples.grid_values[i, g]) for i in range(n) for g in range(x.size))
+def _reference_samples_csv(form, matrix, path):
+    """Reference writer of a sample matrix: one fmt call per cell, through write_csv."""
+    n = matrix.shape[0]
+    if form == "grid":
+        x = GridSignal(math.pi, matrix[0]).grid
+        rows = ((i, x[g], matrix[i, g]) for i in range(n) for g in range(x.size))
         write_csv(path, ["sample_id", "x", "value"], rows)
         return
-    coef = samples.fourier_coef
-    k_count = (coef.shape[1] - 1) // 2
+    k_count = (matrix.shape[1] - 1) // 2
     rows = []
     for i in range(n):
-        rows.append((i, 0, coef[i, 0], 0.0))
-        rows += [(i, k, coef[i, k], coef[i, k_count + k]) for k in range(1, k_count + 1)]
+        rows.append((i, 0, matrix[i, 0], 0.0))
+        rows += [(i, k, matrix[i, k], matrix[i, k_count + k]) for k in range(1, k_count + 1)]
     write_csv(path, ["sample_id", "k", "c", "d"], rows)
 
 
@@ -53,11 +51,11 @@ def test_samples_csv_matches_per_cell_format_and_round_trips_bits(tmp_path_facto
         values = data.draw(arrays(np.float64, (n, 2 * width + 1), elements=FINITE))
         samples = SampleSet(config, etas=np.zeros(n), fourier_coef=values)
     write_samples_csv(samples, tmp / "columnar.csv")
-    _reference_samples_csv(samples, tmp / "reference.csv")
+    _reference_samples_csv(form, values, tmp / "reference.csv")
     assert (tmp / "columnar.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
 
     back = read_samples_csv(tmp / "columnar.csv", config)
-    read = back.grid_values if form == "grid" else back.fourier_coef
+    read = np.array([_signal_row(back.signal(i)) for i in range(back.n)])
     assert read.tobytes() == values.tobytes()  # bit for bit, -0.0 and subnormals included
     write_samples_csv(back, tmp / "again.csv")
     assert (tmp / "again.csv").read_bytes() == (tmp / "columnar.csv").read_bytes()
@@ -98,22 +96,6 @@ def test_samples_reader_groups_by_id_and_keeps_row_order(tmp_path):
     path.write_text("sample_id,x,value\n7,0,1\n-2,0,5\n7,1,2\n-2,1,6\n")
     back = read_samples_csv(path, make_config())
     assert back.grid_values.tolist() == [[5.0, 6.0], [1.0, 2.0]]
-
-
-@pytest.mark.parametrize("reader, text, message", [
-    (read_fourier_csv, "k,c,d\n0,1,0\n1,2\n", "number of columns changed"),
-    (read_fourier_csv, "k,c,d\n1,2,3\n", "missing k=0 row"),
-    (read_fourier_csv, "k,c,d\n0,1,0\n-1,2,3\n", "k must be an integer >= 0"),
-    (read_fourier_csv, "k,v\n0,1\n", "expected columns k,c,d, found k,v"),
-    (read_grid_csv, "x,value\n0,1\n1\n", "number of columns changed"),
-    (read_grid_csv, "x,value\n", "no data rows"),
-    (read_grid_csv, "", "expected columns x,value, found <empty>"),
-])
-def test_signal_readers_refuse_malformed_files(tmp_path, reader, text, message):
-    path = tmp_path / "signal.csv"
-    path.write_text(text)
-    with pytest.raises(ConfigError, match=message):
-        reader(path, math.pi)
 
 
 def test_samples_writer_memory_does_not_grow_with_the_batch(tmp_path):

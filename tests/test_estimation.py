@@ -13,7 +13,6 @@ from ousignal import (
     OperatorSpec,
     convergence_study,
     error_report,
-    estimate_signal,
     estimate_until_stable,
     inverse_propagate,
     load_config,
@@ -65,7 +64,7 @@ def test_single_sample_error_is_decayed_constant_offset():
 def test_mean_then_invert_equals_invert_then_mean():
     cfg = make_config(n=8, seed=4, observation_form=OBSERVE_FOURIER)
     batch = sample_batch(cfg)
-    averaged_first = estimate_signal(batch, cfg.op, cfg.t0)
+    averaged_first = run_estimate(batch).estimate
     inverted = [inverse_propagate(batch.signal(i).padded(cfg.mode_count), cfg.op, cfg.t0)
                 for i in range(batch.n)]
     total = inverted[0]
@@ -80,8 +79,8 @@ def test_estimate_is_permutation_invariant():
     batch = sample_batch(cfg)
     shuffled = SampleSet(cfg, etas=batch.etas[::-1].copy(),
                          grid_values=batch.grid_values[::-1].copy())
-    a = estimate_signal(batch, cfg.op, cfg.t0)
-    b = estimate_signal(shuffled, cfg.op, cfg.t0)
+    a = run_estimate(batch).estimate
+    b = run_estimate(shuffled).estimate
     assert sup_distance(a, b) < 1e-10
 
 
@@ -90,8 +89,8 @@ def test_estimate_is_linear_in_constant_shifts():
     batch = sample_batch(cfg)
     w = 3.7
     shifted = SampleSet(cfg, etas=batch.etas, grid_values=batch.grid_values + w)
-    plain = estimate_signal(batch, cfg.op, cfg.t0)
-    moved = estimate_signal(shifted, cfg.op, cfg.t0)
+    plain = run_estimate(batch).estimate
+    moved = run_estimate(shifted).estimate
     expected = plain.plus_constant(math.exp(-cfg.op.a0 * cfg.t0) * w)
     assert sup_distance(moved, expected) < 1e-10
 
@@ -245,14 +244,14 @@ def test_blockwise_mean_is_bit_identical_to_matrix_mean_and_running_sum(form):
                       observation_form=form, seed=8, n=3 * (model._BLOCK // 201) + 5)
     batch = sample_batch(cfg)
     row = model._signal_row
-    matrix = batch.grid_values if form == "grid" else batch.fourier_coef
+    matrix = np.array([row(batch.signal(i)) for i in range(batch.n)])
     assert np.array_equal(row(batch.mean_signal()), np.mean(matrix, axis=0))
 
     stored = SampleSet(cfg, etas=batch.etas, **{
-        "grid_values" if form == "grid" else "fourier_coef": np.array(matrix)})
+        "grid_values" if form == "grid" else "fourier_coef": matrix})
     assert np.array_equal(row(stored.mean_signal()), row(batch.mean_signal()))
 
-    folded = estimate_signal(batch, cfg.op, cfg.t0)
+    folded = run_estimate(batch).estimate
     running, n_used, _ = estimate_until_stable(sample_stream(cfg), cfg.op, cfg.t0,
                                                cfg.mode_count, epsilon=0.0, n_max=cfg.n)
     assert n_used == cfg.n

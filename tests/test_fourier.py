@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ousignal import AliasingError, FourierSignal, GridSignal, extract_coefficients, sup_distance
-from ousignal.csvio import read_fourier_csv, read_grid_csv, write_fourier_csv, write_grid_csv
 
 from _util import example_theta, random_signal
 
@@ -232,23 +231,3 @@ def test_signals_are_immutable():
     s = example_theta()
     with pytest.raises((ValueError, AttributeError)):
         s.c[0] = 99.0
-
-
-def test_fourier_csv_roundtrip(tmp_path):
-    s = example_theta(mode_count=6)
-    path = tmp_path / "signal.csv"
-    write_fourier_csv(s, path)
-    first = path.read_text().splitlines()
-    assert first[0] == "k,c,d"
-    assert first[1] == "0,1,0"
-    back = read_fourier_csv(path, math.pi)
-    assert sup_distance(back, s) == 0.0
-
-
-def test_grid_csv_roundtrip(tmp_path):
-    grid = example_theta().evaluate_grid(32)
-    path = tmp_path / "grid.csv"
-    write_grid_csv(grid, path)
-    assert path.read_text().splitlines()[0] == "x,value"
-    back = read_grid_csv(path, math.pi)
-    assert np.array_equal(back.values, grid.values)

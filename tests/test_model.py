@@ -15,19 +15,18 @@ from ousignal import (
     RandomSource,
     ScenarioConfig,
     analytic_mean,
-    empirical_moments,
     evolve_frames,
     extract_coefficients,
     noise_covariance,
     noise_variance,
     ou_joint_pairs,
-    quasi_gaussian,
     sample_batch,
     sample_stream,
     sup_distance,
 )
 from ousignal import model
 from ousignal.model import OBSERVE_FOURIER
+from ousignal.noise import quasi_gaussian
 
 from _util import example_theta, make_config
 
@@ -100,7 +99,9 @@ def test_batch_shape_and_distinct_noise():
     assert batch.n == 4
     assert batch.grid_values.shape == (4, 200)
     assert len(set(batch.etas.tolist())) == 4
-    assert len(batch.signals()) == 4
+    assert np.array_equal(batch.signal(3).values, batch.grid_values[3])
+    with pytest.raises(IndexError):
+        batch.signal(4)
 
 
 def test_batch_noiseless_samples_identical():
@@ -144,7 +145,7 @@ def test_stream_prefix_equals_batch(quasi, form, sampler):
         if form == "grid":
             assert np.array_equal(z.values, batch.grid_values[i])
         else:
-            assert np.array_equal(np.concatenate([[z.c0], z.c, z.d]), batch.fourier_coef[i])
+            assert np.array_equal(model._signal_row(z), model._signal_row(batch.signal(i)))
 
 
 def test_batch_mean_noise_obeys_clt_band():
@@ -192,30 +193,22 @@ def test_sample_mean_coefficients_unbiased_with_clt_rate():
 
 
 def test_empirical_moments_match_analytic_variance():
-    cfg = make_config(n=100000, observation_form=OBSERVE_FOURIER, seed=23)
+    # 42 grid points put x = 0 on point 21 and keep the (n, G) matrix at 34 MB
+    cfg = make_config(n=100000, grid_points=42, seed=23)
     batch = sample_batch(cfg)
     v = noise_variance(cfg.noise, cfg.t0)
-    mean, variance = empirical_moments(batch, 0.0)
-    assert abs(variance - v) < 3.0 * v * math.sqrt(2.0 / (cfg.n - 1))
-    assert abs(mean - analytic_mean(cfg).evaluate(0.0)) < 3.0 * math.sqrt(v / cfg.n)
+    values = batch.grid_values[:, cfg.grid_points // 2]
+    assert abs(values.var(ddof=1) - v) < 3.0 * v * math.sqrt(2.0 / (cfg.n - 1))
+    assert abs(values.mean() - analytic_mean(cfg).evaluate(0.0)) < 3.0 * math.sqrt(v / cfg.n)
 
 
 def test_variance_is_location_independent():
     cfg = make_config(n=2000, seed=8)
     batch = sample_batch(cfg)
-    _, reference = empirical_moments(batch, 0.0)
-    for x in np.linspace(-PI, PI, 10, endpoint=False):
-        _, variance = empirical_moments(batch, float(x))
-        assert variance == pytest.approx(reference, rel=1e-9)
-
-
-def test_empirical_moments_edge_cases():
-    batch = sample_batch(make_config(sigma=0.0, n=3))
-    _, variance = empirical_moments(batch, 0.5)
-    assert variance == 0.0
-    single = sample_batch(make_config(n=1))
-    with pytest.raises(ValueError):
-        empirical_moments(single, 0.0)
+    variances = batch.grid_values.var(axis=0, ddof=1)
+    reference = variances[cfg.grid_points // 2]  # x = 0
+    for g in range(0, cfg.grid_points, cfg.grid_points // 10):  # x = -pi, -0.8 pi, ...
+        assert variances[g] == pytest.approx(reference, rel=1e-9)
 
 
 def test_joint_value_covariance_matches_formula():

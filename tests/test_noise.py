@@ -13,17 +13,14 @@ from ousignal import (
     KLDomainError,
     NoiseParams,
     RandomSource,
-    gaussian_inverse_cdf,
     noise_covariance,
     noise_variance,
-    nth_prime,
     ou_integral_exact,
     ou_integral_series,
     ou_joint_pairs,
-    quasi_gaussian,
-    wiener_path_value,
 )
 from ousignal import noise
+from ousignal.noise import gaussian_inverse_cdf, nth_prime, quasi_gaussian
 
 MR = "mean_reverting"
 GR = "growth"
@@ -191,47 +188,6 @@ def test_blocks_rows_are_independent_draws():
     for r, stream in enumerate((3, 4)):
         assert rows[r].tolist() == [quasi_gaussian(stream, j) for j in range(1, 6)]
     assert src.blocks(1, 1)[0, 0] == quasi_gaussian(5, 1)
-
-
-# ---------------------------------------------------------------------------
-# Brownian path from its sine series
-
-
-def test_wiener_path_endpoints():
-    coeffs = np.arange(1.0, 8.0)
-    assert wiener_path_value(coeffs, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert wiener_path_value(coeffs, 1.0) == pytest.approx(coeffs[0], abs=1e-12)
-
-
-def test_wiener_path_linear_term_only():
-    coeffs = np.zeros(100)
-    coeffs[0] = 1.0
-    assert wiener_path_value(coeffs, 0.5) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_wiener_path_rejects_outside_unit_interval():
-    with pytest.raises(KLDomainError):
-        wiener_path_value(np.ones(3), 1.2)
-    with pytest.raises(KLDomainError):
-        wiener_path_value(np.ones(3), -0.1)
-
-
-def test_wiener_path_midpoint_variance():
-    # Var W(1/2) = 1/2; truncation bias at 999 terms is below 2/(pi^2 * 999)
-    rng = np.random.default_rng(77)
-    n = np.arange(1, 1000)
-    weights = np.sqrt(2.0) * np.sin(np.pi * n * 0.5) / (np.pi * n)
-    total = 0.0
-    total_sq = 0.0
-    draws = 100000
-    for _ in range(10):
-        coeffs = rng.standard_normal((draws // 10, 1000))
-        values = coeffs[:, 0] * 0.5 + coeffs[:, 1:] @ weights
-        total += values.sum()
-        total_sq += (values**2).sum()
-    variance = total_sq / draws - (total / draws) ** 2
-    se = 0.5 * math.sqrt(2.0 / draws)
-    assert abs(variance - 0.5) < 3 * se + 2.0 / (math.pi**2 * 999)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,65 @@
+"""The public surface: what `import ousignal` exports, and the names it no longer has."""
+
+import ousignal
+from ousignal import csvio, estimation, model, noise
+from ousignal.fourier import GridSignal
+from ousignal.model import SampleSet
+from ousignal.spectral import ModeSpectrum, OperatorSpec
+
+PUBLIC = {
+    # errors
+    "AliasingError", "AmplificationError", "ConfigError", "GrowthOverflowError",
+    "KLDomainError", "OusignalError",
+    # config
+    "RunConfig", "load_config", "parse_config_text",
+    # signals and the operator
+    "FourierSignal", "GridSignal", "extract_coefficients", "sup_distance",
+    "ModeSpectrum", "OperatorSpec", "inverse_propagate", "mode_spectrum", "propagate",
+    # noise
+    "NoiseParams", "RandomSource", "noise_covariance", "noise_variance",
+    "ou_integral_exact", "ou_integral_series", "ou_joint_pairs",
+    # the channel
+    "SampleSet", "ScenarioConfig", "analytic_mean", "evolve_frames", "sample_batch",
+    "sample_source", "sample_stream",
+    # estimation
+    "ConvergenceStudy", "EstimateReport", "convergence_study", "error_report",
+    "estimate_until_stable", "run_estimate",
+}
+
+# (owner, name): deleted, or no longer exported from the package
+GONE = [
+    (model, "empirical_moments"),
+    (SampleSet, "values_at"),
+    (SampleSet, "signals"),
+    (SampleSet, "fourier_coef"),
+    (noise, "wiener_path_value"),
+    (csvio, "read_fourier_csv"),
+    (csvio, "read_grid_csv"),
+    (csvio, "write_grid_csv"),
+    (GridSignal, "value_near"),
+    (GridSignal, "nearest_index"),
+    (GridSignal, "__mul__"),
+    (GridSignal, "__rmul__"),
+    (estimation, "estimate_signal"),
+    (OperatorSpec, "order"),
+    (ModeSpectrum, "mode_count"),
+    (ousignal, "empirical_moments"),
+    (ousignal, "estimate_signal"),
+    (ousignal, "gaussian_inverse_cdf"),
+    (ousignal, "nth_prime"),
+    (ousignal, "quasi_gaussian"),
+    (ousignal, "wiener_path_value"),
+]
+
+
+def test_all_lists_exactly_the_public_names_and_each_resolves():
+    assert len(PUBLIC) == 38
+    assert sorted(ousignal.__all__) == sorted(PUBLIC)  # as lists: a repeated name fails too
+    for name in ousignal.__all__:
+        getattr(ousignal, name)
+
+
+def test_deleted_names_are_gone():
+    present = [f"{getattr(owner, '__name__', owner)}.{name}" for owner, name in GONE
+               if hasattr(owner, name)]
+    assert present == []
