@@ -19,7 +19,6 @@ from .estimation import (
     ConvergenceStudy,
     EstimateReport,
     convergence_study,
-    error_report,
     estimate_until_stable,
     run_estimate,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "ScenarioConfig",
     "analytic_mean",
     "convergence_study",
-    "error_report",
     "estimate_until_stable",
     "evolve_frames",
     "extract_coefficients",

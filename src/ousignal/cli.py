@@ -21,20 +21,16 @@ import numpy as np
 from . import csvio
 from .config import ESTIMATOR_INFINITE, RunConfig, load_config, parse_number
 from .errors import AmplificationError, ConfigError, GrowthOverflowError, KLDomainError
-from .estimation import (_cap_unrecoverable_modes, convergence_study, error_report,
-                         estimate_until_stable, run_estimate)
+from .estimation import EstimateReport, convergence_study, estimate_until_stable, run_estimate
 from .manifest import ARTIFACT_VERSION, RunManifest, atomic_write_text, fmt, write_csv
-from .model import evolve_frames, sample_batch, sample_source, sample_stream
+from .model import evolve_frames, sample_batch, sample_source
 from .noise import _BLOCK, _markov_step, noise_covariance, noise_variance
-from .spectral import AMPLIFICATION_CAP, mode_spectrum
+from .spectral import mode_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NO_CONVERGENCE = 4
-
-_REPORT_HEADER = ["sigma", "n_used", "converged", "sup_error", "c0_error",
-                  "max_mode_error", "amplification_max"]
 
 
 def _parse_times(spec: str) -> list[float]:
@@ -119,67 +115,41 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _single_estimate(run: RunConfig, samples_path: str | None):
-    sc = run.scenario
-    if samples_path is not None:
-        batch = csvio.read_samples_csv(samples_path, sc)
-    else:
-        batch = sample_batch(sc)
-    return run_estimate(batch)
-
-
 def cmd_estimate(args) -> int:
     started = time.monotonic()
     run = _resolve(args)
+    sc = run.scenario
     out_dir = Path(args.out)
-    outputs: list[Path] = []
-    rows = []
-    exit_code = EXIT_OK
     extra: dict = {}
 
     if run.estimator == ESTIMATOR_INFINITE:
-        sc = run.scenario
-        stream = sample_stream(sc)
-        estimate, n_used, converged = estimate_until_stable(
-            stream, sc.op, sc.t0, sc.mode_count, epsilon=run.epsilon,
-            window=run.window, n_max=run.n_max)
-        # the factor applied depends only on the channel, so the capped estimate yields it again
-        _, amplification_max = _cap_unrecoverable_modes(estimate, sc.op, sc.t0, AMPLIFICATION_CAP)
-        report = error_report(estimate, sc.theta, n_used=n_used,
-                              amplification_max=amplification_max)
-        est_path = out_dir / "estimate.csv"
-        csvio.write_fourier_csv(estimate, est_path)
-        outputs.append(est_path)
-        rows.append((sc.noise.sigma, n_used, converged, report.sup_error,
-                     report.c0_error, report.max_mode_error, report.amplification_max))
-        extra = {"converged": converged, "epsilon": run.epsilon, "window": run.window,
+        if args.samples is not None:
+            raise ConfigError("--samples cannot feed estimator = infinite, which draws its "
+                              "own stream; drop --samples or the estimator line")
+        report = estimate_until_stable(sc, epsilon=run.epsilon, window=run.window,
+                                       n_max=run.n_max)
+        reports = [("estimate.csv", report)]
+        extra = {"converged": report.converged, "epsilon": run.epsilon, "window": run.window,
                  "n_max": run.n_max}
-        if not converged:
-            print(f"no convergence after {n_used} samples (epsilon={run.epsilon:g})",
+        if not report.converged:
+            print(f"no convergence after {report.n_used} samples (epsilon={run.epsilon:g})",
                   file=sys.stderr)
-            exit_code = EXIT_NO_CONVERGENCE
-    elif run.sigma_grid and args.samples is None:
-        for sigma in run.sigma_grid:
-            sweep = replace(run, scenario=run.scenario.with_sigma(sigma))
-            report = _single_estimate(sweep, None)
-            est_path = out_dir / f"estimate_sigma{sigma:g}.csv"
-            csvio.write_fourier_csv(report.estimate, est_path)
-            outputs.append(est_path)
-            rows.append((sigma, report.n_used, True, report.sup_error, report.c0_error,
-                         report.max_mode_error, report.amplification_max))
+    elif args.samples is not None:
+        reports = [("estimate.csv", run_estimate(csvio.read_samples_csv(args.samples, sc)))]
+    elif run.sigma_grid:
+        reports = [(f"estimate_sigma{sigma:g}.csv",
+                    run_estimate(sample_batch(sc.with_sigma(sigma)))) for sigma in run.sigma_grid]
     else:
-        report = _single_estimate(run, args.samples)
-        est_path = out_dir / "estimate.csv"
-        csvio.write_fourier_csv(report.estimate, est_path)
-        outputs.append(est_path)
-        rows.append((run.scenario.noise.sigma, report.n_used, True, report.sup_error,
-                     report.c0_error, report.max_mode_error, report.amplification_max))
+        reports = [("estimate.csv", run_estimate(sample_batch(sc)))]
 
+    outputs = [out_dir / name for name, _ in reports]
+    for path, (_, report) in zip(outputs, reports):
+        csvio.write_fourier_csv(report.estimate, path)
     report_path = out_dir / "estimate_report.csv"
-    write_csv(report_path, _REPORT_HEADER, rows)
+    write_csv(report_path, EstimateReport._fields[:-1], [r[:-1] for _, r in reports])
     outputs.append(report_path)
     _finish(args, run, "estimate", outputs, started, extra=extra)
-    return exit_code
+    return EXIT_OK if all(r.converged for _, r in reports) else EXIT_NO_CONVERGENCE
 
 
 def cmd_verify(args) -> int:
@@ -363,6 +333,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # OSError: unreadable input or unwritable --out
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a K or G whose arrays cannot be allocated
+        print(f"input too large: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

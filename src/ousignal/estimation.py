@@ -13,132 +13,117 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distance
-from .model import (OBSERVE_FOURIER, OBSERVE_GRID, SampleSet, ScenarioConfig, _add_rows,
-                    _row_signal, _signal_row, sample_batch)
+from .model import (SampleSet, ScenarioConfig, _add_rows, _row_signal, _signal_row, sample_batch,
+                    sample_stream)
 from .spectral import AMPLIFICATION_CAP, OperatorSpec, inverse_propagate, mode_spectrum
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Recovered signal plus error metrics against the known input."""
+class EstimateReport(NamedTuple):
+    """One estimate_report.csv row (every field but the last, in column order) and the
+    recovered signal, scored against the scenario's input."""
 
-    estimate: FourierSignal
+    sigma: float
+    n_used: int
+    converged: bool
     sup_error: float
     c0_error: float
     max_mode_error: float
-    n_used: int
     amplification_max: float
+    estimate: FourierSignal
 
 
-def _cap_unrecoverable_modes(mean_signal: FourierSignal, op: OperatorSpec, t0: float,
-                             amplification_cap: float) -> tuple[FourierSignal, float]:
-    """Zero out modes whose inverse factor exceeds the cap; report the max applied."""
+def _cap_unrecoverable_modes(mean_signal: FourierSignal, op: OperatorSpec,
+                             t0: float) -> tuple[FourierSignal, float]:
+    """Zero out modes whose inverse factor exceeds the cap; report the max applied.
+
+    Which modes go depends only on the channel (op, t0, K), never on the data:
+    a mode damped below the last bit of the observations reads as zero, and
+    is as lost as one that reads as roundoff.
+    """
     spectrum = mode_spectrum(op, mean_signal.mode_count, mean_signal.half_period)
     factors_log = -spectrum.sigma * t0
-    log_cap = math.log(amplification_cap)
-    over = factors_log > log_cap
-    c = mean_signal.c
-    d = mean_signal.d
-    if np.any(over & ((c != 0.0) | (d != 0.0))):
+    over = factors_log > math.log(AMPLIFICATION_CAP)
+    if np.any(over):
         dropped = (np.nonzero(over)[0] + 1).tolist()
         warnings.warn(
             f"zeroing unrecoverable modes {dropped}: inverse amplification exceeds "
-            f"{amplification_cap:g}", stacklevel=3
+            f"{AMPLIFICATION_CAP:g}", stacklevel=2
         )
-        c = np.where(over, 0.0, c)
-        d = np.where(over, 0.0, d)
-        mean_signal = FourierSignal(mean_signal.half_period, mean_signal.c0, c, d)
+        mean_signal = FourierSignal(mean_signal.half_period, mean_signal.c0,
+                                    np.where(over, 0.0, mean_signal.c),
+                                    np.where(over, 0.0, mean_signal.d))
     applied = factors_log[~over]
     worst = max(float(np.max(applied)) if applied.size else -math.inf, -op.a0 * t0)
     return mean_signal, math.exp(worst)
 
 
-def _estimate_with_info(mean, op: OperatorSpec, t0: float, mode_count: int,
-                        amplification_cap: float):
-    """(estimate, amplification_max) of a mean observation; both estimators go through here."""
+def _invert(mean, config: ScenarioConfig) -> tuple[FourierSignal, float]:
+    """(estimate, amplification_max) of a mean observation.
+
+    A grid mean is converted to coefficients by quadrature, a coefficient mean
+    padded to K; unrecoverable modes are zeroed before the inversion.
+    """
     if isinstance(mean, GridSignal):
-        mean = extract_coefficients(mean, mode_count)
+        mean = extract_coefficients(mean, config.mode_count)
     else:
-        mean = mean.padded(mode_count)
-    mean, amplification_max = _cap_unrecoverable_modes(mean, op, t0, amplification_cap)
-    estimate = inverse_propagate(mean, op, t0, amplification_cap=amplification_cap)
-    return estimate, amplification_max
+        mean = mean.padded(config.mode_count)
+    mean, amplification_max = _cap_unrecoverable_modes(mean, config.op, config.t0)
+    return inverse_propagate(mean, config.op, config.t0), amplification_max
 
 
-def error_report(estimate: FourierSignal, truth: FourierSignal, n_used: int = 1,
-                 amplification_max: float = float("nan")) -> EstimateReport:
-    """Error metrics of an estimate against the known input signal."""
-    if estimate.half_period != truth.half_period:
-        raise ValueError("half_period mismatch between estimate and truth")
-    if estimate.mode_count != truth.mode_count:
-        raise ValueError("mode count mismatch between estimate and truth")
-    sup_error = sup_distance(estimate, truth)
-    c0_error = estimate.c0 - truth.c0
-    if estimate.mode_count:
-        max_mode_error = float(np.max(np.hypot(estimate.c - truth.c, estimate.d - truth.d)))
-    else:
-        max_mode_error = 0.0
-    return EstimateReport(estimate, sup_error, c0_error, max_mode_error, n_used,
-                          amplification_max)
+def _report(mean, config: ScenarioConfig, n_used: int, converged: bool) -> EstimateReport:
+    """Invert a mean observation and score it against config.theta; both estimators end here."""
+    estimate, amplification_max = _invert(mean, config)
+    truth = config.theta
+    max_mode_error = float(np.max(np.hypot(estimate.c - truth.c, estimate.d - truth.d)))
+    return EstimateReport(config.noise.sigma, n_used, converged, sup_distance(estimate, truth),
+                          estimate.c0 - truth.c0, max_mode_error, amplification_max, estimate)
 
 
-def run_estimate(samples: SampleSet, truth: FourierSignal | None = None,
-                 amplification_cap: float = AMPLIFICATION_CAP) -> EstimateReport:
+def run_estimate(samples: SampleSet) -> EstimateReport:
     """Average the samples, invert the channel, and score the estimate against the input.
 
     Grid samples are averaged pointwise and converted to coefficients by
     quadrature first. Modes damped so strongly that inverting them would
     amplify beyond the cap are zeroed (with a warning) instead of exploding
-    quadrature roundoff into the estimate. The truth defaults to the
-    scenario's input signal.
+    quadrature roundoff into the estimate.
     """
-    config = samples.config
-    if truth is None:
-        truth = config.theta
-    estimate, amplification_max = _estimate_with_info(samples.mean_signal(), config.op, config.t0,
-                                                      config.mode_count, amplification_cap)
-    return error_report(estimate, truth.padded(config.mode_count), n_used=samples.n,
-                        amplification_max=amplification_max)
+    return _report(samples.mean_signal(), samples.config, samples.n, True)
 
 
-def estimate_until_stable(stream, op: OperatorSpec, t0: float, mode_count: int,
-                          epsilon: float, window: int = 4, n_max: int = 10000):
-    """Running estimate with a Cauchy stopping rule.
+def estimate_until_stable(config: ScenarioConfig, epsilon: float, window: int = 4,
+                          n_max: int = 10000) -> EstimateReport:
+    """Running estimate over sample_stream(config) with a Cauchy stopping rule.
 
-    Consumes samples from the stream, adds each to a running sum by the fold
-    SampleSet.mean_signal uses (so the mean is a batch's bit for bit),
-    inverts the mean as run_estimate does (unrecoverable modes zeroed),
-    and stops once all consecutive sup-norm gaps inside a window of `window`
-    successive estimates fall strictly below epsilon. Returns (estimate,
-    n_used, converged); exhausting n_max is reported via converged=False,
-    never by fabricating a value.
+    Adds each sample to a running sum by the fold SampleSet.mean_signal uses
+    (so the mean is a batch's bit for bit), inverts the mean as run_estimate
+    does, and stops once all consecutive sup-norm gaps inside a window of
+    `window` successive estimates fall strictly below epsilon. Exhausting
+    n_max is reported via converged=False, never by fabricating a value.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     if window < 2:
         raise ValueError("window must be >= 2")
+    half_period, form = config.theta.half_period, config.observation_form
     total = None
     estimate = None
     gaps: deque[float] = deque(maxlen=window - 1)
-    n_used = 0
-    for z in stream:
-        n_used += 1
-        form = OBSERVE_GRID if isinstance(z, GridSignal) else OBSERVE_FOURIER
+    for n_used, z in enumerate(sample_stream(config), start=1):
         total = _add_rows(total, _signal_row(z)[None, :])
-        mean = _row_signal(z.half_period, form, total / n_used)
+        mean = _row_signal(half_period, form, total / n_used)
         previous = estimate
-        estimate, _ = _estimate_with_info(mean, op, t0, mode_count, AMPLIFICATION_CAP)
+        estimate, _ = _invert(mean, config)
         if previous is not None:
             gaps.append(sup_distance(estimate, previous))
-        if len(gaps) == window - 1 and all(g < epsilon for g in gaps):
-            return estimate, n_used, True
-        if n_used >= n_max:
-            return estimate, n_used, False
-    return estimate, n_used, False
+        converged = len(gaps) == window - 1 and all(g < epsilon for g in gaps)
+        if converged or n_used >= n_max:
+            return _report(mean, config, n_used, converged)  # inverts mean again: same bits
 
 
 @dataclass(frozen=True)

@@ -109,17 +109,16 @@ def _transform(signal: FourierSignal, log0: float, log_scale: np.ndarray,
                          _rescale(c_rot, log_scale), _rescale(d_rot, log_scale))
 
 
-def propagate(signal: FourierSignal, op: OperatorSpec, t: float,
-              value_cap: float = VALUE_CAP) -> FourierSignal:
+def propagate(signal: FourierSignal, op: OperatorSpec, t: float) -> FourierSignal:
     """Apply the time-t solution map of d/dt = (operator) to the signal.
 
     Each mode is scaled by exp(sigma_k t) and rotated by omega_k t; the
     constant mode scales by exp(A_0 t). Raises GrowthOverflowError naming the
-    first mode whose coefficient would exceed value_cap.
+    first mode whose coefficient would exceed VALUE_CAP.
     """
     if t < 0:
         raise ValueError("propagation time must be non-negative")
-    log_cap = np.log(value_cap)
+    log_cap = np.log(VALUE_CAP)
     if signal.c0 != 0.0 and op.a0 * t + np.log(abs(signal.c0)) > log_cap:
         raise GrowthOverflowError(0, op.a0 * t + np.log(abs(signal.c0)), t)
     if signal.mode_count == 0:
@@ -135,12 +134,11 @@ def propagate(signal: FourierSignal, op: OperatorSpec, t: float,
     return _transform(signal, op.a0 * t, spectrum.sigma * t, spectrum.omega * t)
 
 
-def inverse_propagate(signal: FourierSignal, op: OperatorSpec, t: float,
-                      amplification_cap: float = AMPLIFICATION_CAP) -> FourierSignal:
+def inverse_propagate(signal: FourierSignal, op: OperatorSpec, t: float) -> FourierSignal:
     """Exact inverse of propagate: scale mode k by exp(-sigma_k t), rotate by -omega_k t.
 
     Modes with nonzero coefficients whose inverse factor exceeds
-    amplification_cap are rejected (inverting strong damping amplifies
+    AMPLIFICATION_CAP are rejected (inverting strong damping amplifies
     numerical noise); zero coefficients pass through untouched.
     """
     if t < 0:
@@ -148,10 +146,10 @@ def inverse_propagate(signal: FourierSignal, op: OperatorSpec, t: float,
     if signal.mode_count == 0:
         return _transform(signal, -op.a0 * t, np.empty(0), np.empty(0))
     spectrum = mode_spectrum(op, signal.mode_count, signal.half_period)
-    log_cap = np.log(amplification_cap)
+    log_cap = np.log(AMPLIFICATION_CAP)
     nonzero = (signal.c != 0.0) | (signal.d != 0.0)
     over = nonzero & (-spectrum.sigma * t > log_cap)
     if np.any(over):
         k = int(np.argmax(over)) + 1
-        raise AmplificationError(k, float(-spectrum.sigma[k - 1] * t), amplification_cap)
+        raise AmplificationError(k, float(-spectrum.sigma[k - 1] * t), AMPLIFICATION_CAP)
     return _transform(signal, -op.a0 * t, -spectrum.sigma * t, -spectrum.omega * t)

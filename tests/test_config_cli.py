@@ -591,6 +591,33 @@ def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+def test_cli_estimate_infinite_refuses_a_samples_file(tmp_path, capsys):
+    # the file was once ignored: exit 0 on a freshly drawn stream, the file named in the manifest
+    assert run_cli("sample", "--config", "ex42", "--seed", "4", "--out", str(tmp_path)) == 0
+    cfg = tmp_path / "stream.cfg"
+    cfg.write_text(preset_text("ex42") + "estimator = infinite\nepsilon = 5\n")
+    out = tmp_path / "out"
+    assert run_cli("estimate", "--config", str(cfg), "--samples", str(tmp_path / "samples.csv"),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "--samples cannot feed estimator = infinite" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, sizes", [
+    pytest.param("spectrum", "K = 1000000000000000\nG = 2000000000000001\n", id="spectrum-K"),
+    pytest.param("sample", "G = 2000000000000001\n", id="sample-G"),
+])
+def test_cli_unallocatable_sizes_exit_2(tmp_path, capsys, command, sizes):
+    # arrays of 7 and 14 PiB, which numpy refuses at once without touching memory;
+    # these once ended in an _ArrayMemoryError traceback and exit 1
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("A.0 = 1\nc0 = 1\nsigma = 1\nt0 = 1\nn = 1\nseed = 1\n" + sizes)
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "input too large: Unable to allocate" in err and "Traceback" not in err
+
+
 def test_cli_verify_zero_noise_trivially_passes(tmp_path):
     cfg = tmp_path / "quiet.cfg"
     cfg.write_text("A.0 = 2\nsigma = 0\nt0 = 1\nK = 2\nG = 8\nseed = 1\n")

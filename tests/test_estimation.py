@@ -2,24 +2,24 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ousignal import (
     FourierSignal,
     OperatorSpec,
     convergence_study,
-    error_report,
     estimate_until_stable,
     inverse_propagate,
     load_config,
     noise_variance,
     run_estimate,
     sample_batch,
-    sample_stream,
     sup_distance,
 )
 from ousignal import model
@@ -95,23 +95,6 @@ def test_estimate_is_linear_in_constant_shifts():
     assert sup_distance(moved, expected) < 1e-10
 
 
-def test_error_report_metrics():
-    theta = example_theta()
-    zero = error_report(theta, theta)
-    assert (zero.sup_error, zero.c0_error, zero.max_mode_error) == (0.0, 0.0, 0.0)
-    offset = error_report(theta.plus_constant(1.0), theta)
-    assert offset.sup_error == pytest.approx(1.0, abs=1e-12)
-    assert offset.c0_error == pytest.approx(2.0, abs=1e-12)
-    assert offset.max_mode_error == 0.0
-
-
-def test_error_report_rejects_mismatch():
-    with pytest.raises(ValueError):
-        error_report(example_theta(mode_count=5), example_theta(mode_count=6))
-    with pytest.raises(ValueError):
-        error_report(FourierSignal.build(1.0, c0=1.0), FourierSignal.build(2.0, c0=1.0))
-
-
 def test_error_localization_with_strong_noise():
     for sigma in (150.0, 15000.0):
         for n in (1, 10, 100):
@@ -141,59 +124,79 @@ def test_amplification_capped_modes_are_zeroed_with_warning():
     assert report.amplification_max <= 1e12
 
 
-def test_both_estimators_zero_the_same_unrecoverable_modes():
-    # heat channel: modes 12..20 would need an inverse factor above the 1e12 cap
+@pytest.mark.parametrize("seed", [1, 3, 11])
+def test_both_estimators_zero_the_same_unrecoverable_modes(seed):
+    # heat channel: modes 12..20 would need an inverse factor above the 1e12 cap. At
+    # seeds 3 and 11 they read as exact zeros, and once went unreported.
     theta = FourierSignal.build(PI, c0=1.0, cos={15: 1.0}, mode_count=20)
     cfg = make_config(theta=theta, op=OperatorSpec.of(1.0, 0.0, 1.0), sigma=1.0, t0=0.2,
-                      n=10, seed=1)
+                      n=10, seed=seed)
     with pytest.warns(UserWarning, match="unrecoverable modes \\[12, .*, 20\\]"):
         mean = run_estimate(sample_batch(cfg)).estimate
     with pytest.warns(UserWarning, match="unrecoverable modes \\[12, .*, 20\\]"):
-        running, n_used, _ = estimate_until_stable(
-            sample_stream(cfg), cfg.op, cfg.t0, cfg.mode_count, epsilon=0.0, n_max=10)
-    assert n_used == 10
-    for estimate in (mean, running):
+        report = estimate_until_stable(cfg, epsilon=0.0, n_max=10)
+    assert report.n_used == 10
+    for estimate in (mean, report.estimate):
         assert not np.any(estimate.c[11:]) and not np.any(estimate.d[11:])
     # the same ten samples: the two means agree to roundoff
-    assert sup_distance(mean, running) < 1e-9
+    assert sup_distance(mean, report.estimate) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=st.sampled_from(["grid", "fourier"]), n=st.integers(1, 40),
+       modes=st.integers(1, 12), seed=st.integers(0, 2**63 - 1), quasi=st.booleans(),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_both_estimators_agree_bit_for_bit_on_the_same_samples(form, n, modes, seed, quasi,
+                                                               data_seed):
+    # A.2 up to 1 puts the top modes of some scenarios past the amplification cap
+    rng = np.random.default_rng(data_seed)
+    op = OperatorSpec.of(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(0.0, 1.0))
+    cfg = make_config(theta=random_signal(rng, PI, modes), op=op, sigma=rng.uniform(0.0, 200.0),
+                      t0=rng.uniform(0.1, 1.0), n=n, mode_count=modes,
+                      grid_points=2 * modes + 1 + int(rng.integers(0, 20)), seed=seed,
+                      observation_form=form, quasi=quasi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = run_estimate(sample_batch(cfg))
+        stream = estimate_until_stable(cfg, epsilon=0.0, n_max=cfg.n)
+    assert (batch.converged, stream.converged) == (True, False)
+    fields = [name for name in batch._fields if name not in ("converged", "estimate")]
+    assert [float(getattr(stream, f)).hex() for f in fields] == \
+        [float(getattr(batch, f)).hex() for f in fields]
+    assert model._signal_row(stream.estimate).tobytes() == \
+        model._signal_row(batch.estimate).tobytes()
 
 
 def test_stable_estimate_converges_immediately_without_noise():
     cfg = make_config(sigma=0.0, n=1)
-    estimate, n_used, converged = estimate_until_stable(
-        sample_stream(cfg), cfg.op, cfg.t0, cfg.mode_count, epsilon=1e-8, window=4)
-    assert converged
-    assert n_used == 4
-    assert sup_distance(estimate, cfg.theta) < 1e-9
+    report = estimate_until_stable(cfg, epsilon=1e-8, window=4)
+    assert report.converged
+    assert report.n_used == 4
+    assert sup_distance(report.estimate, cfg.theta) < 1e-9
 
 
 def test_stable_estimate_zero_epsilon_never_fires():
     cfg = make_config(sigma=0.0, n=1)
-    estimate, n_used, converged = estimate_until_stable(
-        sample_stream(cfg), cfg.op, cfg.t0, cfg.mode_count, epsilon=0.0, window=2,
-        n_max=25)
-    assert not converged
-    assert n_used == 25
-    assert estimate is not None
+    report = estimate_until_stable(cfg, epsilon=0.0, window=2, n_max=25)
+    assert not report.converged
+    assert report.n_used == 25
+    assert report.estimate is not None
 
 
 def test_stable_estimate_converges_quickly_at_loose_tolerance():
     cfg = make_config(seed=21, n=1)
     v = noise_variance(cfg.noise, cfg.t0)
     epsilon = 10.0 * math.sqrt(v) * math.exp(-cfg.op.a0 * cfg.t0)
-    estimate, n_used, converged = estimate_until_stable(
-        sample_stream(cfg), cfg.op, cfg.t0, cfg.mode_count, epsilon=epsilon,
-        window=3, n_max=500)
-    assert converged
-    assert n_used < 50
+    report = estimate_until_stable(cfg, epsilon=epsilon, window=3, n_max=500)
+    assert report.converged
+    assert report.n_used < 50
 
 
 def test_stable_estimate_works_on_fourier_stream():
     cfg = make_config(sigma=0.0, n=1, observation_form=OBSERVE_FOURIER)
-    estimate, n_used, converged = estimate_until_stable(
-        sample_stream(cfg), cfg.op, cfg.t0, cfg.mode_count, epsilon=1e-8, window=2)
-    assert converged and n_used == 2
-    assert sup_distance(estimate, cfg.theta) < 1e-10
+    report = estimate_until_stable(cfg, epsilon=1e-8, window=2)
+    assert report.converged and report.n_used == 2
+    assert sup_distance(report.estimate, cfg.theta) < 1e-10
 
 
 def test_study_rejects_bad_grid():
@@ -228,15 +231,6 @@ def test_study_error_shrinks_with_sample_size():
     assert -1.0 < study.slope < -0.2
 
 
-def test_estimate_from_stream_limited_by_n_max():
-    cfg = make_config(seed=1, n=1)
-    stream = islice(sample_stream(cfg), 10)
-    estimate, n_used, converged = estimate_until_stable(
-        stream, cfg.op, cfg.t0, cfg.mode_count, epsilon=1e-12, window=2, n_max=1000)
-    assert not converged
-    assert n_used == 10
-
-
 @pytest.mark.parametrize("form", ["grid", "fourier"])
 def test_blockwise_mean_is_bit_identical_to_matrix_mean_and_running_sum(form):
     # width 201 in both forms: three full blocks of 81 rows and five more
@@ -252,10 +246,9 @@ def test_blockwise_mean_is_bit_identical_to_matrix_mean_and_running_sum(form):
     assert np.array_equal(row(stored.mean_signal()), row(batch.mean_signal()))
 
     folded = run_estimate(batch).estimate
-    running, n_used, _ = estimate_until_stable(sample_stream(cfg), cfg.op, cfg.t0,
-                                               cfg.mode_count, epsilon=0.0, n_max=cfg.n)
-    assert n_used == cfg.n
-    assert np.array_equal(row(running), row(folded))
+    running = estimate_until_stable(cfg, epsilon=0.0, n_max=cfg.n)
+    assert running.n_used == cfg.n
+    assert np.array_equal(row(running.estimate), row(folded))
 
 
 def test_batch_estimate_memory_does_not_grow_with_n():
