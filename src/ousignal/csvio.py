@@ -54,9 +54,10 @@ def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
 
     Samples are taken in ascending sample_id order, each sample's rows in file
     order. sample_id must be an integer and k an integer from 0 to the
-    config's mode count; in the grid schema every sample must have the same
-    number of rows, and in the coefficient schema every sample must list each
-    k from 0 to the file's largest k exactly once.
+    config's mode count. In the grid schema every sample must have the same
+    number G of rows, and its x values, in file order, must lie within a
+    quarter step of the G-point grid of [-l, l). In the coefficient schema
+    every sample must list each k from 0 to the file's largest k exactly once.
     """
     header, body = _read_table(path, "sample_id,x,value", "sample_id,k,c,d")
     ids = _integers(path, body[:, 0], "sample_id")
@@ -65,7 +66,17 @@ def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
         if counts.min() != counts.max():
             raise ConfigError(f"samples have inconsistent grid sizes: {counts.min()} to "
                               f"{counts.max()} rows per sample_id", source=str(path))
-        values = body[np.argsort(ids, kind="stable"), 2].reshape(counts.size, counts[0])
+        order, points = np.argsort(ids, kind="stable"), counts[0]
+        l = config.theta.half_period
+        grid = l * (2.0 * np.arange(points) / points - 1.0)
+        off = ~(np.abs(body[order, 1].reshape(-1, points) - grid) <= l / (2 * points)).ravel()
+        if off.any():  # a NaN x is off too
+            first = np.argmax(off)
+            at, j = order[first], first % points
+            raise ConfigError(f"sample_id {ids[at]:g}: x = {body[at, 1]:g} in data row {at + 1} is "
+                              f"more than a quarter step from grid point {j} (x = {grid[j]:.6g}) "
+                              f"of the {points}-point grid of [-l, l)", source=str(path))
+        values = body[order, 2].reshape(counts.size, points)
         return SampleSet(config, etas=np.full(counts.size, np.nan), grid_values=values)
     k = _integers(path, body[:, 1], "k", minimum=0)
     if k.max() > config.mode_count:  # refused before k sizes the coefficient matrix

@@ -18,8 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distance
-from .model import (SampleSet, ScenarioConfig, _add_rows, _row_signal, _signal_row, sample_batch,
-                    sample_stream)
+from .model import SampleSet, ScenarioConfig, _row_signal, _stream_rows, sample_batch
 from .spectral import AMPLIFICATION_CAP, OperatorSpec, inverse_propagate, mode_spectrum
 
 
@@ -100,22 +99,25 @@ def estimate_until_stable(config: ScenarioConfig, epsilon: float, window: int = 
                           n_max: int = 10000) -> EstimateReport:
     """Running estimate over sample_stream(config) with a Cauchy stopping rule.
 
-    Adds each sample to a running sum by the fold SampleSet.mean_signal uses
-    (so the mean is a batch's bit for bit), inverts the mean as run_estimate
-    does, and stops once all consecutive sup-norm gaps inside a window of
-    `window` successive estimates fall strictly below epsilon. Exhausting
-    n_max is reported via converged=False, never by fabricating a value.
+    Adds the rows of that stream to a running sum one after another, in the
+    order SampleSet.mean_signal adds a batch's (so the mean is a batch's bit
+    for bit), inverts the mean as run_estimate does, and stops once all
+    consecutive sup-norm gaps inside a window of `window` successive
+    estimates fall strictly below epsilon. Exhausting n_max is reported via
+    converged=False, never by fabricating a value.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     if window < 2:
         raise ValueError("window must be >= 2")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     half_period, form = config.theta.half_period, config.observation_form
     total = None
     estimate = None
     gaps: deque[float] = deque(maxlen=window - 1)
-    for n_used, z in enumerate(sample_stream(config), start=1):
-        total = _add_rows(total, _signal_row(z)[None, :])
+    for n_used, row in enumerate(_stream_rows(config), start=1):
+        total = row.copy() if total is None else np.add(total, row, out=total)
         mean = _row_signal(half_period, form, total / n_used)
         previous = estimate
         estimate, _ = _invert(mean, config)

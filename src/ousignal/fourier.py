@@ -111,34 +111,6 @@ class FourierSignal:
                              np.concatenate([self.c, np.zeros(extra)]),
                              np.concatenate([self.d, np.zeros(extra)]))
 
-    def plus_constant(self, w: float) -> "FourierSignal":
-        """Add the constant function w (enters as c0 + 2w)."""
-        return FourierSignal(self.half_period, self.c0 + 2.0 * w, self.c, self.d)
-
-    def mode_radii(self) -> np.ndarray:
-        """Per-mode amplitude sqrt(c_k^2 + d_k^2), k >= 1."""
-        return np.hypot(self.c, self.d)
-
-    def __add__(self, other):
-        if not isinstance(other, FourierSignal):
-            return NotImplemented
-        if other.half_period != self.half_period:
-            raise ValueError("cannot add signals with different half periods")
-        k = max(self.mode_count, other.mode_count)
-        a, b = self.padded(k), other.padded(k)
-        return FourierSignal(self.half_period, a.c0 + b.c0, a.c + b.c, a.d + b.d)
-
-    def __sub__(self, other):
-        return self.__add__(-1.0 * other)
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        s = float(scalar)
-        return FourierSignal(self.half_period, s * self.c0, s * self.c, s * self.d)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class GridSignal:
@@ -167,17 +139,6 @@ class GridSignal:
         points = self.grid_points
         return self.half_period * (2.0 * np.arange(points) / points - 1.0)
 
-    def __add__(self, other):
-        if isinstance(other, GridSignal):
-            if other.half_period != self.half_period or other.grid_points != self.grid_points:
-                raise ValueError("grid mismatch")
-            return GridSignal(self.half_period, self.values + other.values)
-        if np.isscalar(other):
-            return GridSignal(self.half_period, self.values + float(other))
-        return NotImplemented
-
-    __radd__ = __add__
-
 
 def extract_coefficients(grid: GridSignal, mode_count: int) -> FourierSignal:
     """Recover Fourier coefficients by the periodic rectangle rule (one real FFT).
@@ -204,14 +165,19 @@ def sup_distance(a, b) -> float:
     """Largest pointwise gap between two signals of the same kind.
 
     Fourier inputs are compared through their difference on a dense probe
-    grid of 4096 points, or the smallest multiple of 4096 that holds 2K+1
-    (the true sup of a trig polynomial has no closed form, so this is a tight
-    lower bound); grid inputs are compared on their own points.
+    grid of 4096 points, or the smallest multiple of 4096 that holds 2K+1,
+    their coefficients zero-padded to one K and subtracted. The true sup of a
+    trig polynomial has no closed form, and this is only a lower bound of it:
+    at K = 2000 the probe has been measured 0.15 short. Grid inputs are
+    compared on their own points.
     """
     if isinstance(a, FourierSignal) and isinstance(b, FourierSignal):
         if a.half_period != b.half_period:
             raise ValueError("half_period mismatch")
-        return float(np.max(np.abs(_grid_values(a - b, _PROBE_POINTS))))
+        k = max(a.mode_count, b.mode_count)
+        a, b = a.padded(k), b.padded(k)
+        gap = FourierSignal(a.half_period, a.c0 - b.c0, a.c - b.c, a.d - b.d)
+        return float(np.max(np.abs(_grid_values(gap, _PROBE_POINTS))))
     if isinstance(a, GridSignal) and isinstance(b, GridSignal):
         if a.half_period != b.half_period:
             raise ValueError("half_period mismatch")

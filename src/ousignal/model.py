@@ -158,14 +158,14 @@ def _row_signal(half_period: float, form: str, row: np.ndarray):
     return FourierSignal(half_period, float(row[0]), row[1: k + 1], row[k + 1:])
 
 
-def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
-    """total plus the rows of block, added one after another (total None: the rows alone).
-
-    numpy reduces axis 0 of a C-ordered matrix row by row, so folding a
-    matrix through here in blocks of any size gives the bits of its
-    sum(axis=0), and dividing by n those of its mean(axis=0).
-    """
-    return np.add.reduce(block if total is None else np.vstack([total, block]), axis=0)
+def _form_rows(base: np.ndarray, etas: np.ndarray, form: str, out: np.ndarray) -> np.ndarray:
+    """Drawn rows written into out, row i the noiseless row base plus eta_i on every grid
+    value, or plus 2 eta_i on c0 (the stored c0 is twice the constant term)."""
+    if form == OBSERVE_GRID:
+        return np.add(base, etas[:, None], out=out)
+    out[...] = base
+    out[:, 0] += 2.0 * etas
+    return out
 
 
 class SampleSet:
@@ -192,6 +192,8 @@ class SampleSet:
         self.etas = etas
         self._base = None if base is None else _signal_row(base)
         self._rows = grid_values if grid_values is not None else fourier_coef
+        self._width = (self._rows if base is None else self._base).shape[-1]
+        self._step = max(1, _BLOCK // self._width)
         grid = grid_values is not None or isinstance(base, GridSignal)
         self.form = OBSERVE_GRID if grid else OBSERVE_FOURIER
 
@@ -213,23 +215,21 @@ class SampleSet:
         rows.flags.writeable = False
         return rows
 
-    def _block(self, start: int, stop: int) -> np.ndarray:
-        """Rows start..stop-1."""
-        if self._rows is not None:
+    def _block(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows start..stop-1 (stop <= n), written into out when it is given; else a view
+        of a read set's matrix, or a drawn set's rows formed into a new array."""
+        if self._rows is None:
+            return _form_rows(self._base, self.etas[start:stop], self.form,
+                              np.empty((stop - start, self._width)) if out is None else out)
+        if out is None:
             return self._rows[start:stop]
-        etas = self.etas[start:stop]
-        if self.form == OBSERVE_GRID:
-            return self._base[None, :] + etas[:, None]
-        rows = np.tile(self._base, (etas.size, 1))
-        rows[:, 0] += 2.0 * etas
-        return rows
+        out[...] = self._rows[start:stop]
+        return out
 
     def _blocks(self):
         """All rows in order, in contiguous blocks of at most max(1, _BLOCK // width) rows."""
-        width = (self._base if self._rows is None else self._rows).shape[-1]
-        step = max(1, _BLOCK // width)
-        for start in range(0, self.n, step):
-            yield self._block(start, start + step)
+        for start in range(0, self.n, self._step):
+            yield self._block(start, min(start + self._step, self.n))
 
     def signal(self, i: int):
         """Materialize sample i as a GridSignal or FourierSignal."""
@@ -237,11 +237,20 @@ class SampleSet:
         return _row_signal(self.config.theta.half_period, self.form, self._block(i, i + 1)[0])
 
     def mean_signal(self):
-        """Pointwise (grid) or coefficient-wise (Fourier) sample mean: the row sum over n."""
-        total = None
-        for block in self._blocks():
-            total = _add_rows(total, block)
-        return _row_signal(self.config.theta.half_period, self.form, total / self.n)
+        """Pointwise (grid) or coefficient-wise (Fourier) sample mean: the row sum over n.
+
+        One buffer holds the running sum in row 0 and a block below it. numpy
+        reduces axis 0 of a C-ordered matrix row by row, so at any block size
+        the sum has the bits of the whole matrix's sum(axis=0).
+        """
+        buf = np.empty((min(self._step, self.n) + 1, self._width))
+        top = 0  # the first block starts in row 0, later ones below the running sum
+        for start in range(0, self.n, self._step):
+            rows = min(self._step, self.n - start)
+            self._block(start, start + rows, buf[top:top + rows])
+            np.add.reduce(buf[:top + rows], axis=0, out=buf[0])
+            top = 1
+        return _row_signal(self.config.theta.half_period, self.form, buf[0] / self.n)
 
 
 def _noiseless(config: ScenarioConfig):
@@ -258,12 +267,19 @@ def sample_batch(config: ScenarioConfig, subkey: tuple[int, ...] = (),
     return SampleSet(config, etas, base=_noiseless(config))
 
 
+def _stream_rows(config: ScenarioConfig, subkey: tuple[int, ...] = ()):
+    """Endless rows of observations, formed a noise block at a time; the first n are
+    sample_batch's rows."""
+    base = _signal_row(_noiseless(config))
+    for etas in _noise_blocks(config, subkey):
+        yield from _form_rows(base, etas, config.observation_form,
+                              np.empty((etas.size, base.size)))
+
+
 def sample_stream(config: ScenarioConfig, subkey: tuple[int, ...] = ()):
     """Endless generator of observations; its first n equal sample_batch's rows."""
-    base = _noiseless(config)
-    for etas in _noise_blocks(config, subkey):
-        for eta in etas:
-            yield base + eta if isinstance(base, GridSignal) else base.plus_constant(eta)
+    for row in _stream_rows(config, subkey):
+        yield _row_signal(config.theta.half_period, config.observation_form, row)
 
 
 def evolve_frames(config: ScenarioConfig, times, noise: str = NOISE_NONE,
@@ -296,6 +312,6 @@ def evolve_frames(config: ScenarioConfig, times, noise: str = NOISE_NONE,
                                          enforce_domain=False)
             else:
                 eta = ou_integral_exact(config.noise, t, rng)
-            values = values + eta
+            values = GridSignal(values.half_period, values.values + eta)
         frames.append((t, values))
     return frames

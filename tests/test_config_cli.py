@@ -4,16 +4,19 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _util import wideband_config_text
 from ousignal import (ConfigError, load_config, model, noise_variance, ou_joint_pairs,
                       parse_config_text)
 from ousignal.cli import main, replay_manifest
-from ousignal.config import parse_number, preset_text
+from ousignal.config import PRESETS, parse_number, preset_text
 from ousignal.manifest import RunManifest
 
 PI = math.pi
@@ -444,6 +447,15 @@ def test_cli_estimate_reads_samples_file(tmp_path):
     pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1,1,1\n1,0,1,0\n1,1,1,1\n1,1,2,2\n",
                  "sample_id 1 must list every k from 0 to 1 exactly once; k = 1 is repeated",
                  id="repeated-k"),
+    pytest.param("sample_id,x,value\n0,0,1\n0,-3.141592653589793,2\n",
+                 "sample_id 0: x = 0 in data row 1 is more than a quarter step from grid point 0 "
+                 "(x = -3.14159) of the 2-point grid of [-l, l)", id="reversed-rows"),
+    pytest.param("sample_id,x,value\n0,-1.5707963267948966,1\n0,1.5707963267948966,2\n",
+                 "x = -1.5708 in data row 1 is more than a quarter step", id="half-step-shift"),
+    pytest.param("sample_id,x,value\n0,-3.141592653589793,1\n0,0,2\n1,0,3\n1,0,4\n",
+                 "sample_id 1: x = 0 in data row 3", id="x-all-zero-in-one-sample"),
+    pytest.param("sample_id,x,value\n0,-3.141592653589793,1\n0,nan,2\n",
+                 "x = nan in data row 2", id="x-nan"),
 ])
 def test_cli_estimate_missing_columns_exits_2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"
@@ -508,6 +520,18 @@ def test_cli_estimate_infinite_mode_exit_codes(tmp_path):
                     "K = 20\nG = 200\nseed = 2\nestimator = infinite\n"
                     "epsilon = 1e-6\nwindow = 2\nn_max = 20\n")
     assert run_cli("estimate", "--config", str(easy), "--out", str(tmp_path / "y")) == 0
+
+
+@pytest.mark.parametrize("n_max", ["0", "-5"])
+def test_cli_estimate_infinite_refuses_n_max_below_one(tmp_path, capsys, n_max):
+    # this once drew one sample, printed "no convergence after 1 samples" and exited 4
+    cfg = tmp_path / "stream.cfg"
+    cfg.write_text(preset_text("ex42") + f"estimator = infinite\nn_max = {n_max}\n")
+    out = tmp_path / "out"
+    assert run_cli("estimate", "--config", str(cfg), "--seed", "1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "invalid input: n_max must be >= 1" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_cli_verify_passes(tmp_path):
@@ -616,6 +640,70 @@ def test_cli_unallocatable_sizes_exit_2(tmp_path, capsys, command, sizes):
     assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert "input too large: Unable to allocate" in err and "Traceback" not in err
+
+
+_FLOAT_TOKENS = ["0", "-0", "1", "-1", "0.5", "150", "5e-324", "1e-300", "1e308", "-1e308",
+                 "nan", "inf", "-inf", "pi", "-pi", "pi/7", "pi/0"]
+_NOT_INTEGERS = ["nan", "inf", "1e308", "pi/0", "2.5"]
+# integer keys stay small (K <= 64, G <= 512, n <= 20), so no example allocates more than a few MB
+_INT_TOKENS = {"K": ["0", "1", "5", "20", "64"], "G": ["1", "11", "200", "512"],
+               "n": ["-1", "0", "1", "20"], "series_terms": ["0", "5", "64"],
+               "n_max": ["-5", "0", "1", "20"], "window": ["1", "2", "5"],
+               "quasi_base": ["0", "1", "64"], "quasi": ["0", "1"], "seed": ["-1", "0", "7"]}
+_ENUM_TOKENS = {"kernel": ["mean_reverting", "growth"], "observation": ["grid", "fourier"],
+                "sampler": ["exact", "series"],
+                "series_variant": ["variance_matched", "paper_faithful"],
+                "estimator": ["mean", "infinite", "other"]}
+_GRAMMAR_KEYS = ["l", "c0", "sigma", "t0", "epsilon", "c.0", "c.1", "c.20", "c.65", "d.5",
+                 "A.0", "A.1", "A.2", "A.3", "A.7", "sigma_grid", "unknown",
+                 *_INT_TOKENS, *_ENUM_TOKENS]
+
+
+def _value(key: str):
+    if key in _INT_TOKENS:
+        return st.sampled_from(_INT_TOKENS[key] + _NOT_INTEGERS)
+    if key in _ENUM_TOKENS:
+        return st.sampled_from(_ENUM_TOKENS[key])
+    if key == "sigma_grid":
+        return st.lists(st.sampled_from(_FLOAT_TOKENS), min_size=1, max_size=3).map(", ".join)
+    return st.sampled_from(_FLOAT_TOKENS)
+
+
+@st.composite
+def _mutated_preset(draw) -> str:
+    """A preset's text with lines dropped, repeated, added from the grammar or given new values."""
+    lines = preset_text(draw(st.sampled_from(PRESETS))).splitlines()
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        edit = draw(st.sampled_from(["drop", "repeat", "add", "set", "set"]))
+        if edit == "add":
+            key = draw(st.sampled_from(_GRAMMAR_KEYS))
+            lines.insert(at, f"{key} = {draw(_value(key))}")
+        elif not lines:
+            continue
+        elif edit == "drop":
+            del lines[at]
+        elif edit == "repeat":
+            lines.insert(at, lines[at])
+        elif "=" in lines[at]:
+            key = lines[at].partition("=")[0].strip()
+            lines[at] = f"{key} = {draw(_value(key))}"
+    if not any(line.startswith("n_max") for line in lines):
+        lines.append("n_max = 20")  # the default of 10000 steps would take seconds per example
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_mutated_preset())
+def test_cli_mutated_presets_end_in_a_documented_exit_code(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("mutated")
+    cfg = tmp / "mutated.cfg"
+    cfg.write_text(text)
+    for argv in (["spectrum"], ["evolve"], ["sample"], ["estimate"], ["verify", "--n", "200"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli(*argv, "--config", str(cfg), "--seed", "1", "--out", str(tmp / "out"))
+        assert code in (0, 2, 3, 4), (argv, text)
 
 
 def test_cli_verify_zero_noise_trivially_passes(tmp_path):

@@ -93,7 +93,7 @@ def test_fourier_and_spectrum_csv_match_per_cell_format(tmp_path_factory, data, 
 
 def test_samples_reader_groups_by_id_and_keeps_row_order(tmp_path):
     path = tmp_path / "samples.csv"
-    path.write_text("sample_id,x,value\n7,0,1\n-2,0,5\n7,1,2\n-2,1,6\n")
+    path.write_text("sample_id,x,value\n7,-3.14159,1\n-2,-3.14159,5\n7,0,2\n-2,0,6\n")
     back = read_samples_csv(path, make_config())
     assert back.grid_values.tolist() == [[5.0, 6.0], [1.0, 2.0]]
 

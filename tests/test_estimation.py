@@ -67,10 +67,9 @@ def test_mean_then_invert_equals_invert_then_mean():
     averaged_first = run_estimate(batch).estimate
     inverted = [inverse_propagate(batch.signal(i).padded(cfg.mode_count), cfg.op, cfg.t0)
                 for i in range(batch.n)]
-    total = inverted[0]
-    for signal in inverted[1:]:
-        total = total + signal
-    averaged_last = (1.0 / batch.n) * total
+    averaged_last = FourierSignal(cfg.theta.half_period, sum(s.c0 for s in inverted) / batch.n,
+                                  sum(s.c for s in inverted) / batch.n,
+                                  sum(s.d for s in inverted) / batch.n)
     assert sup_distance(averaged_first, averaged_last) < 1e-10
 
 
@@ -91,7 +90,8 @@ def test_estimate_is_linear_in_constant_shifts():
     shifted = SampleSet(cfg, etas=batch.etas, grid_values=batch.grid_values + w)
     plain = run_estimate(batch).estimate
     moved = run_estimate(shifted).estimate
-    expected = plain.plus_constant(math.exp(-cfg.op.a0 * cfg.t0) * w)
+    shift = math.exp(-cfg.op.a0 * cfg.t0) * w  # the constant term; c0 holds twice it
+    expected = FourierSignal(plain.half_period, plain.c0 + 2.0 * shift, plain.c, plain.d)
     assert sup_distance(moved, expected) < 1e-10
 
 
@@ -197,6 +197,13 @@ def test_stable_estimate_works_on_fourier_stream():
     report = estimate_until_stable(cfg, epsilon=1e-8, window=2)
     assert report.converged and report.n_used == 2
     assert sup_distance(report.estimate, cfg.theta) < 1e-10
+
+
+@pytest.mark.parametrize("n_max", [0, -5])
+def test_stable_estimate_refuses_n_max_below_one(n_max):
+    # n_max = 0 once drew one sample anyway and reported "no convergence after 1 samples"
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        estimate_until_stable(make_config(n=1), epsilon=1e-3, n_max=n_max)
 
 
 def test_study_rejects_bad_grid():

@@ -61,7 +61,7 @@ def test_extract_constant_grid():
     grid = GridSignal(math.pi, np.full(16, 3.0))
     coeffs = extract_coefficients(grid, 2)
     assert coeffs.c0 == pytest.approx(6.0, abs=1e-13)
-    assert np.max(coeffs.mode_radii()) < 1e-13
+    assert np.max(np.hypot(coeffs.c, coeffs.d)) < 1e-13
 
 
 def test_extract_recovers_example_preset():
@@ -137,7 +137,8 @@ def test_evaluate_is_linear(alpha, beta, x, seed):
     rng = np.random.default_rng(seed)
     s = random_signal(rng, math.pi, 6, scale=1.0)
     r = random_signal(rng, math.pi, 6, scale=1.0)
-    combined = alpha * s + beta * r
+    combined = FourierSignal(math.pi, alpha * s.c0 + beta * r.c0, alpha * s.c + beta * r.c,
+                             alpha * s.d + beta * r.d)
     expected = alpha * s.evaluate(x) + beta * r.evaluate(x)
     assert combined.evaluate(x) == pytest.approx(expected, abs=1e-12)
 

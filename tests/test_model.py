@@ -73,7 +73,7 @@ def test_sample_mode_radii_under_first_order_channel():
     cfg = make_config(sigma=150.0, n=1)
     z = sample_batch(cfg).signal(0)
     coeffs = extract_coefficients(z, cfg.mode_count)
-    radii = coeffs.mode_radii()
+    radii = np.hypot(coeffs.c, coeffs.d)
     factor = math.exp(2.0 * T0)
     assert radii[0] == pytest.approx(5.0 * factor, rel=1e-9)
     assert radii[4] == pytest.approx(5.0 * factor, rel=1e-9)
@@ -254,7 +254,8 @@ def test_frames_grow_at_constant_mode_rate():
     cfg = make_config(theta=theta, op=OperatorSpec.of(2.0, -10.0), sigma=0.0)
     times = [0.0, 0.1, 0.2]
     frames = evolve_frames(cfg, times)
-    radii = [extract_coefficients(g, 20).mode_radii() for _, g in frames]
+    coeffs = [extract_coefficients(g, 20) for _, g in frames]
+    radii = [np.hypot(s.c, s.d) for s in coeffs]
     live = radii[0] > 1e-9  # quadrature roundoff leaves ~1e-15 in silent modes
     for j in (1, 2):
         ratio = radii[j][live] / radii[j - 1][live]

@@ -2,7 +2,7 @@
 
 import ousignal
 from ousignal import csvio, estimation, model, noise
-from ousignal.fourier import GridSignal
+from ousignal.fourier import FourierSignal, GridSignal
 from ousignal.model import SampleSet
 from ousignal.spectral import ModeSpectrum, OperatorSpec
 
@@ -40,6 +40,14 @@ GONE = [
     (GridSignal, "nearest_index"),
     (GridSignal, "__mul__"),
     (GridSignal, "__rmul__"),
+    (GridSignal, "__add__"),
+    (GridSignal, "__radd__"),
+    (FourierSignal, "plus_constant"),
+    (FourierSignal, "mode_radii"),
+    (FourierSignal, "__add__"),
+    (FourierSignal, "__sub__"),
+    (FourierSignal, "__mul__"),
+    (FourierSignal, "__rmul__"),
     (estimation, "estimate_signal"),
     (estimation, "error_report"),
     (OperatorSpec, "order"),

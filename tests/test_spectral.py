@@ -178,8 +178,8 @@ def test_rotation_preserves_mode_radius():
     t = 0.37
     spec = mode_spectrum(op, 10, PI)
     out = propagate(s, op, t)
-    expected = s.mode_radii() ** 2 * np.exp(2.0 * spec.sigma * t)
-    assert np.allclose(out.mode_radii() ** 2, expected, rtol=1e-12)
+    expected = np.hypot(s.c, s.d) ** 2 * np.exp(2.0 * spec.sigma * t)
+    assert np.allclose(np.hypot(out.c, out.d) ** 2, expected, rtol=1e-12)
 
 
 def test_time_derivative_matches_symbolically_applied_operator():
