@@ -3,7 +3,9 @@
 Each command reads a scenario config (file path or preset name), writes CSV
 outputs plus a replayable manifest into --out, and uses documented exit codes:
 0 success, 2 config or input error, 3 numeric instability, 4 convergence not
-reached.
+reached. `main` is the one runner: it loads the config, times the command and
+records its manifest; each `cmd_*` takes (args, run, out_dir) and returns
+(outputs, extra, exit_code).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import csvio
 from .config import ESTIMATOR_INFINITE, RunConfig, load_config, parse_number
-from .errors import AmplificationError, ConfigError, GrowthOverflowError, KLDomainError
+from .errors import ConfigError, KLDomainError
 from .estimation import EstimateReport, convergence_study, estimate_until_stable, run_estimate
 from .manifest import ARTIFACT_VERSION, RunManifest, atomic_write_text, fmt, write_csv
 from .model import evolve_frames, sample_batch, sample_source
@@ -65,61 +67,32 @@ def _resolve(args) -> RunConfig:
     return replace(run, scenario=scenario)
 
 
-def _finish(args, run: RunConfig, command: str, outputs: list[Path], started: float,
-            extra: dict | None = None) -> None:
-    out_dir = Path(args.out)
-    manifest = RunManifest(
-        command=command,
-        config_text=run.text,
-        args={k: v for k, v in vars(args).items() if k not in ("func", "config", "out")},
-        seed=run.scenario.seed if not run.scenario.quasi else None,
-        scenario=run.scenario.to_dict(),
-        outputs=[p.name for p in outputs],
-        duration_seconds=time.monotonic() - started,
-        extra=extra or {},
-    )
-    manifest.args["seed"] = run.scenario.seed
-    manifest.save(out_dir / f"{command}.manifest.json")
-
-
-def cmd_spectrum(args) -> int:
-    started = time.monotonic()
-    run = _resolve(args)
+def cmd_spectrum(args, run: RunConfig, out_dir: Path):
     sc = run.scenario
     spectrum = mode_spectrum(sc.op, sc.mode_count, sc.theta.half_period)
-    out = Path(args.out) / "spectrum.csv"
+    out = out_dir / "spectrum.csv"
     csvio.write_spectrum_csv(spectrum, out)
-    _finish(args, run, "spectrum", [out], started)
-    return EXIT_OK
+    return [out], {}, EXIT_OK
 
 
-def cmd_evolve(args) -> int:
-    started = time.monotonic()
-    run = _resolve(args)
+def cmd_evolve(args, run: RunConfig, out_dir: Path):
     sc = run.scenario
     times = _parse_times(args.times) if args.times else list(np.linspace(0.0, sc.t0, 64))
     frames = evolve_frames(sc, times, noise=args.noise)
-    out = Path(args.out) / "frames.csv"
+    out = out_dir / "frames.csv"
     csvio.write_frames_csv(frames, out)
-    _finish(args, run, "evolve", [out], started)
-    return EXIT_OK
+    return [out], {}, EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    started = time.monotonic()
-    run = _resolve(args)
+def cmd_sample(args, run: RunConfig, out_dir: Path):
     batch = sample_batch(run.scenario)
-    out = Path(args.out) / "samples.csv"
+    out = out_dir / "samples.csv"
     csvio.write_samples_csv(batch, out)
-    _finish(args, run, "sample", [out], started)
-    return EXIT_OK
+    return [out], {}, EXIT_OK
 
 
-def cmd_estimate(args) -> int:
-    started = time.monotonic()
-    run = _resolve(args)
+def cmd_estimate(args, run: RunConfig, out_dir: Path):
     sc = run.scenario
-    out_dir = Path(args.out)
     extra: dict = {}
 
     if run.estimator == ESTIMATOR_INFINITE:
@@ -148,14 +121,11 @@ def cmd_estimate(args) -> int:
     report_path = out_dir / "estimate_report.csv"
     write_csv(report_path, EstimateReport._fields[:-1], [r[:-1] for _, r in reports])
     outputs.append(report_path)
-    _finish(args, run, "estimate", outputs, started, extra=extra)
-    return EXIT_OK if all(r.converged for _, r in reports) else EXIT_NO_CONVERGENCE
+    return outputs, extra, EXIT_OK if all(r.converged for _, r in reports) else EXIT_NO_CONVERGENCE
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, run: RunConfig, out_dir: Path):
     """Monte Carlo check of the analytic noise moments (3 standard errors)."""
-    started = time.monotonic()
-    run = _resolve(args)
     sc = run.scenario
     draws = args.n if args.n is not None else 100000
     if draws < 2:
@@ -186,11 +156,10 @@ def cmd_verify(args) -> int:
         se = math.sqrt(spread / (draws - 1))
         rows.append(_check_row("covariance", s, t, analytic, empirical, se))
 
-    out = Path(args.out) / "verify.csv"
+    out = out_dir / "verify.csv"
     write_csv(out, ["check", "s", "t", "analytic", "empirical", "se", "z", "passed"], rows)
-    _finish(args, run, "verify", [out], started,
-            extra={"draws": draws, "all_passed": all(r[-1] for r in rows)})
-    return EXIT_OK if all(r[-1] for r in rows) else EXIT_NUMERIC
+    passed = all(r[-1] for r in rows)
+    return [out], {"draws": draws, "all_passed": passed}, EXIT_OK if passed else EXIT_NUMERIC
 
 
 def _block_sizes(count: int):
@@ -223,28 +192,30 @@ def _check_row(name, s, t, analytic, empirical, se):
     return (name, s, t, analytic, empirical, se, z, abs(z) <= 3.0)
 
 
-def cmd_convergence(args) -> int:
-    started = time.monotonic()
-    run = _resolve(args)
+def cmd_convergence(args, run: RunConfig, out_dir: Path):
     try:
         n_grid = [int(tok) for tok in args.n_grid.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad --n-grid: {exc}") from exc
     study = convergence_study(run.scenario, n_grid, args.trials)
-    out_dir = Path(args.out)
     experiment = out_dir / "experiment.csv"
     write_csv(experiment, ["n", "trial", "sup_error", "c0_error", "max_mode_error"], study.rows)
     summary = out_dir / "summary.csv"
     slope_repr = fmt(study.slope) if study.slope is not None else "undefined"
     write_csv(summary, ["n", "mean_error", "sd_error"], study.summary,
               trailer=f"# slope={slope_repr}")
-    _finish(args, run, "convergence", [experiment, summary], started,
-            extra={"slope": study.slope, "trials": args.trials, "n_grid": n_grid})
-    return EXIT_OK
+    return [experiment, summary], {"slope": study.slope, "trials": args.trials,
+                                   "n_grid": n_grid}, EXIT_OK
 
 
 def replay_manifest(manifest_path, out_dir) -> int:
-    """Re-run a recorded command with its saved config and arguments."""
+    """Re-run a recorded command with its saved config and arguments.
+
+    Each recorded argument is passed back under the parser's own spelling of
+    its dest (`--` plus the dest with `-` for `_`), as `--flag=value` so that
+    a value starting with `-` still parses; a true value is a bare flag, and
+    None, False and the command name are skipped.
+    """
     manifest = RunManifest.load(manifest_path)
     if manifest.artifact_version != ARTIFACT_VERSION:
         print(f"config error: {manifest_path} has artifact version {manifest.artifact_version}; "
@@ -255,14 +226,11 @@ def replay_manifest(manifest_path, out_dir) -> int:
     cfg_path = out_dir / "replayed.cfg"
     atomic_write_text(cfg_path, manifest.config_text)
     argv = [manifest.command, "--config", str(cfg_path), "--out", str(out_dir)]
-    flags = {"seed": "--seed", "n": "--n", "times": "--times", "noise": "--noise",
-             "trials": "--trials", "n_grid": "--n-grid", "samples": "--samples"}
-    for key, flag in flags.items():
-        value = manifest.args.get(key)
-        if value is not None:
-            argv += [flag, str(value)]
-    if manifest.args.get("quasi"):
-        argv.append("--quasi")
+    for key, value in manifest.args.items():
+        if key == "command" or value is None or value is False:
+            continue
+        flag = "--" + key.replace("_", "-")
+        argv.append(flag if value is True else f"{flag}={value}")
     return main(argv)
 
 
@@ -320,15 +288,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: load its config, run it, and record its manifest."""
+    args = build_parser().parse_args(argv)
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        return args.func(args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        started = time.monotonic()
+        run = _resolve(args)
+        outputs, extra, code = args.func(args, run, out_dir)
+        recorded = {k: v for k, v in vars(args).items() if k not in ("func", "config", "out")}
+        RunManifest(
+            command=args.command,
+            config_text=run.text,
+            args={**recorded, "seed": run.scenario.seed},
+            seed=run.scenario.seed if not run.scenario.quasi else None,
+            scenario=run.scenario.to_dict(),
+            outputs=[p.name for p in outputs],
+            duration_seconds=time.monotonic() - started,
+            extra=extra,
+        ).save(out_dir / f"{args.command}.manifest.json")
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GrowthOverflowError, AmplificationError, KLDomainError) as exc:
+    except (FloatingPointError, KLDomainError) as exc:  # overflow, amplification, rates
         print(f"numeric instability: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # OSError: unreadable input or unwritable --out
@@ -339,9 +322,5 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -267,23 +267,23 @@ def sample_batch(config: ScenarioConfig, subkey: tuple[int, ...] = (),
     return SampleSet(config, etas, base=_noiseless(config))
 
 
-def _stream_rows(config: ScenarioConfig, subkey: tuple[int, ...] = ()):
+def _stream_rows(config: ScenarioConfig):
     """Endless rows of observations, formed a noise block at a time; the first n are
     sample_batch's rows."""
     base = _signal_row(_noiseless(config))
-    for etas in _noise_blocks(config, subkey):
+    for etas in _noise_blocks(config):
         yield from _form_rows(base, etas, config.observation_form,
                               np.empty((etas.size, base.size)))
 
 
-def sample_stream(config: ScenarioConfig, subkey: tuple[int, ...] = ()):
+def sample_stream(config: ScenarioConfig):
     """Endless generator of observations; its first n equal sample_batch's rows."""
-    for row in _stream_rows(config, subkey):
+    for row in _stream_rows(config):
         yield _row_signal(config.theta.half_period, config.observation_form, row)
 
 
-def evolve_frames(config: ScenarioConfig, times, noise: str = NOISE_NONE,
-                  rng: RandomSource | None = None) -> list[tuple[float, GridSignal]]:
+def evolve_frames(config: ScenarioConfig, times,
+                  noise: str = NOISE_NONE) -> list[tuple[float, GridSignal]]:
     """Snapshots of the evolving signal at the given times.
 
     noise selects how the scalar noise enters: 'none' for the deterministic
@@ -299,8 +299,7 @@ def evolve_frames(config: ScenarioConfig, times, noise: str = NOISE_NONE,
         raise ValueError("frame times must be sorted ascending")
     if noise not in (NOISE_NONE, NOISE_PATH, NOISE_IID):
         raise ValueError(f"unknown noise mode {noise!r}")
-    if noise != NOISE_NONE and rng is None:
-        rng = sample_source(config)
+    rng = sample_source(config) if noise != NOISE_NONE else None
     coeffs = rng.normals(config.noise.series_terms + 1) if noise == NOISE_PATH else None
 
     frames = []

@@ -64,21 +64,32 @@ class ModeSpectrum:
 
 
 def mode_spectrum(op: OperatorSpec, mode_count: int, half_period: float) -> ModeSpectrum:
-    """Rates (sigma_k, omega_k) for modes k = 1..mode_count."""
+    """Rates (sigma_k, omega_k) for modes k = 1..mode_count.
+
+    Raises FloatingPointError naming the first mode whose rate is not finite
+    (the operator's terms overflow double precision there).
+    """
     if mode_count < 1:
         raise ValueError("mode_count must be >= 1")
     q = np.arange(1, mode_count + 1) * (np.pi / half_period)
     sigma = np.zeros(mode_count)
     omega = np.zeros(mode_count)
-    for n, a in enumerate(op.coefficients):
-        if a == 0.0:
-            continue
-        half, rem = divmod(n, 2)
-        term = ((-1.0) ** half) * a * q**n
-        if rem == 0:
-            sigma += term
-        else:
-            omega += term
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, a in enumerate(op.coefficients):
+            if a == 0.0:
+                continue
+            half, rem = divmod(n, 2)
+            term = ((-1.0) ** half) * a * q**n
+            if rem == 0:
+                sigma += term
+            else:
+                omega += term
+    finite = np.isfinite(sigma) & np.isfinite(omega)
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise FloatingPointError(
+            f"mode {k} has a rate that is not finite (sigma_{k} = {sigma[k - 1]:g}, "
+            f"omega_{k} = {omega[k - 1]:g}): the operator's terms overflow double precision")
     return ModeSpectrum(sigma0=op.a0, sigma=sigma, omega=omega)
 
 

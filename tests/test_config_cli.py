@@ -1,5 +1,6 @@
 """Config parsing, presets, and the command-line harness end to end."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from _util import wideband_config_text
 from ousignal import (ConfigError, load_config, model, noise_variance, ou_joint_pairs,
                       parse_config_text)
-from ousignal.cli import main, replay_manifest
+from ousignal.cli import build_parser, main, replay_manifest
 from ousignal.config import PRESETS, parse_number, preset_text
 from ousignal.manifest import RunManifest
 
@@ -231,6 +232,25 @@ def test_cli_growth_noise_overflow_exits_3(tmp_path, capsys, command):
     assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == 3
     err = capsys.readouterr().err
     assert "numeric instability" in err and "mode 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fill", ["c0 = 1", "c.1 = 1", "c.2 = 1"])
+@pytest.mark.parametrize("command", ["spectrum", "evolve", "sample", "estimate"])
+def test_cli_non_finite_mode_rate_exits_3(tmp_path, capsys, command, fill):
+    # sigma_2 = 4e308 overflows to inf; spectrum once wrote "2,inf,0" and the
+    # other commands exited 0 when the input left mode 2 empty
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(f"A.0 = 1\nA.2 = -1e308\n{fill}\nsigma = 1\nt0 = 0.1\n"
+                   "K = 2\nG = 10\nn = 3\nseed = 1\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "numeric instability: mode 2 has a rate that is not finite" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("text", ["t0 = pi/0\n", "t0 = 1\nsigma_grid = 1, pi/0\n"])
@@ -779,6 +799,52 @@ def test_manifest_replay_convergence(tmp_path):
     assert replay_manifest(first / "convergence.manifest.json", replayed) == 0
     for name in ("experiment.csv", "summary.csv"):
         assert (first / name).read_bytes() == (replayed / name).read_bytes()
+
+
+NEVER_CONVERGES = ("A.0 = 2\nA.1 = -1\nc.1 = 5\nc0 = 1\nsigma = 150\nt0 = pi/7\n"
+                   "K = 20\nG = 200\nseed = 2\nestimator = infinite\n"
+                   "epsilon = 0\nwindow = 2\nn_max = 20\n")
+
+
+@pytest.mark.parametrize("command, flags, code", [
+    ("spectrum", [], 0),
+    ("evolve", ["--noise", "iid", "--seed", "5", "--times=-0:pi/14:3"], 0),  # a value led by "-"
+    ("sample", ["--quasi"], 0),
+    ("estimate", ["--samples", "SAMPLES"], 0),
+    ("estimate", ["--config", "NEVER"], 4),
+    ("verify", ["--n", "2000", "--seed", "5"], 0),
+    ("convergence", ["--n-grid", "10,20", "--trials", "2", "--seed", "5"], 0),
+], ids=["spectrum", "evolve-iid", "sample-quasi", "estimate-samples", "estimate-infinite",
+        "verify", "convergence"])
+def test_manifest_replay_of_every_command(tmp_path, command, flags, code):
+    samples = tmp_path / "given" / "samples.csv"
+    assert run_cli("sample", "--config", "ex42", "--seed", "4", "--out", str(samples.parent)) == 0
+    never = tmp_path / "never.cfg"
+    never.write_text(NEVER_CONVERGES)
+    flags = [{"SAMPLES": str(samples), "NEVER": str(never)}.get(f, f) for f in flags]
+    if "--config" not in flags:
+        flags = ["--config", "ex42", *flags]
+    first = tmp_path / "run"
+    assert run_cli(command, "--out", str(first), *flags) == code
+    manifest_path = first / f"{command}.manifest.json"
+    outputs = RunManifest.load(manifest_path).outputs
+    assert outputs
+
+    replayed = tmp_path / "replayed"
+    assert replay_manifest(manifest_path, replayed) == code
+    for name in outputs:
+        assert (replayed / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_every_recorded_flag_is_spelled_from_its_dest():
+    # replay_manifest rebuilds argv from the manifest's args by this rule alone
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if not action.option_strings or action.dest in ("help", "config", "out"):
+                continue
+            assert action.option_strings == ["--" + action.dest.replace("_", "-")], name
 
 
 def test_manifest_records_effective_arguments(tmp_path):

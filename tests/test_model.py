@@ -274,21 +274,20 @@ def test_noisy_frames_with_zero_sigma_equal_deterministic():
 
 def test_path_noise_single_driver_reproducible():
     cfg = make_config(sigma=1.174, op=OperatorSpec.of(2.0, -10.0),
-                      theta=example_theta())
+                      theta=example_theta(), seed=4)
     times = list(np.linspace(0.0, T0, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # series evaluated outside [0, 1] on purpose
-        one = evolve_frames(cfg, times, noise="path", rng=RandomSource.pseudo(4))
-        two = evolve_frames(cfg, times, noise="path", rng=RandomSource.pseudo(4))
+        one = evolve_frames(cfg, times, noise="path")
+        two = evolve_frames(cfg, times, noise="path")
     for (_, a), (_, b) in zip(one, two):
         assert np.array_equal(a.values, b.values)
     assert not np.array_equal(one[0][1].values, one[-1][1].values)
 
 
 def test_iid_noise_redraws_each_frame():
-    cfg = make_config(sigma=150.0)
-    frames = evolve_frames(cfg, [0.1, 0.1, 0.1], noise="iid",
-                           rng=RandomSource.pseudo(6))
+    cfg = make_config(sigma=150.0, seed=6)
+    frames = evolve_frames(cfg, [0.1, 0.1, 0.1], noise="iid")
     offsets = {float(g.values[0]) for _, g in frames}
     assert len(offsets) == 3
 

@@ -1,7 +1,7 @@
 """The public surface: what `import ousignal` exports, and the names it no longer has."""
 
 import ousignal
-from ousignal import csvio, estimation, model, noise
+from ousignal import cli, csvio, estimation, model, noise
 from ousignal.fourier import FourierSignal, GridSignal
 from ousignal.model import SampleSet
 from ousignal.spectral import ModeSpectrum, OperatorSpec
@@ -52,6 +52,8 @@ GONE = [
     (estimation, "error_report"),
     (OperatorSpec, "order"),
     (ModeSpectrum, "mode_count"),
+    (cli, "entry"),
+    (cli, "_finish"),
     (ousignal, "empirical_moments"),
     (ousignal, "estimate_signal"),
     (ousignal, "error_report"),
