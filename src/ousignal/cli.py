@@ -26,7 +26,7 @@ from .errors import ConfigError, KLDomainError
 from .estimation import EstimateReport, convergence_study, estimate_until_stable, run_estimate
 from .manifest import ARTIFACT_VERSION, RunManifest, atomic_write_text, fmt, write_csv
 from .model import evolve_frames, sample_batch, sample_source
-from .noise import _BLOCK, _markov_step, noise_covariance, noise_variance
+from .noise import _block_sizes, _pair_blocks, noise_covariance, noise_variance
 from .spectral import mode_spectrum
 
 EXIT_OK = 0
@@ -132,13 +132,9 @@ def cmd_verify(args, run: RunConfig, out_dir: Path):
         raise ConfigError("verify --n must be >= 2: a sample variance needs two draws")
     rows = []
 
-    # each check reads its rows a block at a time: one row for the variance, and
-    # for a covariance the early row and the increment row that ou_joint_pairs
-    # would take whole from rng.blocks(2, draws)
-    rng = sample_source(sc, (0, 0))
+    rng = sample_source(sc, (0, 0))  # each check folds its draws a block at a time
     analytic = noise_variance(sc.noise, sc.t0)
-    scale = math.sqrt(analytic)
-    values = (scale * rng.normals(m) for m in _block_sizes(draws))
+    values = (math.sqrt(analytic) * rng.normals(m) for m in _block_sizes(draws))
     empirical = _sample_covariance((x, x) for x in values)
     se = analytic * math.sqrt(2.0 / (draws - 1))
     rows.append(_check_row("variance", sc.t0, sc.t0, analytic, empirical, se))
@@ -147,11 +143,8 @@ def cmd_verify(args, run: RunConfig, out_dir: Path):
     for i, (fs, ft) in enumerate(fractions):
         s, t = fs * sc.t0, ft * sc.t0
         pair_rng = sample_source(sc, (1, i), quasi_shift=2 * i)
-        early_rng, inc_rng = pair_rng._row(0, draws), pair_rng._row(1, draws)
         analytic = noise_covariance(sc.noise, s, t)
-        empirical = _sample_covariance(
-            _markov_step(sc.noise, s, t, early_rng.normals(m), inc_rng.normals(m))
-            for m in _block_sizes(draws))
+        empirical = _sample_covariance(_pair_blocks(sc.noise, s, t, draws, pair_rng))
         spread = noise_variance(sc.noise, s) * noise_variance(sc.noise, t) + analytic**2
         se = math.sqrt(spread / (draws - 1))
         rows.append(_check_row("covariance", s, t, analytic, empirical, se))
@@ -160,11 +153,6 @@ def cmd_verify(args, run: RunConfig, out_dir: Path):
     write_csv(out, ["check", "s", "t", "analytic", "empirical", "se", "z", "passed"], rows)
     passed = all(r[-1] for r in rows)
     return [out], {"draws": draws, "all_passed": passed}, EXIT_OK if passed else EXIT_NUMERIC
-
-
-def _block_sizes(count: int):
-    """Sizes of the consecutive blocks of at most _BLOCK draws that make up count."""
-    return (min(_BLOCK, count - start) for start in range(0, count, _BLOCK))
 
 
 def _sample_covariance(blocks) -> float:

@@ -36,6 +36,7 @@ _FLOAT_KEYS = {"l", "c0", "sigma", "t0", "epsilon"}
 _LIST_KEYS = {"sigma_grid"}
 # prefixes of the indexed keys c.<k>, d.<k> (signal) and A.<n> (operator)
 _INDEXED = frozenset(("c.", "d.", "A."))
+_MAX_ORDER = 1000  # the largest n of A.<n>: the operator's order sizes mode_spectrum's work
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
                 if index < 1 and head != "A.":
                     raise ConfigError("mode indices start at 1; use c0 for the constant term",
                                       lineno, source)
+                if index > _MAX_ORDER and head == "A.":
+                    raise ConfigError(f"operator order {index} is above the limit of "
+                                      f"{_MAX_ORDER}", lineno, source)
                 target = op_coeffs if head == "A." else theta_cos if head == "c." else theta_sin
                 target[index] = float(value) if "pi" not in value else parse_number(value)
             elif key in _ENUM_KEYS:
@@ -148,8 +152,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     if "t0" not in seen:
         raise ConfigError("observation time t0 is required", source=source)
 
-    top_order = max(op_coeffs)
-    coeffs = [op_coeffs.get(i, 0.0) for i in range(top_order + 1)]
+    coeffs = [op_coeffs.get(i, 0.0) for i in range(max(op_coeffs) + 1)]
     try:
         op = OperatorSpec.of(*coeffs)
         half_period = values.get("l", math.pi)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distance
-from .model import SampleSet, ScenarioConfig, _row_signal, _stream_rows, sample_batch
+from .model import SampleSet, ScenarioConfig, _fold, _row_signal, _stream_rows, sample_batch
 from .spectral import AMPLIFICATION_CAP, OperatorSpec, inverse_propagate, mode_spectrum
 
 
@@ -75,9 +75,9 @@ def _invert(mean, config: ScenarioConfig) -> tuple[FourierSignal, float]:
     return inverse_propagate(mean, config.op, config.t0), amplification_max
 
 
-def _report(mean, config: ScenarioConfig, n_used: int, converged: bool) -> EstimateReport:
-    """Invert a mean observation and score it against config.theta; both estimators end here."""
-    estimate, amplification_max = _invert(mean, config)
+def _report(config: ScenarioConfig, n_used: int, converged: bool, estimate: FourierSignal,
+            amplification_max: float) -> EstimateReport:
+    """Score an inverted mean against config.theta; both estimators end here."""
     truth = config.theta
     max_mode_error = float(np.max(np.hypot(estimate.c - truth.c, estimate.d - truth.d)))
     return EstimateReport(config.noise.sigma, n_used, converged, sup_distance(estimate, truth),
@@ -92,16 +92,16 @@ def run_estimate(samples: SampleSet) -> EstimateReport:
     amplify beyond the cap are zeroed (with a warning) instead of exploding
     quadrature roundoff into the estimate.
     """
-    return _report(samples.mean_signal(), samples.config, samples.n, True)
+    return _report(samples.config, samples.n, True, *_invert(samples.mean_signal(), samples.config))
 
 
 def estimate_until_stable(config: ScenarioConfig, epsilon: float, window: int = 4,
                           n_max: int = 10000) -> EstimateReport:
     """Running estimate over sample_stream(config) with a Cauchy stopping rule.
 
-    Adds the rows of that stream to a running sum one after another, in the
-    order SampleSet.mean_signal adds a batch's (so the mean is a batch's bit
-    for bit), inverts the mean as run_estimate does, and stops once all
+    Folds the rows of that stream into a running sum one at a time, through
+    the fold of SampleSet.mean_signal (so the mean is a batch's bit for bit),
+    inverts each running mean once, as run_estimate does, and stops once all
     consecutive sup-norm gaps inside a window of `window` successive
     estimates fall strictly below epsilon. Exhausting n_max is reported via
     converged=False, never by fabricating a value.
@@ -113,19 +113,19 @@ def estimate_until_stable(config: ScenarioConfig, epsilon: float, window: int = 
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     half_period, form = config.theta.half_period, config.observation_form
-    total = None
-    estimate = None
+    buf = inverted = None
     gaps: deque[float] = deque(maxlen=window - 1)
     for n_used, row in enumerate(_stream_rows(config), start=1):
-        total = row.copy() if total is None else np.add(total, row, out=total)
-        mean = _row_signal(half_period, form, total / n_used)
-        previous = estimate
-        estimate, _ = _invert(mean, config)
+        if buf is None:
+            buf = np.full((2, row.size), -0.0)  # the running sum, then the row to add
+        buf[1] = row
+        previous = inverted
+        inverted = _invert(_row_signal(half_period, form, _fold(buf, 1) / n_used), config)
         if previous is not None:
-            gaps.append(sup_distance(estimate, previous))
+            gaps.append(sup_distance(inverted[0], previous[0]))
         converged = len(gaps) == window - 1 and all(g < epsilon for g in gaps)
         if converged or n_used >= n_max:
-            return _report(mean, config, n_used, converged)  # inverts mean again: same bits
+            return _report(config, n_used, converged, *inverted)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ import numpy as np
 
 from .fourier import FourierSignal, GridSignal
 from .noise import (
-    _BLOCK,
     NoiseParams,
     RandomSource,
+    _block_sizes,
     noise_variance,
     ou_integral_exact,
     ou_integral_series,
@@ -124,23 +124,15 @@ def sample_source(config: ScenarioConfig, subkey: tuple[int, ...] = (),
 
 def _noise_blocks(config: ScenarioConfig, subkey: tuple[int, ...] = (),
                   quasi_shift: int = 0, count: int | None = None):
-    """Noise draws of samples 0, 1, ... in blocks: the first `count`, or endless.
-
-    Endless blocks double from one sample up to a full block, so a stream that
-    stops early draws little past its stopping point.
-    """
+    """Noise draws of samples 0, 1, ... in the blocks of _block_sizes(count, width)."""
     width = 1 if config.sampler == SAMPLER_EXACT else config.noise.series_terms + 1
-    block_rows = max(1, _BLOCK // width)
     rng = sample_source(config, subkey, quasi_shift)
-    drawn = 0
-    while count is None or drawn < count:
-        rows = min(block_rows, max(drawn, 1) if count is None else count - drawn)
+    for rows in _block_sizes(count, width):
         g = rng.blocks(rows, width)
         if config.sampler == SAMPLER_EXACT:
             yield math.sqrt(noise_variance(config.noise, config.t0)) * g[:, 0]
         else:
             yield ou_integral_series(config.noise, config.t0, g, config.series_variant)
-        drawn += rows
 
 
 def _signal_row(signal) -> np.ndarray:
@@ -158,14 +150,25 @@ def _row_signal(half_period: float, form: str, row: np.ndarray):
     return FourierSignal(half_period, float(row[0]), row[1: k + 1], row[k + 1:])
 
 
-def _form_rows(base: np.ndarray, etas: np.ndarray, form: str, out: np.ndarray) -> np.ndarray:
-    """Drawn rows written into out, row i the noiseless row base plus eta_i on every grid
+def _form_rows(base: np.ndarray, etas: np.ndarray, form: str,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Drawn rows (into out, if given): row i the noiseless row base plus eta_i on every grid
     value, or plus 2 eta_i on c0 (the stored c0 is twice the constant term)."""
     if form == OBSERVE_GRID:
         return np.add(base, etas[:, None], out=out)
+    out = np.empty((etas.size, base.size)) if out is None else out
     out[...] = base
     out[:, 0] += 2.0 * etas
     return out
+
+
+def _fold(buf: np.ndarray, rows: int) -> np.ndarray:
+    """Add rows 1..rows of buf to the running row sum in its row 0, and return that sum.
+
+    numpy reduces axis 0 of a C-ordered matrix row by row, so the sum has the same bits
+    however the rows are blocked; row 0 starts at -0.0, which adds to any row exactly.
+    Both estimators fold their rows here."""
+    return np.add.reduce(buf[:rows + 1], axis=0, out=buf[0])
 
 
 class SampleSet:
@@ -176,10 +179,9 @@ class SampleSet:
     noiseless observation `base` and the per-sample noise draws `etas`: row
     i is base with eta_i added to its constant mode. A set read back from
     disk keeps its row matrix (passed as `grid_values` or `fourier_coef`;
-    etas NaN). Rows are read in contiguous blocks of at most
-    max(1, _BLOCK // width), so the mean and the CSV writer hold one block
-    whatever n is. Only the grid_values view builds a drawn set's whole
-    matrix, on first use.
+    etas NaN). Rows are read in the contiguous blocks of noise._block_sizes,
+    so the mean and the CSV writer hold one block whatever n is. Only the
+    grid_values view builds a drawn set's whole matrix, on first use.
     """
 
     def __init__(self, config: ScenarioConfig, etas: np.ndarray,
@@ -193,7 +195,6 @@ class SampleSet:
         self._base = None if base is None else _signal_row(base)
         self._rows = grid_values if grid_values is not None else fourier_coef
         self._width = (self._rows if base is None else self._base).shape[-1]
-        self._step = max(1, _BLOCK // self._width)
         grid = grid_values is not None or isinstance(base, GridSignal)
         self.form = OBSERVE_GRID if grid else OBSERVE_FOURIER
 
@@ -219,17 +220,18 @@ class SampleSet:
         """Rows start..stop-1 (stop <= n), written into out when it is given; else a view
         of a read set's matrix, or a drawn set's rows formed into a new array."""
         if self._rows is None:
-            return _form_rows(self._base, self.etas[start:stop], self.form,
-                              np.empty((stop - start, self._width)) if out is None else out)
+            return _form_rows(self._base, self.etas[start:stop], self.form, out)
         if out is None:
             return self._rows[start:stop]
         out[...] = self._rows[start:stop]
         return out
 
-    def _blocks(self):
-        """All rows in order, in contiguous blocks of at most max(1, _BLOCK // width) rows."""
-        for start in range(0, self.n, self._step):
-            yield self._block(start, min(start + self._step, self.n))
+    def _blocks(self, buf: np.ndarray | None = None):
+        """All rows in order, in the blocks of _block_sizes; below row 0 of buf, if given."""
+        start = 0
+        for rows in _block_sizes(self.n, self._width):
+            yield self._block(start, start + rows, None if buf is None else buf[1:rows + 1])
+            start += rows
 
     def signal(self, i: int):
         """Materialize sample i as a GridSignal or FourierSignal."""
@@ -237,19 +239,11 @@ class SampleSet:
         return _row_signal(self.config.theta.half_period, self.form, self._block(i, i + 1)[0])
 
     def mean_signal(self):
-        """Pointwise (grid) or coefficient-wise (Fourier) sample mean: the row sum over n.
-
-        One buffer holds the running sum in row 0 and a block below it. numpy
-        reduces axis 0 of a C-ordered matrix row by row, so at any block size
-        the sum has the bits of the whole matrix's sum(axis=0).
-        """
-        buf = np.empty((min(self._step, self.n) + 1, self._width))
-        top = 0  # the first block starts in row 0, later ones below the running sum
-        for start in range(0, self.n, self._step):
-            rows = min(self._step, self.n - start)
-            self._block(start, start + rows, buf[top:top + rows])
-            np.add.reduce(buf[:top + rows], axis=0, out=buf[0])
-            top = 1
+        """Pointwise (grid) or coefficient-wise (Fourier) sample mean: the row sum over n."""
+        # the running sum, then room for the first block, which is the largest
+        buf = np.full((next(_block_sizes(self.n, self._width)) + 1, self._width), -0.0)
+        for block in self._blocks(buf):
+            _fold(buf, len(block))
         return _row_signal(self.config.theta.half_period, self.form, buf[0] / self.n)
 
 
@@ -272,8 +266,7 @@ def _stream_rows(config: ScenarioConfig):
     sample_batch's rows."""
     base = _signal_row(_noiseless(config))
     for etas in _noise_blocks(config):
-        yield from _form_rows(base, etas, config.observation_form,
-                              np.empty((etas.size, base.size)))
+        yield from _form_rows(base, etas, config.observation_form)
 
 
 def sample_stream(config: ScenarioConfig):

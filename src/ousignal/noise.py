@@ -28,9 +28,21 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _EPS = np.finfo(float).eps
 _SAFE_LOG = 700.0
 
-# Gaussians drawn at once (at least one sample's worth), so no draw or replay
+# doubles drawn at once (at least one row's worth), so no draw, replay or fold
 # holds more than O(_BLOCK) memory whatever the count
 _BLOCK = 1 << 14
+
+
+def _block_sizes(count: int | None, width: int = 1):
+    """Row counts of the blocks, at most max(1, _BLOCK // width) rows of width values, that
+    make up count rows; for count None, endless blocks that double from one row up to a
+    full one, so a stream that stops early draws little past its stop. Every blocked loop
+    of the package takes its sizes from here."""
+    step, done = max(1, _BLOCK // width), 0
+    while count is None or done < count:
+        rows = min(step, max(done, 1) if count is None else count - done)
+        yield rows
+        done += rows
 
 
 @dataclass(frozen=True)
@@ -179,8 +191,8 @@ class RandomSource:
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
             self._gen = np.random.default_rng(self.key)
-            for start in range(0, self.counter, _BLOCK):  # replayed a block at a time
-                self._gen.standard_normal(min(_BLOCK, self.counter - start))
+            for rows in _block_sizes(self.counter):  # replayed a block at a time
+                self._gen.standard_normal(rows)
         return self._gen
 
     def normal(self) -> float:
@@ -211,12 +223,16 @@ class RandomSource:
         self.stream += rows
         return values
 
-    def _row(self, r: int, width: int) -> "RandomSource":
-        """A new source whose draws are row r of blocks(rows, width) taken from here:
-        the same stream resumed r * width draws on (pseudo), or stream + r (quasi)."""
-        if self.mode == self.PSEUDO:
-            return RandomSource(self.PSEUDO, self.key, counter=self.counter + r * width)
-        return RandomSource(self.QUASI, stream=self.stream + r, counter=self.counter)
+    def _rows(self, rows: int, width: int) -> list["RandomSource"]:
+        """Sources for the rows of blocks(rows, width), each readable a piece at a time;
+        this source moves past them as blocks would."""
+        draws, streams = (width, 0) if self.mode == self.PSEUDO else (0, 1)  # per row
+        sources = [RandomSource(self.mode, self.key, self.stream + r * streams,
+                                self.counter + r * draws) for r in range(rows)]
+        self._gen = None  # replayed up to the new counter on the next draw, as the rows are
+        self.counter += rows * draws
+        self.stream += rows * streams
+        return sources
 
     def __repr__(self):
         ident = f"key={self.key}" if self.mode == self.PSEUDO else f"stream={self.stream}"
@@ -325,28 +341,26 @@ def ou_integral_series(params: NoiseParams, t0: float, coeffs,
 
 def ou_joint_pairs(params: NoiseParams, s: float, t: float, count: int,
                    rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
-    """Exact joint draws (noise(s), noise(t)) sharing one driving path.
-
-    Uses the Markov decomposition: the later value is the earlier one decayed
-    (or grown) plus an independent increment. Draws rng.blocks(2, count): the
-    first row for the earlier time, the second for the increment.
-    """
-    if s < 0 or t < 0:
-        raise ValueError("times must be non-negative")
-    swap = s > t
-    if swap:
-        s, t = t, s
-    early, late = _markov_step(params, s, t, *rng.blocks(2, count))
-    return (late, early) if swap else (early, late)
+    """Exact joint draws (noise(s), noise(t)) sharing one driving path, rng.blocks(2, count)
+    driving them: the blocks of _pair_blocks, joined."""
+    if s < 0 or t < 0 or count < 0:
+        raise ValueError("times and count must be non-negative")
+    # the blocks side by side, after an empty head that serves count = 0
+    early, late = np.hstack([np.empty((2, 0)),
+                             *_pair_blocks(params, min(s, t), max(s, t), count, rng)])
+    return (late, early) if s > t else (early, late)
 
 
-def _markov_step(params: NoiseParams, s: float, t: float, g_early: np.ndarray,
-                 g_inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(noise(s), noise(t)) for s <= t from the early draws and the increment draws."""
-    early = math.sqrt(noise_variance(params, s)) * g_early
-    if params.kernel == KERNEL_MEAN_REVERTING:
-        carry = math.exp(-params.a0 * (t - s))
-    else:
-        carry = _grown(1.0, math.exp, params.a0 * (t - s), t)
-    late = carry * early + math.sqrt(noise_variance(params, t - s)) * g_inc
-    return early, late
+def _pair_blocks(params: NoiseParams, s: float, t: float, count: int, rng: RandomSource):
+    """Blocks [noise(s), noise(t)], s <= t, of count joint draws, by the Markov decomposition:
+    the later value is the earlier one decayed (or grown) plus an independent increment.
+    Row 0 of rng.blocks(2, count) drives the earlier value and row 1 the increment, each
+    read a block at a time; rng moves past both rows at once."""
+    early_rng, inc_rng = rng._rows(2, count)
+    spread = math.sqrt(noise_variance(params, s))
+    gap = params.a0 * (t - s)
+    carry = math.exp(-gap) if params.kernel == KERNEL_MEAN_REVERTING else _grown(1.0, math.exp, gap, t)
+    step = math.sqrt(noise_variance(params, t - s))
+    for rows in _block_sizes(count):
+        early = spread * early_rng.normals(rows)
+        yield np.array((early, carry * early + step * inc_rng.normals(rows)))

@@ -1,12 +1,17 @@
 """Config parsing, presets, and the command-line harness end to end."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
+import shutil
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _util import wideband_config_text
-from ousignal import (ConfigError, load_config, model, noise_variance, ou_joint_pairs,
+from ousignal import (ConfigError, load_config, model, noise, noise_variance, ou_joint_pairs,
                       parse_config_text)
 from ousignal.cli import build_parser, main, replay_manifest
 from ousignal.config import PRESETS, parse_number, preset_text
@@ -135,6 +140,18 @@ def test_parse_error_messages_and_lines(text, message):
     with pytest.raises(ConfigError) as caught:
         parse_config_text(text, source="case.cfg")
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("order, code", [(1000, 0), (1001, 2), (20000, 2)])
+def test_cli_operator_order_above_1000_exits_2(tmp_path, capsys, order, code):
+    # the coefficient list and mode_spectrum's loop over it have max(A index) + 1 entries
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text(f"A.0 = 1\nK = 2\nt0 = 1\nA.{order} = 1e-300\n")
+    assert run_cli("spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert f"order.cfg:4: operator order {order} is above the limit of 1000" in err
 
 
 def test_parse_wideband_config_gives_the_bits_of_float():
@@ -331,6 +348,38 @@ def test_cli_convergence_matches_pinned_digests(tmp_path):
     }
 
 
+# SHA-256 under ARTIFACT_VERSION 0.4.0 of the outputs that fold streamed draws: verify's
+# blocks of paired draws, and the infinite estimator's running mean at a stop and at n_max
+STREAMED_DIGESTS = {
+    "verify": ([], 0, {
+        "verify.csv": "2a96c13b7942d448fe7bd781a3d4c87843b7fdfe3c43d15d75d579d4e152d313"}),
+    "verify-quasi": (["--quasi"], 0, {
+        "verify.csv": "4fb46d3c20e51733a1ca3e681c13565c0af8e7eed1233a7f6cc88d03d2a4b994"}),
+    "infinite-stops": ("epsilon = 0.1\n", 0, {
+        "estimate.csv": "04f02ffc8c4a37f7a3f99aef54624a48d94e45c73734cc299a2960b396a376c5",
+        "estimate_report.csv":
+            "53bedfdccb7185c28cf9d87b9b4289cd8abb480fc87260c1dc521fa9e0e58af2"}),
+    "infinite-n-max": ("epsilon = 1e-9\nn_max = 30\n", 4, {
+        "estimate.csv": "057625c4fa2fd0165427877875f3545fdd8d5aced9a30fab59e1e447527875a2",
+        "estimate_report.csv":
+            "07e1bfea348f93ffe663749b336e7bd1bcc0172da239e7a6dedd3692c37fd4ed"}),
+}
+
+
+@pytest.mark.parametrize("case", STREAMED_DIGESTS)
+def test_cli_streamed_outputs_match_pinned_digests(tmp_path, case):
+    extra, code, pinned = STREAMED_DIGESTS[case]
+    if case.startswith("verify"):
+        argv = ["verify", "--config", "ex42", "--seed", "9", "--n", "20000", *extra]
+    else:  # the ex42 stream stops at n = 144 under epsilon = 0.1
+        cfg = tmp_path / "stream.cfg"
+        cfg.write_text(preset_text("ex42") + "estimator = infinite\n" + extra)
+        argv = ["estimate", "--config", str(cfg), "--seed", "2"]
+    assert run_cli(*argv, "--out", str(tmp_path)) == code
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in pinned} == pinned
+
+
 # the K = 2000 sweep of `wideband_config_text`, whose writers format whole columns
 WIDEBAND_DIGESTS = {
     "estimate_sigma0.5.csv": "8cc54b4a48ca5e248e5205da73377ba46e8b876c9b70be161b3ee137226dae65",
@@ -379,7 +428,7 @@ def test_wideband_manifest_is_its_config_text_and_a_summary(tmp_path):
 @pytest.mark.parametrize("observation, width", [("grid", 200), ("fourier", 41)])
 def test_cli_estimate_from_file_equals_in_memory_bytes(tmp_path, observation, width):
     # three full blocks of rows and five more: the file's rows and the drawn rows fold alike
-    n = str(3 * (model._BLOCK // width) + 5)
+    n = str(3 * (noise._BLOCK // width) + 5)
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(preset_text("ex42") + f"observation = {observation}\n")
     on_disk, in_memory = tmp_path / "file", tmp_path / "memory"
@@ -578,7 +627,7 @@ def _verify_rows(out):
 @pytest.mark.parametrize("quasi", [False, True], ids=["pseudo", "quasi"])
 def test_cli_verify_streamed_moments_equal_whole_array_formulas(tmp_path, quasi):
     # three full blocks and five more draws: each moment is folded over four blocks
-    draws = 3 * model._BLOCK + 5
+    draws = 3 * noise._BLOCK + 5
     flags = ["--quasi"] if quasi else ["--seed", "9"]
     assert run_cli("verify", "--config", "ex42", "--n", str(draws), "--out", str(tmp_path),
                    *flags) in (0, 3)
@@ -724,6 +773,61 @@ def test_cli_mutated_presets_end_in_a_documented_exit_code(tmp_path_factory, tex
             warnings.simplefilter("ignore")
             code = run_cli(*argv, "--config", str(cfg), "--seed", "1", "--out", str(tmp / "out"))
         assert code in (0, 2, 3, 4), (argv, text)
+
+
+_BAD_CELLS = ["nan", "inf", "1e308", "abc", "", "1,2"]  # the last adds a column
+
+
+@st.composite
+def _mutated_samples(draw) -> tuple[str, str]:
+    """(config text, samples file text): a small batch as `sample` writes it (n <= 5, G <= 16,
+    K <= 4), with rows dropped, repeated or swapped, cells replaced, or the header changed."""
+    observation = draw(st.sampled_from(["grid", "fourier"]))
+    k = draw(st.integers(1, 4))
+    config = (f"A.0 = 1\nA.2 = 0.5\nc0 = 1\nc.1 = 2\nsigma = 1\nt0 = 0.2\nK = {k}\n"
+              f"G = {draw(st.integers(2 * k + 1, 16))}\nn = {draw(st.integers(1, 5))}\n"
+              f"observation = {observation}\nseed = 1\n")
+    tmp = Path(tempfile.mkdtemp())
+    (tmp / "drawn.cfg").write_text(config)
+    assert run_cli("sample", "--config", str(tmp / "drawn.cfg"), "--out", str(tmp)) == 0
+    lines = (tmp / "samples.csv").read_text().splitlines()
+    shutil.rmtree(tmp)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(1, max(len(lines) - 1, 1)))
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "cell", "cell", "header"]))
+        if edit == "header":
+            lines[0] = draw(st.sampled_from(["sample_id,x,value", "sample_id,k,c,d",
+                                             "sample_id,x", "id,x,value", ""]))
+        elif at >= len(lines):
+            continue
+        elif edit == "drop":
+            del lines[at]
+        elif edit == "repeat":
+            lines.insert(at, lines[at])
+        elif edit == "swap":
+            other = draw(st.integers(1, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        else:
+            cells = lines[at].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_BAD_CELLS))
+            lines[at] = ",".join(cells)
+    return config, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_mutated_samples())
+def test_cli_mutated_samples_files_end_in_a_documented_exit_code(tmp_path_factory, case):
+    config, samples = case
+    tmp = tmp_path_factory.mktemp("samples")
+    (tmp / "scenario.cfg").write_text(config)
+    (tmp / "samples.csv").write_text(samples)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = run_cli("estimate", "--config", str(tmp / "scenario.cfg"), "--samples",
+                       str(tmp / "samples.csv"), "--out", str(tmp / "out"))
+    assert code in (0, 2, 3, 4), (config, samples)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_verify_zero_noise_trivially_passes(tmp_path):

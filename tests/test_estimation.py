@@ -22,7 +22,7 @@ from ousignal import (
     sample_batch,
     sup_distance,
 )
-from ousignal import model
+from ousignal import model, noise
 from ousignal.model import OBSERVE_FOURIER, SampleSet
 
 from _util import example_theta, make_config, random_signal
@@ -242,7 +242,7 @@ def test_study_error_shrinks_with_sample_size():
 def test_blockwise_mean_is_bit_identical_to_matrix_mean_and_running_sum(form):
     # width 201 in both forms: three full blocks of 81 rows and five more
     cfg = make_config(theta=example_theta(mode_count=100), mode_count=100, grid_points=201,
-                      observation_form=form, seed=8, n=3 * (model._BLOCK // 201) + 5)
+                      observation_form=form, seed=8, n=3 * (noise._BLOCK // 201) + 5)
     batch = sample_batch(cfg)
     row = model._signal_row
     matrix = np.array([row(batch.signal(i)) for i in range(batch.n)])

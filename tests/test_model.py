@@ -24,7 +24,7 @@ from ousignal import (
     sample_stream,
     sup_distance,
 )
-from ousignal import model
+from ousignal import model, noise
 from ousignal.model import OBSERVE_FOURIER
 from ousignal.noise import quasi_gaussian
 
@@ -112,7 +112,7 @@ def test_batch_noiseless_samples_identical():
 
 def test_batch_rows_are_prefix_of_larger_batch():
     small = sample_batch(make_config(n=64, seed=5))
-    large = sample_batch(make_config(n=model._BLOCK + 100, seed=5))
+    large = sample_batch(make_config(n=noise._BLOCK + 100, seed=5))
     assert np.array_equal(small.grid_values, large.grid_values[:64])
     assert np.array_equal(small.etas, large.etas[:64])
 
@@ -126,7 +126,7 @@ def test_pseudo_batch_seeds_one_generator(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
-    sample_batch(make_config(n=model._BLOCK, seed=5, sampler="series", t0=0.1,
+    sample_batch(make_config(n=noise._BLOCK, seed=5, sampler="series", t0=0.1,
                              series_terms=9))  # eleven blocks
     assert seeded == [((5,),)]
 
@@ -137,7 +137,7 @@ def test_pseudo_batch_seeds_one_generator(monkeypatch):
 def test_stream_prefix_equals_batch(quasi, form, sampler):
     # more samples than one block, so block seams and the stream's growing blocks are crossed
     width = 1 if sampler == "exact" else 100
-    cfg = make_config(n=model._BLOCK // width + 5, seed=3, quasi=quasi, quasi_base=4,
+    cfg = make_config(n=noise._BLOCK // width + 5, seed=3, quasi=quasi, quasi_base=4,
                       observation_form=form, sampler=sampler, t0=0.1, series_terms=99,
                       theta=example_theta(mode_count=5), mode_count=5, grid_points=11)
     batch = sample_batch(cfg)

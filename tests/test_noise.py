@@ -163,12 +163,18 @@ def test_resumed_stream_replays_in_blocks_and_bounded_memory():
 
 
 def test_row_sources_read_the_rows_of_blocks():
-    # a row's source yields that row of blocks(rows, width), a piece at a time
+    # a row's source yields that row of blocks(rows, width), a piece at a time, and the
+    # source they come from moves on as blocks would, whether or not it has drawn yet
     for make in (lambda: RandomSource.pseudo(8, 1), lambda: RandomSource.quasi(3)):
-        rows = make().blocks(2, 9)
-        for r in range(2):
-            src = make()._row(r, 9)
-            assert np.array_equal(np.concatenate([src.normals(4), src.normals(5)]), rows[r])
+        for drawn in (0, 3):
+            whole, split = make(), make()
+            whole.normals(drawn)
+            split.normals(drawn)
+            rows = whole.blocks(2, 9)
+            for r, src in enumerate(split._rows(2, 9)):
+                assert np.array_equal(np.concatenate([src.normals(4), src.normals(5)]), rows[r])
+            assert (split.counter, split.stream) == (whole.counter, whole.stream)
+            assert np.array_equal(split.normals(5), whole.normals(5))
 
 
 def test_quasi_source_matches_pointwise_map():
@@ -314,6 +320,28 @@ def test_joint_pairs_match_covariance():
     for t, values in ((0.1, early), (0.3, late)):
         v = noise_variance(p, t)
         assert abs(values.var(ddof=1) - v) < 3 * v * math.sqrt(2.0 / 99999)
+
+
+@pytest.mark.parametrize("drawn", [0, 5], ids=["fresh", "live"])
+@pytest.mark.parametrize("make", [lambda: RandomSource.pseudo(3, 1), lambda: RandomSource.quasi(5)],
+                         ids=["pseudo", "quasi"])
+def test_joint_pairs_are_the_markov_step_of_two_rows_and_advance_the_source_alike(make, drawn):
+    # the count spans three blocks; the pairs are built a block at a time
+    p = params(sigma=2.0, a0=1.5)
+    count = 2 * noise._BLOCK + 7
+    for s, t in ((0.1, 0.3), (0.4, 0.2)):
+        paired, whole = make(), make()
+        paired.normals(drawn)
+        whole.normals(drawn)
+        early, late = ou_joint_pairs(p, s, t, count, paired)
+        g_early, g_inc = whole.blocks(2, count)
+        lo, hi = min(s, t), max(s, t)
+        first = math.sqrt(noise_variance(p, lo)) * g_early
+        second = (math.exp(-1.5 * (hi - lo)) * first
+                  + math.sqrt(noise_variance(p, hi - lo)) * g_inc)
+        assert np.array_equal((early, late), (first, second) if s < t else (second, first))
+        assert (paired.counter, paired.stream) == (whole.counter, whole.stream)
+        assert np.array_equal(paired.normals(4), whole.normals(4))
 
 
 def test_joint_pairs_growth_kernel():
