@@ -12,7 +12,6 @@ from .errors import (
     AmplificationError,
     ConfigError,
     GrowthOverflowError,
-    KLDomainError,
     OusignalError,
 )
 from .estimation import (
@@ -60,7 +59,6 @@ __all__ = [
     "FourierSignal",
     "GridSignal",
     "GrowthOverflowError",
-    "KLDomainError",
     "ModeSpectrum",
     "NoiseParams",
     "OperatorSpec",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import csvio
 from .config import ESTIMATOR_INFINITE, RunConfig, load_config, parse_number
-from .errors import ConfigError, KLDomainError
+from .errors import ConfigError
 from .estimation import EstimateReport, convergence_study, estimate_until_stable, run_estimate
 from .manifest import ARTIFACT_VERSION, RunManifest, atomic_write_text, fmt, write_csv
 from .model import evolve_frames, sample_batch, sample_source
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FloatingPointError, KLDomainError) as exc:  # overflow, amplification, rates
+    except FloatingPointError as exc:  # overflow, amplification, rates
         print(f"numeric instability: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # OSError: unreadable input or unwritable --out

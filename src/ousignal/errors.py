@@ -35,10 +35,6 @@ class AmplificationError(OusignalError, FloatingPointError):
         )
 
 
-class KLDomainError(OusignalError, ValueError):
-    """Karhunen-Loeve series evaluated outside its validity interval [0, 1]."""
-
-
 class ConfigError(OusignalError, ValueError):
     """Malformed scenario config or input file."""
 

@@ -119,8 +119,10 @@ def estimate_until_stable(config: ScenarioConfig, epsilon: float, window: int = 
         if buf is None:
             buf = np.full((2, row.size), -0.0)  # the running sum, then the row to add
         buf[1] = row
+        with np.errstate(over="raise"):
+            total = _fold(buf, 1)
         previous = inverted
-        inverted = _invert(_row_signal(half_period, form, _fold(buf, 1) / n_used), config)
+        inverted = _invert(_row_signal(half_period, form, total / n_used), config)
         if previous is not None:
             gaps.append(sup_distance(inverted[0], previous[0]))
         converged = len(gaps) == window - 1 and all(g < epsilon for g in gaps)

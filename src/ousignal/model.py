@@ -167,7 +167,8 @@ def _fold(buf: np.ndarray, rows: int) -> np.ndarray:
 
     numpy reduces axis 0 of a C-ordered matrix row by row, so the sum has the same bits
     however the rows are blocked; row 0 starts at -0.0, which adds to any row exactly.
-    Both estimators fold their rows here."""
+    Both estimators fold their rows here, under np.errstate(over="raise") set once per
+    mean, so a sum of finite rows past a float raises FloatingPointError (exit 3)."""
     return np.add.reduce(buf[:rows + 1], axis=0, out=buf[0])
 
 
@@ -242,8 +243,9 @@ class SampleSet:
         """Pointwise (grid) or coefficient-wise (Fourier) sample mean: the row sum over n."""
         # the running sum, then room for the first block, which is the largest
         buf = np.full((next(_block_sizes(self.n, self._width)) + 1, self._width), -0.0)
-        for block in self._blocks(buf):
-            _fold(buf, len(block))
+        with np.errstate(over="raise"):
+            for block in self._blocks(buf):
+                _fold(buf, len(block))
         return _row_signal(self.config.theta.half_period, self.form, buf[0] / self.n)
 
 
@@ -281,9 +283,9 @@ def evolve_frames(config: ScenarioConfig, times,
 
     noise selects how the scalar noise enters: 'none' for the deterministic
     evolution, 'path' for one trajectory driven by a single coefficient vector
-    (evaluated through the series form, outside its validity interval if the
-    times require it, with a warning), or 'iid' for an independent exact draw
-    per frame. Frames at t = 0 carry no noise.
+    (the series form, read at every frame time on the clock of the last), or
+    'iid' for an independent exact draw per frame. Frames at t = 0 carry no
+    noise.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
@@ -293,17 +295,16 @@ def evolve_frames(config: ScenarioConfig, times,
     if noise not in (NOISE_NONE, NOISE_PATH, NOISE_IID):
         raise ValueError(f"unknown noise mode {noise!r}")
     rng = sample_source(config) if noise != NOISE_NONE else None
-    coeffs = rng.normals(config.noise.series_terms + 1) if noise == NOISE_PATH else None
+    noisy = [t for t in times if t > 0] if config.noise.sigma > 0 and noise != NOISE_NONE else []
+    if noise == NOISE_PATH:
+        coeffs = rng.normals(config.noise.series_terms + 1)
+        etas = iter(ou_integral_series(config.noise, noisy, coeffs, config.series_variant))
 
     frames = []
     for t in times:
         values = propagate(config.theta, config.op, t).evaluate_grid(config.grid_points)
-        if t > 0 and config.noise.sigma > 0 and noise != NOISE_NONE:
-            if noise == NOISE_PATH:
-                eta = ou_integral_series(config.noise, t, coeffs, config.series_variant,
-                                         enforce_domain=False)
-            else:
-                eta = ou_integral_exact(config.noise, t, rng)
+        if t > 0 and noisy:
+            eta = next(etas) if noise == NOISE_PATH else ou_integral_exact(config.noise, t, rng)
             values = GridSignal(values.half_period, values.values + eta)
         frames.append((t, values))
     return frames

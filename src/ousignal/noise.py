@@ -1,12 +1,17 @@
 """Gaussian drivers and the scalar Ornstein-Uhlenbeck channel noise.
 
-The noise entering the channel is sigma * int_0^t exp(-+ a0 (t - tau)) dW(tau),
-a scalar Gaussian whose variance and covariance are known in closed form. Two
-samplers are provided: an exact one (a single Gaussian with the analytic
-variance) and a Karhunen-Loeve series form driven by an explicit coefficient
-vector, which also powers path animation. Drivers are either seeded
-pseudo-random streams or deterministic quasi-random sequences built from
-fractional parts of multiples of sqrt(prime).
+The noise enters the constant mode, as that of a linear SDE: growth is the noise
+sigma * int_0^t exp(a0 (t - tau)) dW(tau) of dc = a0 c dt + sigma dW, the constant mode
+of the SDE in PAPER.md; mean_reverting (the default) is the noise
+sigma * int_0^t exp(-a0 (t - tau)) dW(tau) of d eta = -a0 eta dt + sigma dW, so an
+observation is the signal of the first SDE plus the noise of another. Each noise is
+prefactor(t) W(clock(t)) for a Brownian motion W: sigma / sqrt(2 a0) exp(a0 t) on the
+clock 1 - exp(-2 a0 t) (growth), sigma / sqrt(2 a0) exp(-a0 t) on exp(2 a0 t) - 1
+(mean_reverting). Two samplers are provided: an exact one (a single Gaussian with the
+analytic variance; variance and covariance are known in closed form) and a
+Karhunen-Loeve series form of W driven by an explicit coefficient vector, which also
+powers path animation. Drivers are either seeded pseudo-random streams or deterministic
+quasi-random sequences built from fractional parts of multiples of sqrt(prime).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GrowthOverflowError, KLDomainError
+from .errors import GrowthOverflowError
 
 KERNEL_MEAN_REVERTING = "mean_reverting"
 KERNEL_GROWTH = "growth"
@@ -300,43 +305,38 @@ def ou_integral_exact(params: NoiseParams, t0: float, rng: RandomSource) -> floa
     return math.sqrt(noise_variance(params, t0)) * g
 
 
-def ou_integral_series(params: NoiseParams, t0: float, coeffs,
-                       variant: str = VARIANT_VARIANCE_MATCHED,
-                       enforce_domain: bool = True) -> float:
-    """Series form of the noise draw, built from an explicit coefficient vector (or matrix rows).
+def ou_integral_series(params: NoiseParams, t0, coeffs,
+                       variant: str = VARIANT_VARIANCE_MATCHED):
+    """Series form of the noise at t0, a time or a vector of times, from an explicit
+    coefficient vector (or matrix rows): one Brownian path per row, read at every time.
 
-    The stochastic integral is a time-changed Brownian motion evaluated at
-    u = exp(2 a0 t0) - 1; the sine-series path expansion representing it is
-    valid only for u in [0, 1]. Larger u is rejected unless enforce_domain is
-    switched off, in which case the (wrong-variance) value is still computed,
-    with a warning, for faithful reproduction of legacy outputs.
-
-    variance_matched uses the prefactor sigma / sqrt(2 a0) e^{-a0 t0}, whose
-    variance agrees with noise_variance; paper_faithful replaces it with
-    sigma / (2 a0) e^{-a0 t0}, kept for bit-level reproduction of the
-    original formula. Their outputs differ by the exact factor sqrt(2 a0).
+    The noise is prefactor(t) W(clock(t)), the kernel's pair (module docstring), with W read
+    on one clock [0, U], U = max(1, the largest clock), as sqrt(U) B(clock / U) for the sine
+    series B on [0, 1]: for U = 1, B itself, bit for bit. Shape coeffs.shape[:-1] + t0's shape.
+    A clock or prefactor past a float raises GrowthOverflowError. paper_faithful divides sigma
+    by 2 a0, not sqrt(2 a0), as the original formula did, under either kernel.
     """
-    if t0 < 0:
-        raise ValueError("t0 must be non-negative")
-    if params.kernel != KERNEL_MEAN_REVERTING:
-        raise ValueError("the series sampler is defined for the mean_reverting kernel only")
+    times = np.asarray(t0, dtype=float)
+    times_list = times.reshape(-1).tolist()
+    if times.ndim > 1 or any(t < 0 for t in times_list):
+        raise ValueError("t0 must be a non-negative time or a vector of such times")
     if variant not in (VARIANT_VARIANCE_MATCHED, VARIANT_PAPER_FAITHFUL):
         raise ValueError(f"unknown series variant {variant!r}")
-    u = _grown(1.0, math.expm1, 2.0 * params.a0 * t0, t0)
-    if u > 1.0:
-        if enforce_domain:
-            raise KLDomainError(
-                f"time-changed argument u = exp(2 a0 t0) - 1 = {u:.6g} exceeds 1; the "
-                "sine-series expansion is not a Brownian representation there "
-                "(pass enforce_domain=False to evaluate anyway)"
-            )
-        warnings.warn(f"evaluating the noise series outside its validity interval (u={u:.6g} > 1); "
-                      "sample variance will not match the analytic formula")
     if variant == VARIANT_VARIANCE_MATCHED:
-        prefactor = params.sigma / math.sqrt(2.0 * params.a0)
+        scale = params.sigma / math.sqrt(2.0 * params.a0)
     else:
-        prefactor = params.sigma / (2.0 * params.a0)
-    return prefactor * math.exp(-params.a0 * t0) * _kl_sum(coeffs, u)
+        scale = params.sigma / (2.0 * params.a0)
+    if params.kernel == KERNEL_MEAN_REVERTING:
+        prefactor = [scale * math.exp(-params.a0 * t) for t in times_list]
+        clock = [_grown(1.0, math.expm1, 2.0 * params.a0 * t, t) for t in times_list]
+    else:
+        prefactor = [_grown(scale, math.exp, params.a0 * t, t) for t in times_list]
+        clock = [-math.expm1(-2.0 * params.a0 * t) for t in times_list]
+    span = max([1.0, *clock])
+    values = [p * (math.sqrt(span) * _kl_sum(coeffs, c / span)) for p, c in zip(prefactor, clock)]
+    if times.ndim == 0:
+        return values[0]
+    return np.stack(values, axis=-1) if values else np.empty(np.shape(coeffs)[:-1] + (0,))
 
 
 def ou_joint_pairs(params: NoiseParams, s: float, t: float, count: int,

@@ -251,6 +251,45 @@ def test_cli_growth_noise_overflow_exits_3(tmp_path, capsys, command):
     assert "numeric instability" in err and "mode 0" in err and "Traceback" not in err
 
 
+# ex42 under the growth kernel, the series sampler, or both: the series path is read on any
+# horizon (ex42's mean-reverting clock reaches u = 5.02) and under either kernel
+KERNEL_SAMPLER_CASES = {"growth": "kernel = growth\n", "series": "sampler = series\n",
+                        "growth-series": "kernel = growth\nsampler = series\n"}
+
+
+@pytest.mark.parametrize("case", KERNEL_SAMPLER_CASES)
+def test_cli_growth_kernel_and_series_sampler_are_first_class_runs(tmp_path, capsys, case):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(preset_text("ex42") + KERNEL_SAMPLER_CASES[case] + "observation = fourier\n")
+    common = ["--config", str(cfg), "--seed", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("sample", *common, "--n", "4000", "--out", str(tmp_path / "sample")) == 0
+        assert run_cli("estimate", *common, "--out", str(tmp_path / "estimate")) == 0
+        assert run_cli("convergence", *common, "--n-grid", "10,20", "--trials", "2",
+                       "--out", str(tmp_path / "convergence")) == 0
+        verified = run_cli("verify", *common, "--n", "2000", "--out", str(tmp_path / "verify"))
+    assert capsys.readouterr().err == ""
+    z = np.loadtxt(tmp_path / "verify" / "verify.csv", delimiter=",", skiprows=1,
+                   usecols=6)
+    assert verified == (0 if np.all(np.abs(z) <= 3.0) else 3)  # 3 only on a chance |z| > 3
+    # the constant term c0 / 2 of each sample, against the kernel's variance at 3 SE
+    rows = np.loadtxt(tmp_path / "sample" / "samples.csv", delimiter=",", skiprows=1)
+    constant = rows[rows[:, 1] == 0, 2] / 2.0
+    scenario = load_config(str(cfg)).scenario
+    variance = noise_variance(scenario.noise, scenario.t0)
+    assert abs(constant.var(ddof=1) - variance) < 3 * variance * math.sqrt(2.0 / 3999)
+
+
+def test_cli_evolve_path_noise_past_the_unit_clock_warns_nothing(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("evolve", "--config", "ex42", "--noise", "path", "--times", "0:pi/7:4",
+                       "--seed", "1", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().err == ""
+    assert len((tmp_path / "frames.csv").read_text().splitlines()) == 1 + 4 * 200
+
+
 @pytest.mark.parametrize("fill", ["c0 = 1", "c.1 = 1", "c.2 = 1"])
 @pytest.mark.parametrize("command", ["spectrum", "evolve", "sample", "estimate"])
 def test_cli_non_finite_mode_rate_exits_3(tmp_path, capsys, command, fill):
@@ -328,6 +367,31 @@ def test_cli_sample_and_estimate_bytes_match_pinned_digests(tmp_path, observatio
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_DIGESTS[observation]}
     assert digests == PINNED_DIGESTS[observation]
+
+
+# SHA-256 of series-sampler outputs whose clock stays within [0, 1] (ex42 at t0 = 0.1,
+# u = 0.49): ARTIFACT_VERSION 0.5.0 reads the path on [0, U], U = max(1, the largest
+# clock), so these keep the bytes they had under 0.4.0
+SERIES_DIGESTS = {
+    "grid": "1ed7bd8978833fc63472af99eb92cb72ee611f4c73f0a5f1d276bb7d19258a71",
+    "fourier": "61a1c04aa2a7d67a96e4300434e9568af2fbe4058f92546354263e63801c0d31",
+    "evolve-path": "07033955e8080bd01bb77e0932f5074ba760b3c70636e92738e0e281a7d0bacc",
+}
+
+
+@pytest.mark.parametrize("case", SERIES_DIGESTS)
+def test_cli_series_outputs_on_the_unit_clock_match_pinned_digests(tmp_path, case):
+    cfg = tmp_path / "series.cfg"
+    text = preset_text("ex42").replace("t0 = pi/7\n", "t0 = 0.1\n")
+    text += "sampler = series\nseries_terms = 99\n"
+    if case == "evolve-path":
+        cfg.write_text(text + "series_variant = paper_faithful\n")
+        argv, name = ["evolve", "--noise", "path", "--times", "0:0.1:4"], "frames.csv"
+    else:
+        cfg.write_text(text + f"observation = {case}\n")
+        argv, name = ["sample", "--n", "20"], "samples.csv"
+    assert run_cli(*argv, "--config", str(cfg), "--seed", "5", "--out", str(tmp_path)) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == SERIES_DIGESTS[case]
 
 
 def test_cli_evolve_frames_match_pinned_digest(tmp_path):
@@ -486,6 +550,23 @@ def test_cli_estimate_reads_samples_file(tmp_path):
     report = (tmp_path / "estimate_report.csv").read_text().splitlines()
     assert len(report) == 2  # sweep ignored when samples come from a file
     assert float(report[1].split(",")[1]) == 4  # n_used
+
+
+def test_cli_estimate_samples_whose_sum_overflows_exits_3(tmp_path, capsys):
+    # two finite samples with 1e308 at the same x: their row sum overflows a float. This
+    # once exited 2 as "grid values must be finite", after numpy's overflow warning
+    grid = (PI * (2.0 * np.arange(8) / 8 - 1.0)).tolist()
+    rows = [f"{i},{x!r},{1e308 if j == 3 else 1.0!r}" for i in (0, 1) for j, x in enumerate(grid)]
+    samples = tmp_path / "samples.csv"
+    samples.write_text("sample_id,x,value\n" + "\n".join(rows) + "\n")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("A.0 = 2\nsigma = 1\nt0 = 0.1\nK = 2\nG = 8\nseed = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("estimate", "--config", str(cfg), "--samples", str(samples),
+                       "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "numeric instability: overflow" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text, message", [

@@ -22,7 +22,7 @@ from ousignal import (
     sample_batch,
     sup_distance,
 )
-from ousignal import model, noise
+from ousignal import estimation, model, noise
 from ousignal.model import OBSERVE_FOURIER, SampleSet
 
 from _util import example_theta, make_config, random_signal
@@ -197,6 +197,24 @@ def test_stable_estimate_works_on_fourier_stream():
     report = estimate_until_stable(cfg, epsilon=1e-8, window=2)
     assert report.converged and report.n_used == 2
     assert sup_distance(report.estimate, cfg.theta) < 1e-10
+
+
+@pytest.mark.parametrize("form", ["grid", "fourier"])
+def test_both_estimators_name_a_row_sum_that_overflows(monkeypatch, form):
+    # two finite rows with 1e308 in the same column: their sum overflows a float. Both
+    # estimators once warned and then refused the infinite mean as if a row were not finite
+    cfg = make_config(sigma=0.0, n=2, observation_form=form)
+    rows = np.zeros((2, cfg.grid_points if form == "grid" else 2 * cfg.mode_count + 1))
+    rows[:, 0] = 1e308
+    monkeypatch.setattr(estimation, "_stream_rows", lambda config: iter(rows))
+    batch = SampleSet(cfg, np.full(2, np.nan), **{
+        "grid_values" if form == "grid" else "fourier_coef": rows})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            run_estimate(batch)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            estimate_until_stable(cfg, epsilon=0.0, n_max=2)
 
 
 @pytest.mark.parametrize("n_max", [0, -5])

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -24,7 +25,7 @@ from ousignal import (
     sample_stream,
     sup_distance,
 )
-from ousignal import model, noise
+from ousignal import load_config, model, noise
 from ousignal.model import OBSERVE_FOURIER
 from ousignal.noise import quasi_gaussian
 
@@ -146,6 +147,53 @@ def test_stream_prefix_equals_batch(quasi, form, sampler):
             assert np.array_equal(z.values, batch.grid_values[i])
         else:
             assert np.array_equal(model._signal_row(z), model._signal_row(batch.signal(i)))
+
+
+def _euler_maruyama(kernel, c0, a0, sigma, t, paths, steps, rng):
+    """Constant modes at t of Euler-Maruyama paths of the kernel's SDE, started at c0:
+    growth dc = a0 c dt + sigma dW; mean_reverting the signal dc = a0 c dt plus an
+    independent d eta = -a0 eta dt + sigma dW, started at 0."""
+    dt = t / steps
+    c, eta = np.full(paths, c0), np.zeros(paths)
+    for _ in range(steps):
+        dw = math.sqrt(dt) * rng.standard_normal(paths)
+        if kernel == "growth":
+            c += a0 * c * dt + sigma * dw
+        else:
+            c += a0 * c * dt
+            eta += -a0 * eta * dt + sigma * dw
+    return c + eta
+
+
+@pytest.mark.parametrize("kernel", ["mean_reverting", "growth"])
+def test_both_samplers_match_an_euler_maruyama_oracle_of_the_kernel_sde(kernel):
+    # ex42 at t0 = pi/7, where the mean-reverting clock reaches u = 5.02
+    sc = load_config("ex42").scenario
+    sc = replace(sc, noise=replace(sc.noise, kernel=kernel), n=10000, seed=1,
+                 observation_form=OBSERVE_FOURIER)
+    a0, sigma, t, c0 = sc.noise.a0, sc.noise.sigma, sc.t0, sc.theta.c0 / 2.0
+    variance = noise_variance(sc.noise, t)
+    se_mean, se_var = math.sqrt(variance / sc.n), variance * math.sqrt(2.0 / (sc.n - 1))
+    # The scheme's moments are closed forms: the mean c0 (1 + a0 dt)^N and the variance
+    # sigma^2 dt (r^2N - 1) / (r^2 - 1), r = 1 +- a0 dt. Take the fewest steps N (a power
+    # of two) whose bias from the SDE's moments is under 0.1 SE of each.
+    steps = 64
+    while True:
+        dt = t / steps
+        r = 1.0 + (a0 if kernel == "growth" else -a0) * dt
+        mean_bias = c0 * ((1.0 + a0 * dt) ** steps - math.exp(a0 * t))
+        var_bias = sigma**2 * dt * math.expm1(2 * steps * math.log(r)) / (r * r - 1.0) - variance
+        if abs(mean_bias) < 0.1 * se_mean and abs(var_bias) < 0.1 * se_var:
+            break
+        steps *= 2
+    oracle = _euler_maruyama(kernel, c0, a0, sigma, t, sc.n, steps, np.random.default_rng(2))
+    for sampler in ("exact", "series"):
+        batch = sample_batch(replace(sc, sampler=sampler))
+        constant = np.concatenate([block[:, 0] for block in batch._blocks()]) / 2.0
+        for ours, theirs, se in ((constant.mean(), oracle.mean(), se_mean),
+                                 (constant.var(ddof=1), oracle.var(ddof=1), se_var)):
+            # two independent estimates: their difference has sqrt(2) times the SE
+            assert abs(ours - theirs) < 3 * math.sqrt(2.0) * se, (sampler, ours, theirs, steps)
 
 
 def test_batch_mean_noise_obeys_clt_band():
@@ -277,7 +325,7 @@ def test_path_noise_single_driver_reproducible():
                       theta=example_theta(), seed=4)
     times = list(np.linspace(0.0, T0, 4))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # series evaluated outside [0, 1] on purpose
+        warnings.simplefilter("error")  # the path's clock passes 1 with no warning
         one = evolve_frames(cfg, times, noise="path")
         two = evolve_frames(cfg, times, noise="path")
     for (_, a), (_, b) in zip(one, two):

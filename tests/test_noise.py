@@ -10,7 +10,6 @@ from scipy import special, stats
 
 from ousignal import (
     GrowthOverflowError,
-    KLDomainError,
     NoiseParams,
     RandomSource,
     noise_covariance,
@@ -237,8 +236,10 @@ def test_growth_kernel_overflow_raises_growth_overflow_error():
         noise_covariance(p, 1.0, 400.0)
     with pytest.raises(GrowthOverflowError):  # the carry exp(a0 (t - s)) of the Markov step
         ou_joint_pairs(p, 0.1, 400.0, 4, RandomSource.pseudo(1))
-    with pytest.raises(GrowthOverflowError):  # u = expm1(2 a0 t0), checked before the domain
-        ou_integral_series(params(a0=2.0), 400.0, np.ones(4), enforce_domain=False)
+    with pytest.raises(GrowthOverflowError):  # the clock expm1(2 a0 t0)
+        ou_integral_series(params(a0=2.0), 400.0, np.ones(4))
+    with pytest.raises(GrowthOverflowError):  # the growth prefactor's exp(a0 t0)
+        ou_integral_series(p, 400.0, np.ones(4))
     assert noise_variance(params(sigma=0.0, a0=2.0, kernel=GR), 400.0) == 0.0
     assert math.isfinite(noise_variance(p, 100.0))  # 1.3e173, as before
 
@@ -394,17 +395,33 @@ def test_series_matrix_rows_match_vector_calls():
     assert rows == pytest.approx(one_by_one, rel=1e-13, abs=1e-15)
 
 
-def test_series_domain_enforced():
-    p = params(sigma=150.0, a0=2.0)
-    with pytest.raises(KLDomainError):
-        ou_integral_series(p, math.pi / 7, np.ones(10))  # u ~ 5, far outside [0, 1]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = ou_integral_series(p, math.pi / 7, np.ones(10), enforce_domain=False)
-    assert any("validity" in str(w.message) for w in caught)
-    assert np.isfinite(value)
+def test_series_times_vector_keeps_the_bits_of_scalar_calls():
+    p = params(sigma=1.0, a0=2.0)
+    coeffs = np.random.default_rng(17).standard_normal((5, 60))
+    inside = [0.0, 0.05, 0.1, math.log(2.0) / 4.0]  # clocks up to exactly 1: U = 1
+    rows = ou_integral_series(p, inside, coeffs)
+    assert rows.shape == (5, 4)
+    assert np.array_equal(rows, np.transpose([ou_integral_series(p, t, coeffs) for t in inside]))
+    # past the unit clock U is the last clock, so the horizon's value ignores earlier times
+    rows = ou_integral_series(p, [0.1, math.pi / 7], coeffs)
+    assert np.array_equal(rows[:, 1], ou_integral_series(p, math.pi / 7, coeffs))
 
 
-def test_series_rejects_growth_kernel():
-    with pytest.raises(ValueError):
-        ou_integral_series(params(kernel=GR, a0=0.5), 0.1, np.ones(5))
+@pytest.mark.parametrize("kernel", [MR, GR])
+def test_series_path_matches_covariance_past_the_unit_clock(kernel):
+    # ex42's frames 0:pi/7:4, whose mean-reverting clock reaches u = e^(4 pi/7) - 1 = 5.02;
+    # the growth clock 1 - e^(-2 a0 t) never passes 1
+    p = params(sigma=150.0, a0=2.0, kernel=kernel)
+    times = np.linspace(0.0, math.pi / 7, 4)
+    rng, draws = np.random.default_rng(18), 10000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = np.vstack([ou_integral_series(p, times, rng.standard_normal((1000, 1000)))
+                          for _ in range(draws // 1000)])
+    assert np.all(path[:, 0] == 0.0)
+    for i in range(1, 4):
+        for j in range(i, 4):
+            analytic = noise_covariance(p, times[i], times[j])
+            empirical = float(np.cov(path[:, i], path[:, j], ddof=1)[0, 1])
+            spread = noise_variance(p, times[i]) * noise_variance(p, times[j]) + analytic**2
+            assert abs(empirical - analytic) < 3 * math.sqrt(spread / (draws - 1)), (i, j)
