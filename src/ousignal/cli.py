@@ -25,7 +25,7 @@ from .config import ESTIMATOR_INFINITE, RunConfig, load_config, parse_number
 from .errors import ConfigError
 from .estimation import EstimateReport, convergence_study, estimate_until_stable, run_estimate
 from .manifest import ARTIFACT_VERSION, RunManifest, atomic_write_text, fmt, write_csv
-from .model import evolve_frames, sample_batch, sample_source
+from .model import NOISE_MODES, NOISE_NONE, evolve_frames, sample_batch, sample_source
 from .noise import _block_sizes, _pair_blocks, noise_covariance, noise_variance
 from .spectral import mode_spectrum
 
@@ -51,20 +51,17 @@ def _parse_times(spec: str) -> list[float]:
 def _resolve(args) -> RunConfig:
     """Load the config and settle the effective seed (flag > file > entropy)."""
     run = load_config(args.config)
-    scenario = run.scenario
-    if getattr(args, "quasi", False):
-        scenario = replace(scenario, quasi=True)
-    seed = scenario.seed
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    if seed is None and not scenario.quasi:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be an integer >= 0")
+    n = getattr(args, "n", None)
+    if n is not None and n < 1:
+        raise ConfigError("--n must be >= 1")
+    quasi = run.scenario.quasi or args.quasi
+    seed = run.scenario.seed if args.seed is None else args.seed
+    if seed is None and not quasi:
         seed = int.from_bytes(os.urandom(8), "big") >> 1  # 63 bits of OS entropy
-    scenario = replace(scenario, seed=seed)
-    if getattr(args, "n", None) is not None:
-        if args.n < 1:
-            raise ConfigError("--n must be >= 1")
-        scenario = replace(scenario, n=args.n)
-    return replace(run, scenario=scenario)
+    return replace(run, scenario=replace(run.scenario, quasi=quasi, seed=seed,
+                                         n=run.scenario.n if n is None else n))
 
 
 def cmd_spectrum(args, run: RunConfig, out_dir: Path):
@@ -246,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--times", default=None,
                    help="start:stop:count or comma list (pi tokens allowed)")
-    p.add_argument("--noise", choices=["none", "path", "iid"], default="none")
+    p.add_argument("--noise", choices=NOISE_MODES, default=NOISE_NONE)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("sample", help="draw observed transformed signals")

@@ -15,25 +15,15 @@ from importlib import resources
 
 from .errors import ConfigError
 from .fourier import FourierSignal
-from .model import ScenarioConfig
-from .noise import NoiseParams
+from .model import OBSERVATIONS, SAMPLERS, ScenarioConfig
+from .noise import KERNELS, VARIANTS, NoiseParams
 from .spectral import OperatorSpec
 
 PRESETS = ("ex41", "ex42", "ex43")
 
-ESTIMATOR_MEAN = "mean"
-ESTIMATOR_INFINITE = "infinite"
+ESTIMATORS = ("mean", "infinite")
+ESTIMATOR_MEAN, ESTIMATOR_INFINITE = ESTIMATORS
 
-_ENUM_KEYS = {
-    "kernel": ("mean_reverting", "growth"),
-    "observation": ("grid", "fourier"),
-    "sampler": ("exact", "series"),
-    "series_variant": ("variance_matched", "paper_faithful"),
-    "estimator": (ESTIMATOR_MEAN, ESTIMATOR_INFINITE),
-}
-_INT_KEYS = {"n", "K", "G", "seed", "quasi_base", "series_terms", "window", "n_max", "quasi"}
-_FLOAT_KEYS = {"l", "c0", "sigma", "t0", "epsilon"}
-_LIST_KEYS = {"sigma_grid"}
 # prefixes of the indexed keys c.<k>, d.<k> (signal) and A.<n> (operator)
 _INDEXED = frozenset(("c.", "d.", "A."))
 _MAX_ORDER = 1000  # the largest n of A.<n>: the operator's order sizes mode_spectrum's work
@@ -82,6 +72,57 @@ def _valid_key(key: str) -> bool:
             and (not dot or index.isdigit()))
 
 
+class _Refused(ValueError):
+    """A well-formed value that its key does not allow; the message follows the key's name."""
+
+
+def _one_of(allowed: tuple[str, ...]):
+    """The parser of a key whose value is one of allowed."""
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise _Refused(f"must be one of {', '.join(allowed)}; got {text!r}")
+        return text
+    return parse
+
+
+def _flag(text: str) -> bool:
+    if int(text) not in (0, 1):
+        raise _Refused(f"must be 0 or 1; got {text!r}")
+    return int(text) == 1
+
+
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise _Refused(f"must be an integer >= 0; got {text!r}")
+    return int(text)
+
+
+# Each non-indexed key: the class whose field it sets, that field and its text's parser. A
+# config passes on only the keys it gives, so each default is the field's (or build's) own.
+_KEYS = {
+    "l": (FourierSignal, "half_period", parse_number),
+    "c0": (FourierSignal, "c0", parse_number),
+    "sigma": (NoiseParams, "sigma", parse_number),
+    "kernel": (NoiseParams, "kernel", _one_of(KERNELS)),
+    "series_terms": (NoiseParams, "series_terms", int),
+    "t0": (ScenarioConfig, "t0", parse_number),
+    "n": (ScenarioConfig, "n", int),
+    "K": (ScenarioConfig, "mode_count", int),
+    "G": (ScenarioConfig, "grid_points", int),
+    "seed": (ScenarioConfig, "seed", _seed),
+    "quasi": (ScenarioConfig, "quasi", _flag),
+    "quasi_base": (ScenarioConfig, "quasi_base", int),
+    "observation": (ScenarioConfig, "observation_form", _one_of(OBSERVATIONS)),
+    "sampler": (ScenarioConfig, "sampler", _one_of(SAMPLERS)),
+    "series_variant": (ScenarioConfig, "series_variant", _one_of(VARIANTS)),
+    "sigma_grid": (RunConfig, "sigma_grid", lambda text: tuple(map(parse_number, text.split(",")))),
+    "estimator": (RunConfig, "estimator", _one_of(ESTIMATORS)),
+    "epsilon": (RunConfig, "epsilon", parse_number),
+    "window": (RunConfig, "window", int),
+    "n_max": (RunConfig, "n_max", int),
+}
+
+
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse a config in one pass over its lines.
 
@@ -90,7 +131,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     kept and raised only once the whole text is known to be well formed.
     """
     seen: dict[str, int] = {}
-    values: dict = {}
+    # the fields given, by owner; a config without a seed leaves it to the command line
+    given: dict = {FourierSignal: {}, NoiseParams: {}, ScenarioConfig: {"seed": None},
+                   RunConfig: {}}
     theta_cos: dict[int, float] = {}
     theta_sin: dict[int, float] = {}
     op_coeffs: dict[int, float] = {}
@@ -127,20 +170,13 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
                                       f"{_MAX_ORDER}", lineno, source)
                 target = op_coeffs if head == "A." else theta_cos if head == "c." else theta_sin
                 target[index] = float(value) if "pi" not in value else parse_number(value)
-            elif key in _ENUM_KEYS:
-                if value not in _ENUM_KEYS[key]:
-                    raise ConfigError(
-                        f"{key} must be one of {', '.join(_ENUM_KEYS[key])}; got {value!r}",
-                        lineno, source)
-                values[key] = value
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = parse_number(value)
-            elif key in _LIST_KEYS:
-                values[key] = tuple(parse_number(tok) for tok in value.split(","))
+            elif key in _KEYS:
+                owner, name, parse = _KEYS[key]
+                given[owner][name] = parse(value)
             else:
                 raise ConfigError(f"unknown key {key!r}", lineno, source)
+        except _Refused as exc:
+            value_error = ConfigError(f"{key} {exc}", lineno, source)
         except ValueError as exc:  # ConfigError included
             value_error = exc if isinstance(exc, ConfigError) else ConfigError(
                 f"bad value for {key!r}: {exc}", lineno, source)
@@ -153,49 +189,20 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError("observation time t0 is required", source=source)
 
     coeffs = [op_coeffs.get(i, 0.0) for i in range(max(op_coeffs) + 1)]
+    scenario = given[ScenarioConfig]
     try:
         op = OperatorSpec.of(*coeffs)
-        half_period = values.get("l", math.pi)
-        mode_count = values.get("K", 20)
-        theta = FourierSignal.build(half_period, values.get("c0", 0.0), theta_cos, theta_sin,
-                                    mode_count=mode_count)
-        noise = NoiseParams(
-            sigma=values.get("sigma", 0.0),
-            a0=op.a0,
-            kernel=values.get("kernel", "mean_reverting"),
-            series_terms=values.get("series_terms", 999),
-        )
-        scenario = ScenarioConfig(
-            theta=theta,
-            op=op,
-            noise=noise,
-            t0=values["t0"],
-            n=values.get("n", 1),
-            mode_count=mode_count,
-            grid_points=values.get("G", 200),
-            seed=values.get("seed"),
-            quasi=bool(values.get("quasi", 0)),
-            quasi_base=values.get("quasi_base", 1),
-            observation_form=values.get("observation", "grid"),
-            sampler=values.get("sampler", "exact"),
-            series_variant=values.get("series_variant", "variance_matched"),
-        )
-        for sigma in values.get("sigma_grid", ()):  # each sweep entry is checked up front
-            scenario.with_sigma(sigma)
-    except ConfigError:
-        raise
+        theta = FourierSignal.build(  # at K modes: the config's K, else the field's default
+            cos=theta_cos, sin=theta_sin, **given[FourierSignal],
+            mode_count=scenario.get("mode_count", ScenarioConfig.mode_count))
+        noise = NoiseParams(a0=op.a0, **given[NoiseParams])
+        run = RunConfig(ScenarioConfig(theta=theta, op=op, noise=noise, **scenario),
+                        text=text, **given[RunConfig])
+        for sigma in run.sigma_grid:  # each sweep entry is checked up front
+            run.scenario.with_sigma(sigma)
     except ValueError as exc:
         raise ConfigError(str(exc), source=source) from exc
-
-    return RunConfig(
-        scenario=scenario,
-        sigma_grid=values.get("sigma_grid", ()),
-        estimator=values.get("estimator", ESTIMATOR_MEAN),
-        epsilon=values.get("epsilon", 1e-3),
-        window=values.get("window", 4),
-        n_max=values.get("n_max", 10000),
-        text=text,
-    )
+    return run
 
 
 def preset_text(name: str) -> str:

@@ -65,10 +65,12 @@ def _invert(mean, config: ScenarioConfig) -> tuple[FourierSignal, float]:
     """(estimate, amplification_max) of a mean observation.
 
     A grid mean is converted to coefficients by quadrature, a coefficient mean
-    padded to K; unrecoverable modes are zeroed before the inversion.
+    padded to K; unrecoverable modes are zeroed before the inversion. A quadrature
+    sum past a float raises FloatingPointError (exit 3).
     """
     if isinstance(mean, GridSignal):
-        mean = extract_coefficients(mean, config.mode_count)
+        with np.errstate(over="raise"):
+            mean = extract_coefficients(mean, config.mode_count)
     else:
         mean = mean.padded(config.mode_count)
     mean, amplification_max = _cap_unrecoverable_modes(mean, config.op, config.t0)

@@ -59,9 +59,10 @@ class FourierSignal:
             raise ValueError("cosine and sine coefficient lists must have equal length")
 
     @classmethod
-    def build(cls, half_period: float, c0: float = 0.0, cos: dict[int, float] | None = None,
-              sin: dict[int, float] | None = None, mode_count: int | None = None) -> "FourierSignal":
-        """Assemble a signal from sparse {mode index: coefficient} maps."""
+    def build(cls, half_period: float = np.pi, c0: float = 0.0,
+              cos: dict[int, float] | None = None, sin: dict[int, float] | None = None,
+              mode_count: int | None = None) -> "FourierSignal":
+        """Assemble a signal from sparse {mode index: coefficient} maps, on [-pi, pi) by default."""
         cos = cos or {}
         sin = sin or {}
         indices = [*cos, *sin]

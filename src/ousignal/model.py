@@ -11,13 +11,14 @@ quasi_base + quasi_shift + i in quasi mode, never on how draws are grouped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .fourier import FourierSignal, GridSignal
 from .noise import (
+    VARIANT_VARIANCE_MATCHED,
     NoiseParams,
     RandomSource,
     _block_sizes,
@@ -27,14 +28,13 @@ from .noise import (
 )
 from .spectral import OperatorSpec, propagate
 
-OBSERVE_GRID = "grid"
-OBSERVE_FOURIER = "fourier"
-SAMPLER_EXACT = "exact"
-SAMPLER_SERIES = "series"
+OBSERVATIONS = ("grid", "fourier")
+OBSERVE_GRID, OBSERVE_FOURIER = OBSERVATIONS
+SAMPLERS = ("exact", "series")
+SAMPLER_EXACT, SAMPLER_SERIES = SAMPLERS
 
-NOISE_NONE = "none"
-NOISE_PATH = "path"
-NOISE_IID = "iid"
+NOISE_MODES = ("none", "path", "iid")
+NOISE_NONE, NOISE_PATH, NOISE_IID = NOISE_MODES
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -44,7 +44,7 @@ class ScenarioConfig:
     op: OperatorSpec
     noise: NoiseParams
     t0: float
-    n: int
+    n: int = 1
     mode_count: int = 20
     grid_points: int = 200
     seed: int | None = 0
@@ -52,7 +52,7 @@ class ScenarioConfig:
     quasi_base: int = 1
     observation_form: str = OBSERVE_GRID
     sampler: str = SAMPLER_EXACT
-    series_variant: str = "variance_matched"
+    series_variant: str = VARIANT_VARIANCE_MATCHED
 
     def __post_init__(self):
         if not self.t0 > 0:
@@ -66,9 +66,9 @@ class ScenarioConfig:
                 f"grid_points={self.grid_points} cannot resolve mode_count={self.mode_count}; "
                 f"need at least {2 * self.mode_count + 1}"
             )
-        if self.observation_form not in (OBSERVE_GRID, OBSERVE_FOURIER):
+        if self.observation_form not in OBSERVATIONS:
             raise ValueError(f"unknown observation form {self.observation_form!r}")
-        if self.sampler not in (SAMPLER_EXACT, SAMPLER_SERIES):
+        if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.noise.a0 != self.op.a0:
             raise ValueError("noise a0 must equal the operator's zero-order coefficient")
@@ -85,25 +85,14 @@ class ScenarioConfig:
         """Plain-data summary of the resolved scenario, e.g. for run manifests.
 
         It holds no signal coefficients: a manifest's config text records the
-        input signal, and this summary stays the same size whatever K is.
+        input signal, and this summary stays the same size whatever K is. Past the half
+        period and the operator (whose A_0 is a0), it is every field of noise and scenario.
         """
-        return {
-            "half_period": self.theta.half_period,
-            "operator": list(self.op.coefficients),
-            "sigma": self.noise.sigma,
-            "kernel": self.noise.kernel,
-            "series_terms": self.noise.series_terms,
-            "t0": self.t0,
-            "n": self.n,
-            "mode_count": self.mode_count,
-            "grid_points": self.grid_points,
-            "seed": self.seed,
-            "quasi": self.quasi,
-            "quasi_base": self.quasi_base,
-            "observation_form": self.observation_form,
-            "sampler": self.sampler,
-            "series_variant": self.series_variant,
-        }
+        summary = {"half_period": self.theta.half_period, "operator": list(self.op.coefficients)}
+        for part in (self.noise, self):
+            summary.update((f.name, getattr(part, f.name)) for f in fields(part)
+                           if f.name not in ("a0", "theta", "op", "noise"))
+        return summary
 
 
 def analytic_mean(config: ScenarioConfig) -> FourierSignal:
@@ -292,7 +281,7 @@ def evolve_frames(config: ScenarioConfig, times,
         raise ValueError("frame times must be non-negative")
     if sorted(times) != times:
         raise ValueError("frame times must be sorted ascending")
-    if noise not in (NOISE_NONE, NOISE_PATH, NOISE_IID):
+    if noise not in NOISE_MODES:
         raise ValueError(f"unknown noise mode {noise!r}")
     rng = sample_source(config) if noise != NOISE_NONE else None
     noisy = [t for t in times if t > 0] if config.noise.sigma > 0 and noise != NOISE_NONE else []

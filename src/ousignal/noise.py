@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import GrowthOverflowError
 
-KERNEL_MEAN_REVERTING = "mean_reverting"
-KERNEL_GROWTH = "growth"
-VARIANT_VARIANCE_MATCHED = "variance_matched"
-VARIANT_PAPER_FAITHFUL = "paper_faithful"
+KERNELS = ("mean_reverting", "growth")
+KERNEL_MEAN_REVERTING, KERNEL_GROWTH = KERNELS
+VARIANTS = ("variance_matched", "paper_faithful")
+VARIANT_VARIANCE_MATCHED, VARIANT_PAPER_FAITHFUL = VARIANTS
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _EPS = np.finfo(float).eps
@@ -50,11 +50,11 @@ def _block_sizes(count: int | None, width: int = 1):
         done += rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NoiseParams:
-    """Noise amplitude, kernel rate, kernel variant, and series truncation."""
+    """Noise amplitude, kernel rate, kernel variant, and series truncation; keyword-only."""
 
-    sigma: float
+    sigma: float = 0.0
     a0: float
     kernel: str = KERNEL_MEAN_REVERTING
     series_terms: int = 999
@@ -64,7 +64,7 @@ class NoiseParams:
             raise ValueError("sigma must be a non-negative finite real")
         if not (np.isfinite(self.a0) and self.a0 > 0):
             raise ValueError("a0 must be a positive finite real")
-        if self.kernel not in (KERNEL_MEAN_REVERTING, KERNEL_GROWTH):
+        if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.series_terms < 1:
             raise ValueError("series_terms must be >= 1")
@@ -320,7 +320,7 @@ def ou_integral_series(params: NoiseParams, t0, coeffs,
     times_list = times.reshape(-1).tolist()
     if times.ndim > 1 or any(t < 0 for t in times_list):
         raise ValueError("t0 must be a non-negative time or a vector of such times")
-    if variant not in (VARIANT_VARIANCE_MATCHED, VARIANT_PAPER_FAITHFUL):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown series variant {variant!r}")
     if variant == VARIANT_VARIANCE_MATCHED:
         scale = params.sigma / math.sqrt(2.0 * params.a0)

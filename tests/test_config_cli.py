@@ -2,7 +2,9 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -19,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _util import wideband_config_text
-from ousignal import (ConfigError, load_config, model, noise, noise_variance, ou_joint_pairs,
+from ousignal import (ConfigError, FourierSignal, NoiseParams, RunConfig, ScenarioConfig,
+                      load_config, model, noise, noise_variance, ou_joint_pairs,
                       parse_config_text)
 from ousignal.cli import build_parser, main, replay_manifest
-from ousignal.config import PRESETS, parse_number, preset_text
+from ousignal.config import _KEYS, PRESETS, parse_number, preset_text
 from ousignal.manifest import RunManifest
 
 PI = math.pi
@@ -140,6 +143,78 @@ def test_parse_error_messages_and_lines(text, message):
     with pytest.raises(ConfigError) as caught:
         parse_config_text(text, source="case.cfg")
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("line, message", [
+    ("quasi = 5", "case.cfg:3: quasi must be 0 or 1; got '5'"),
+    ("quasi = -3", "case.cfg:3: quasi must be 0 or 1; got '-3'"),
+    ("quasi = x", "case.cfg:3: bad value for 'quasi': invalid literal for int() with base 10: 'x'"),
+    ("seed = -4", "case.cfg:3: seed must be an integer >= 0; got '-4'"),
+])
+def test_parse_refuses_quasi_outside_0_and_1_and_a_negative_seed(line, message):
+    # quasi = 5 and quasi = -3 once ran quasi mode; seed = -4 once failed in numpy's seeding
+    with pytest.raises(ConfigError) as caught:
+        parse_config_text(_BASE + line + "\n", source="case.cfg")
+    assert str(caught.value) == message
+
+
+# for each non-indexed key, a valid value other than its default, as text and as parsed
+_NON_DEFAULTS = {
+    "l": ("pi/2", PI / 2), "c0": ("3", 3.0), "sigma": ("4", 4.0), "kernel": ("growth", "growth"),
+    "series_terms": ("7", 7), "t0": ("0.5", 0.5), "n": ("3", 3), "K": ("4", 4), "G": ("11", 11),
+    "seed": ("5", 5), "quasi": ("1", True), "quasi_base": ("6", 6),
+    "observation": ("fourier", "fourier"), "sampler": ("series", "series"),
+    "series_variant": ("paper_faithful", "paper_faithful"), "sigma_grid": ("1, 2", (1.0, 2.0)),
+    "estimator": ("infinite", "infinite"), "epsilon": ("0.25", 0.25), "window": ("3", 3),
+    "n_max": ("9", 9),
+}
+
+
+def _field_value(run: RunConfig, owner, name):
+    """The value a parsed config gives field name of owner."""
+    sc = run.scenario
+    return getattr({FourierSignal: sc.theta, NoiseParams: sc.noise, ScenarioConfig: sc,
+                    RunConfig: run}[owner], name)
+
+
+def _field_default(owner, name):
+    if owner is FourierSignal:  # theta is built by FourierSignal.build
+        return inspect.signature(FourierSignal.build).parameters[name].default
+    return next(f.default for f in dataclasses.fields(owner) if f.name == name)
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS))
+def test_each_config_key_sets_its_field_and_defaults_to_the_field_default(key):
+    assert set(_NON_DEFAULTS) == set(_KEYS)
+    owner, name, _ = _KEYS[key]
+    text, value = _NON_DEFAULTS[key]
+    lines = {"A.0": "2", "t0": "1", "K": "5", key: text}
+    run = parse_config_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    assert _field_value(run, owner, name) == value != _field_default(owner, name)
+    if key == "t0":  # required
+        return
+    bare = parse_config_text("A.0 = 2\nt0 = 1\n")
+    # the one config-level default: a config without a seed leaves it to the command
+    expected = None if key == "seed" else _field_default(owner, name)
+    assert _field_value(bare, owner, name) == expected
+
+
+_SUMMARY = {"half_period": PI, "operator": [2.0, -1.0, 0.0], "sigma": 150.0,
+            "kernel": "mean_reverting", "series_terms": 999, "t0": 0.4487989505128276, "n": 4,
+            "mode_count": 20, "grid_points": 200, "seed": None, "quasi": False, "quasi_base": 1,
+            "observation_form": "grid", "sampler": "exact", "series_variant": "variance_matched"}
+
+
+@pytest.mark.parametrize("name, summary", [
+    ("ex41", {**_SUMMARY, "operator": [2.0, -10.0, 0.0], "sigma": 1.174, "n": 1}),
+    ("ex42", _SUMMARY),
+    ("ex43", {**_SUMMARY, "n": 10}),
+    ("wideband", {**_SUMMARY, "operator": [1.0, 0.0, 0.0, 5e-07, 0.0], "sigma": 1.0, "t0": 0.3,
+                  "n": 8, "mode_count": 2000, "grid_points": 4001, "seed": 11}),
+])
+def test_scenario_summaries_match_the_pinned_literals(name, summary):
+    text = wideband_config_text() if name == "wideband" else preset_text(name)
+    assert parse_config_text(text).scenario.to_dict() == summary
 
 
 @pytest.mark.parametrize("order, code", [(1000, 0), (1001, 2), (20000, 2)])
@@ -569,6 +644,22 @@ def test_cli_estimate_samples_whose_sum_overflows_exits_3(tmp_path, capsys):
     assert "numeric instability: overflow" in err and "Traceback" not in err
 
 
+def test_cli_estimate_one_sample_whose_quadrature_overflows_exits_3(tmp_path, capsys):
+    # one finite sample with 1e308 at each of its 8 points: the quadrature's sum overflows.
+    # This once exited 2 as "c0 must be finite", after three numpy warnings
+    grid = (PI * (2.0 * np.arange(8) / 8 - 1.0)).tolist()
+    samples = tmp_path / "samples.csv"
+    samples.write_text("sample_id,x,value\n" + "".join(f"0,{x!r},1e308\n" for x in grid))
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("A.0 = 2\nsigma = 1\nt0 = 0.1\nK = 2\nG = 8\nseed = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("estimate", "--config", str(cfg), "--samples", str(samples),
+                       "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "numeric instability: overflow encountered in rfft" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text, message", [
     pytest.param("", "expected columns sample_id,x,value or sample_id,k,c,d, found <empty>",
                  id="empty-file"),
@@ -754,6 +845,7 @@ def test_cli_estimate_infinite_zeroes_modes_and_reports_amplification(tmp_path):
     (["verify", "--config", "ex42", "--n", "1"], "--n must be >= 2"),
     (["estimate", "--config", "ex42", "--samples", "{tmp}/missing.csv"], "missing.csv"),
     (["spectrum", "--config", "ex42", "--out", "{tmp}/afile/sub"], "afile/sub"),
+    (["sample", "--config", "ex42", "--seed", "-4"], "--seed must be an integer >= 0"),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
     (tmp_path / "afile").write_text("")

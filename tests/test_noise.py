@@ -378,8 +378,9 @@ def test_series_variance_matches_analytic():
     draws = np.empty(100000)
     for i in range(10):
         coeffs = rng.standard_normal((10000, 1000))
-        block = [ou_integral_series(p, t0, row) for row in coeffs]
-        draws[i * 10000:(i + 1) * 10000] = block
+        # one matrix call; test_series_matrix_rows_match_vector_calls holds each of its
+        # rows to the per-row call
+        draws[i * 10000:(i + 1) * 10000] = ou_integral_series(p, t0, coeffs)
     analytic = noise_variance(p, t0)
     se = analytic * math.sqrt(2.0 / (draws.size - 1))
     truncation = math.exp(-2 * p.a0 * t0) * 2.0 / (math.pi**2 * 999)
