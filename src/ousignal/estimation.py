@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import RunConfig
 from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distance
 from .model import SampleSet, ScenarioConfig, _fold, _row_signal, _stream_rows, sample_batch
 from .spectral import AMPLIFICATION_CAP, OperatorSpec, inverse_propagate, mode_spectrum
@@ -97,8 +98,9 @@ def run_estimate(samples: SampleSet) -> EstimateReport:
     return _report(samples.config, samples.n, True, *_invert(samples.mean_signal(), samples.config))
 
 
-def estimate_until_stable(config: ScenarioConfig, epsilon: float, window: int = 4,
-                          n_max: int = 10000) -> EstimateReport:
+def estimate_until_stable(config: ScenarioConfig, epsilon: float,
+                          window: int = RunConfig.window,
+                          n_max: int = RunConfig.n_max) -> EstimateReport:
     """Running estimate over sample_stream(config) with a Cauchy stopping rule.
 
     Folds the rows of that stream into a running sum one at a time, through
@@ -141,14 +143,24 @@ class ConvergenceStudy:
     slope: float | None
 
 
+def _loglog_slope(n_grid, means) -> float:
+    """Least-squares slope of log(means) on log(n_grid), in the centred closed form
+    sum(xc yc) / sum(xc xc). It calls no LAPACK routine: np.polyfit's lstsq faulted
+    about 1 MB of LAPACK into the process for this one fit."""
+    x = np.log(np.array(n_grid, dtype=float))
+    y = np.log(means)
+    xc, yc = x - x.mean(), y - y.mean()
+    return float(np.dot(xc, yc) / np.dot(xc, xc))
+
+
 def convergence_study(config: ScenarioConfig, n_grid, trials: int) -> ConvergenceStudy:
     """Repeat the estimation for each sample size and fit the error decay.
 
     Trial (n, t) draws its samples from streams keyed on (seed, n, t, i), so
     runs are reproducible and trials are independent; with quasi drivers each
-    trial gets a disjoint block of streams. The slope is the least-squares
-    fit of log(mean sup error) against log(n), left undefined when the
-    errors sit at roundoff level (noiseless channel).
+    trial gets a disjoint block of streams. The slope is _loglog_slope of the
+    mean sup errors, left undefined when the errors sit at roundoff level
+    (noiseless channel).
     """
     n_grid = [int(n) for n in n_grid]
     if n_grid != sorted(n_grid) or len(set(n_grid)) != len(n_grid):
@@ -174,7 +186,7 @@ def convergence_study(config: ScenarioConfig, n_grid, trials: int) -> Convergenc
         summary.append((n, float(errors.mean()), sd))
     means = np.array([m for _, m, _ in summary])
     if len(n_grid) >= 2 and np.all(means > 1e-12):
-        slope = float(np.polyfit(np.log(np.array(n_grid, dtype=float)), np.log(means), 1)[0])
+        slope = _loglog_slope(n_grid, means)
     else:
         slope = None
     return ConvergenceStudy(rows, summary, slope)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 # Bumped whenever the same config and seed stop giving the same bytes; replay
 # refuses manifests written under another version.
-ARTIFACT_VERSION = "0.5.0"
+ARTIFACT_VERSION = "0.6.0"
 
 
 def fmt(value) -> str:

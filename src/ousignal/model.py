@@ -19,6 +19,7 @@ import numpy as np
 from .fourier import FourierSignal, GridSignal
 from .noise import (
     VARIANT_VARIANCE_MATCHED,
+    VARIANTS,
     NoiseParams,
     RandomSource,
     _block_sizes,
@@ -70,6 +71,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown observation form {self.observation_form!r}")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
+        if self.series_variant not in VARIANTS:
+            raise ValueError(f"unknown series variant {self.series_variant!r}")
         if self.noise.a0 != self.op.a0:
             raise ValueError("noise a0 must equal the operator's zero-order coefficient")
         if self.theta.mode_count > self.mode_count:
@@ -143,11 +146,12 @@ def _form_rows(base: np.ndarray, etas: np.ndarray, form: str,
                out: np.ndarray | None = None) -> np.ndarray:
     """Drawn rows (into out, if given): row i the noiseless row base plus eta_i on every grid
     value, or plus 2 eta_i on c0 (the stored c0 is twice the constant term)."""
-    if form == OBSERVE_GRID:
-        return np.add(base, etas[:, None], out=out)
     out = np.empty((etas.size, base.size)) if out is None else out
     out[...] = base
-    out[:, 0] += 2.0 * etas
+    if form == OBSERVE_GRID:
+        out += etas[:, None]
+    else:
+        out[:, 0] += 2.0 * etas
     return out
 
 

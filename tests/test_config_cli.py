@@ -481,10 +481,24 @@ def test_cli_convergence_matches_pinned_digests(tmp_path):
                    "--seed", "9", "--out", str(tmp_path)) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("experiment.csv", "summary.csv")}
+    # summary.csv re-pinned under ARTIFACT_VERSION 0.6.0, whose closed-form slope moves the
+    # last digits of its `# slope=` line; experiment.csv keeps its earlier bytes
     assert digests == {
         "experiment.csv": "e2a81bd92c907da971987b38ef856cd3ca217ceef56c7d01a7146eb4948341f6",
-        "summary.csv": "0fbc1a8a8e0b71f873024008d859ffb8cec874a4179204dc3c2de764624596fe",
+        "summary.csv": "b413b024ad192fe796e6c5db3093e19001eed7aa9f57f950c77565f6381e51f6",
     }
+
+
+def test_cli_convergence_makes_no_lapack_call(tmp_path, monkeypatch):
+    # np.polyfit's lstsq faulted about 1 MB of LAPACK into the process for one slope
+    def refuse(*args, **kwargs):
+        raise AssertionError("convergence called LAPACK")
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert run_cli("convergence", "--config", "ex42", "--n-grid", "10,100,1000", "--trials", "3",
+                   "--seed", "9", "--out", str(tmp_path)) == 0
+    digest = hashlib.sha256((tmp_path / "experiment.csv").read_bytes()).hexdigest()
+    assert digest == "e2a81bd92c907da971987b38ef856cd3ca217ceef56c7d01a7146eb4948341f6"
 
 
 # SHA-256 under ARTIFACT_VERSION 0.4.0 of the outputs that fold streamed draws: verify's

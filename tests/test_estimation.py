@@ -1,18 +1,21 @@
 """Estimator behavior: exact recovery without noise, error structure, convergence."""
 
+import inspect
 import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ousignal import (
     FourierSignal,
     OperatorSpec,
+    RunConfig,
     convergence_study,
     estimate_until_stable,
     inverse_propagate,
@@ -222,6 +225,41 @@ def test_stable_estimate_refuses_n_max_below_one(n_max):
     # n_max = 0 once drew one sample anyway and reported "no convergence after 1 samples"
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         estimate_until_stable(make_config(n=1), epsilon=1e-3, n_max=n_max)
+
+
+def test_stable_estimate_defaults_are_the_run_config_defaults():
+    defaults = inspect.signature(estimate_until_stable).parameters
+    assert defaults["window"].default == RunConfig.window
+    assert defaults["n_max"].default == RunConfig.n_max
+
+
+@st.composite
+def _loglog_fits(draw):
+    n_grid = sorted(draw(st.lists(st.integers(1, 10**9), min_size=2, max_size=12, unique=True)))
+    means = draw(st.lists(st.floats(min_value=1e-300, max_value=1e300),
+                          min_size=len(n_grid), max_size=len(n_grid)))
+    return n_grid, np.array(means)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_loglog_fits())
+@example(([1, 2, 3, 4, 5, 6, 7], np.full(7, 0.03125)))
+@example((list(range(10**9 - 6, 10**9 + 1)), np.full(7, 0.03125)))
+def test_loglog_slope_is_within_a_few_ulp_of_the_exact_slope(fit):
+    n_grid, means = fit
+    x, y = np.log(np.array(n_grid, dtype=float)), np.log(means)
+    xs, ys = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in y.tolist()]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((a - x_bar) ** 2 for a in xs)
+    exact = sum((a - x_bar) * (b - y_bar) for a, b in zip(xs, ys)) / sxx
+    # xc and yc as the slope forms them, their means rounded; rounding both means adds
+    # the second-order N dx dy / sxx, which alone is seen when the means are all equal
+    xc, yc = x - x.mean(), y - y.mean()
+    scale = max(math.sqrt(np.dot(yc, yc) / np.dot(xc, xc)), abs(float(exact)))
+    centring = (len(xs) * abs(Fraction(x.mean()) - x_bar) * abs(Fraction(y.mean()) - y_bar)
+                / sxx)
+    error = abs(Fraction(estimation._loglog_slope(n_grid, means)) - exact)
+    assert error <= 4 * np.finfo(float).eps * Fraction(scale) + centring
 
 
 def test_study_rejects_bad_grid():

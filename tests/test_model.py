@@ -51,6 +51,12 @@ def test_config_validation():
                        t0=T0, n=1)
 
 
+def test_config_refuses_an_unknown_series_variant():
+    # the exact sampler never reads the variant, so only __post_init__ can refuse it
+    with pytest.raises(ValueError, match="unknown series variant 'bogus'"):
+        sample_batch(make_config(series_variant="bogus"))
+
+
 def test_config_pads_theta():
     cfg = make_config(theta=FourierSignal.build(PI, c0=1.0, cos={1: 5.0}), mode_count=20)
     assert cfg.theta.mode_count == 20
