@@ -9,7 +9,6 @@ samples with a sample-mean inverse-propagation estimator.
 from .config import RunConfig, load_config, parse_config_text
 from .errors import (
     AliasingError,
-    AmplificationError,
     ConfigError,
     GrowthOverflowError,
     OusignalError,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AliasingError",
-    "AmplificationError",
     "ConfigError",
     "ConvergenceStudy",
     "EstimateReport",

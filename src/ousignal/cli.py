@@ -92,6 +92,9 @@ def cmd_estimate(args, run: RunConfig, out_dir: Path):
     sc = run.scenario
     extra: dict = {}
 
+    if args.samples is not None and args.n is not None:
+        raise ConfigError("--n cannot resize a --samples file, whose rows set the sample "
+                          "count; drop --n or --samples")
     if run.estimator == ESTIMATOR_INFINITE:
         if args.samples is not None:
             raise ConfigError("--samples cannot feed estimator = infinite, which draws its "

@@ -130,7 +130,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     values) is checked on every line before any value is: a value error is
     kept and raised only once the whole text is known to be well formed.
     """
-    seen: dict[str, int] = {}
+    # the line of each key given: by name, or by index in its prefix's dict, so that
+    # c.1 and c.01 are one key
+    seen: dict = {head: {} for head in _INDEXED}
     # the fields given, by owner; a config without a seed leaves it to the command line
     given: dict = {FourierSignal: {}, NoiseParams: {}, ScenarioConfig: {"seed": None},
                    RunConfig: {}}
@@ -151,17 +153,21 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         indexed = head in _INDEXED
         if not (key[2:].isdigit() and key.isascii() if indexed else _valid_key(key)):
             raise ConfigError(f"malformed key {key!r}", lineno, source)
-        if key in seen:
-            raise ConfigError(f"duplicate key {key!r} (first given on line {seen[key]})",
+        try:
+            lines, ident = (seen[head], int(key[2:])) if indexed else (seen, key)
+        except ValueError:  # more digits than int() converts
+            raise ConfigError(f"malformed key {key!r}", lineno, source) from None
+        if ident in lines:
+            raise ConfigError(f"duplicate key {key!r} (first given on line {lines[ident]})",
                               lineno, source)
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno, source)
-        seen[key] = lineno
+        lines[ident] = lineno
         if value_error is not None:
             continue
         try:
             if indexed:
-                index = int(key[2:])
+                index = ident
                 if index < 1 and head != "A.":
                     raise ConfigError("mode indices start at 1; use c0 for the constant term",
                                       lineno, source)
@@ -183,7 +189,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     if value_error is not None:
         raise value_error
 
-    if "A.0" not in seen:
+    if 0 not in seen["A."]:
         raise ConfigError("operator needs at least A.0", source=source)
     if "t0" not in seen:
         raise ConfigError("observation time t0 is required", source=source)

@@ -12,20 +12,16 @@ from .spectral import ModeSpectrum
 
 
 def write_fourier_csv(signal: FourierSignal, path) -> None:
-    """Rows k,c,d; the k=0 row carries (c0, 0)."""
-    _write_modes(path, ["k", "c", "d"], signal.c0, signal.c, signal.d)
+    """Rows k,c,d for k = 0..K; the k=0 row carries (c0, 0)."""
+    write_columns(path, ["k", "c", "d"], [np.arange(signal.mode_count + 1),
+                                          np.concatenate([[signal.c0], signal.c]),
+                                          np.concatenate([[0.0], signal.d])])
 
 
 def write_spectrum_csv(spectrum: ModeSpectrum, path) -> None:
-    """Rows k,sigma,omega; the k=0 row carries the constant-mode rate."""
-    _write_modes(path, ["k", "sigma", "omega"], spectrum.sigma0, spectrum.sigma, spectrum.omega)
-
-
-def _write_modes(path, header: list[str], at_zero: float, first, second) -> None:
-    """Rows k = 0..K of a per-mode pair of columns; the k=0 row is (0, at_zero, 0)."""
-    write_columns(path, header, [np.arange(first.size + 1),
-                                 np.concatenate([[at_zero], first]),
-                                 np.concatenate([[0.0], second])])
+    """Rows k,sigma,omega for k = 0..K; k = 0 is the constant mode."""
+    write_columns(path, ["k", "sigma", "omega"],
+                  [np.arange(spectrum.sigma.size), spectrum.sigma, spectrum.omega])
 
 
 def write_samples_csv(samples: SampleSet, path) -> None:

@@ -10,28 +10,15 @@ class AliasingError(OusignalError, ValueError):
 
 
 class GrowthOverflowError(OusignalError, FloatingPointError):
-    """Forward propagation would overflow the coefficient value cap."""
+    """A solution map (forward, or inverse over negative t) would overflow the value cap."""
 
     def __init__(self, mode: int, exponent: float, t: float):
         self.mode = mode
         self.exponent = exponent
         self.t = t
         super().__init__(
-            f"forward propagation over t={t:g} overflows at mode {mode}: "
+            f"the solution map over t={t:g} overflows at mode {mode}: "
             f"coefficient magnitude would reach exp({exponent:.1f})"
-        )
-
-
-class AmplificationError(OusignalError, FloatingPointError):
-    """Inverse propagation would amplify a nonzero mode beyond the cap."""
-
-    def __init__(self, mode: int, exponent: float, cap: float):
-        self.mode = mode
-        self.exponent = exponent
-        self.cap = cap
-        super().__init__(
-            f"inverting mode {mode} amplifies by exp({exponent:.1f}), above the "
-            f"cap {cap:g}; strongly damped modes cannot be recovered reliably"
         )
 
 

@@ -92,7 +92,9 @@ _ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _ICDF_SPLIT = 0.02425
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)  # numpy has no erfc; scipy stays a test-only dependency
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """math.erfc elementwise: numpy has no erfc, and scipy stays a test-only dependency."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def gaussian_inverse_cdf(p):
@@ -113,7 +115,7 @@ def gaussian_inverse_cdf(p):
     central = np.polyval(_ICDF_A, r) * q / np.polyval(_ICDF_B + (1.0,), r)
     z = np.where(low, tail, np.where(high, -tail, central))
     # Halley step; skipped where exp(z^2 / 2) would overflow
-    err = 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=float) - flat
+    err = 0.5 * _erfc(-z / math.sqrt(2.0)) - flat
     u = err * _SQRT2PI * np.exp(np.minimum(0.5 * z * z, _SAFE_LOG))
     z = np.where(z * z < 2.0 * _SAFE_LOG, z - u / (1.0 + 0.5 * z * u), z)
     return float(z[0]) if p.ndim == 0 else z.reshape(p.shape)

@@ -6,6 +6,8 @@ scalar rate sigma_k = sum_n (-1)^n A_{2n} q^{2n} and odd derivatives the
 rotation rate omega_k = sum_n (-1)^n A_{2n+1} q^{2n+1}; in (c, d) coordinates
 the action is the matrix [[sigma, omega], [-omega, sigma]], so the time-t
 solution map scales each mode by exp(sigma_k t) and rotates it by omega_k t.
+The constant mode is k = 0: q = 0 gives (sigma_0, omega_0) = (A_0, 0), and its
+sine coefficient is zero.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplificationError, GrowthOverflowError
+from .errors import GrowthOverflowError
 from .fourier import FourierSignal
 
 VALUE_CAP = 1e300
-AMPLIFICATION_CAP = 1e12
 
 # exp() stays finite below this exponent; larger scale factors go through
 # log space so that huge-factor-times-tiny-coefficient products stay exact
@@ -56,24 +57,26 @@ class OperatorSpec:
 
 @dataclass(frozen=True, eq=False)
 class ModeSpectrum:
-    """Per-mode decay rate and rotation frequency, plus the constant-mode rate."""
+    """Per-mode decay rate sigma_k and rotation frequency omega_k for k = 0..K.
 
-    sigma0: float
+    Row 0 is the constant mode: q_0 = 0 gives (sigma_0, omega_0) = (A_0, 0).
+    """
+
     sigma: np.ndarray
     omega: np.ndarray
 
 
 def mode_spectrum(op: OperatorSpec, mode_count: int, half_period: float) -> ModeSpectrum:
-    """Rates (sigma_k, omega_k) for modes k = 1..mode_count.
+    """Rates (sigma_k, omega_k) for modes k = 0..mode_count.
 
     Raises FloatingPointError naming the first mode whose rate is not finite
     (the operator's terms overflow double precision there).
     """
-    if mode_count < 1:
-        raise ValueError("mode_count must be >= 1")
-    q = np.arange(1, mode_count + 1) * (np.pi / half_period)
-    sigma = np.zeros(mode_count)
-    omega = np.zeros(mode_count)
+    if mode_count < 0:
+        raise ValueError("mode_count must be >= 0")
+    q = np.arange(mode_count + 1) * (np.pi / half_period)
+    sigma = np.zeros(mode_count + 1)
+    omega = np.zeros(mode_count + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for n, a in enumerate(op.coefficients):
             if a == 0.0:
@@ -86,11 +89,11 @@ def mode_spectrum(op: OperatorSpec, mode_count: int, half_period: float) -> Mode
                 omega += term
     finite = np.isfinite(sigma) & np.isfinite(omega)
     if not finite.all():
-        k = int(np.argmin(finite)) + 1
+        k = int(np.argmin(finite))
         raise FloatingPointError(
-            f"mode {k} has a rate that is not finite (sigma_{k} = {sigma[k - 1]:g}, "
-            f"omega_{k} = {omega[k - 1]:g}): the operator's terms overflow double precision")
-    return ModeSpectrum(sigma0=op.a0, sigma=sigma, omega=omega)
+            f"mode {k} has a rate that is not finite (sigma_{k} = {sigma[k]:g}, "
+            f"omega_{k} = {omega[k]:g}): the operator's terms overflow double precision")
+    return ModeSpectrum(sigma=sigma, omega=omega)
 
 
 def _rescale(rotated: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
@@ -104,63 +107,51 @@ def _rescale(rotated: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transform(signal: FourierSignal, log0: float, log_scale: np.ndarray,
-               angle: np.ndarray) -> FourierSignal:
-    if log0 < _SAFE_EXP:
-        c0 = np.exp(log0) * signal.c0
-    else:
-        c0 = 0.0 if signal.c0 == 0.0 else np.sign(signal.c0) * np.exp(log0 + np.log(abs(signal.c0)))
-    if signal.mode_count == 0:
-        return FourierSignal(signal.half_period, c0, signal.c, signal.d)
+def _solve(signal: FourierSignal, op: OperatorSpec, t: float) -> FourierSignal:
+    """The time-t solution map for t of either sign, over modes k = 0..K at once.
+
+    Raises GrowthOverflowError naming the first mode whose coefficient would
+    exceed VALUE_CAP.
+    """
+    spectrum = mode_spectrum(op, signal.mode_count, signal.half_period)
+    c = np.concatenate([[signal.c0], signal.c])
+    d = np.concatenate([[0.0], signal.d])
+    log_scale = spectrum.sigma * t
+    with np.errstate(divide="ignore"):
+        exponent = log_scale + np.log(np.maximum(np.abs(c), np.abs(d)))
+    over = exponent > np.log(VALUE_CAP)
+    if np.any(over):
+        k = int(np.argmax(over))
+        raise GrowthOverflowError(k, float(exponent[k]), t)
+    angle = spectrum.omega * t
     cos_a = np.cos(angle)
     sin_a = np.sin(angle)
-    c_rot = signal.c * cos_a + signal.d * sin_a
-    d_rot = signal.d * cos_a - signal.c * sin_a
-    return FourierSignal(signal.half_period, c0,
-                         _rescale(c_rot, log_scale), _rescale(d_rot, log_scale))
+    c_out = _rescale(c * cos_a + d * sin_a, log_scale)
+    d_out = _rescale(d * cos_a - c * sin_a, log_scale)
+    # rotating and _rescale leave every zero +0; below _SAFE_EXP a zero constant
+    # term keeps its sign instead, as exp(A_0 t) * c0 does
+    c0 = signal.c0 if signal.c0 == 0.0 and log_scale[0] < _SAFE_EXP else c_out[0]
+    return FourierSignal(signal.half_period, c0, c_out[1:], d_out[1:])
 
 
 def propagate(signal: FourierSignal, op: OperatorSpec, t: float) -> FourierSignal:
     """Apply the time-t solution map of d/dt = (operator) to the signal.
 
-    Each mode is scaled by exp(sigma_k t) and rotated by omega_k t; the
-    constant mode scales by exp(A_0 t). Raises GrowthOverflowError naming the
-    first mode whose coefficient would exceed VALUE_CAP.
+    Each mode k = 0..K is scaled by exp(sigma_k t) and rotated by omega_k t
+    (the constant mode by exp(A_0 t) alone). Raises GrowthOverflowError naming
+    the first mode whose coefficient would exceed VALUE_CAP.
     """
     if t < 0:
         raise ValueError("propagation time must be non-negative")
-    log_cap = np.log(VALUE_CAP)
-    if signal.c0 != 0.0 and op.a0 * t + np.log(abs(signal.c0)) > log_cap:
-        raise GrowthOverflowError(0, op.a0 * t + np.log(abs(signal.c0)), t)
-    if signal.mode_count == 0:
-        return _transform(signal, op.a0 * t, np.empty(0), np.empty(0))
-    spectrum = mode_spectrum(op, signal.mode_count, signal.half_period)
-    radius = np.maximum(np.abs(signal.c), np.abs(signal.d))
-    with np.errstate(divide="ignore"):
-        exponent = spectrum.sigma * t + np.log(radius)
-    over = exponent > log_cap
-    if np.any(over):
-        k = int(np.argmax(over)) + 1
-        raise GrowthOverflowError(k, float(exponent[k - 1]), t)
-    return _transform(signal, op.a0 * t, spectrum.sigma * t, spectrum.omega * t)
+    return _solve(signal, op, t)
 
 
 def inverse_propagate(signal: FourierSignal, op: OperatorSpec, t: float) -> FourierSignal:
-    """Exact inverse of propagate: scale mode k by exp(-sigma_k t), rotate by -omega_k t.
+    """Exact inverse of propagate: the solution map over -t, under the same overflow guard.
 
-    Modes with nonzero coefficients whose inverse factor exceeds
-    AMPLIFICATION_CAP are rejected (inverting strong damping amplifies
-    numerical noise); zero coefficients pass through untouched.
+    Inverting strong damping amplifies whatever sits on a mode; the estimator
+    zeroes the modes it cannot recover before it calls this.
     """
     if t < 0:
         raise ValueError("propagation time must be non-negative")
-    if signal.mode_count == 0:
-        return _transform(signal, -op.a0 * t, np.empty(0), np.empty(0))
-    spectrum = mode_spectrum(op, signal.mode_count, signal.half_period)
-    log_cap = np.log(AMPLIFICATION_CAP)
-    nonzero = (signal.c != 0.0) | (signal.d != 0.0)
-    over = nonzero & (-spectrum.sigma * t > log_cap)
-    if np.any(over):
-        k = int(np.argmax(over)) + 1
-        raise AmplificationError(k, float(-spectrum.sigma[k - 1] * t), AMPLIFICATION_CAP)
-    return _transform(signal, -op.a0 * t, -spectrum.sigma * t, -spectrum.omega * t)
+    return _solve(signal, op, -t)

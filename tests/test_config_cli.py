@@ -93,6 +93,12 @@ def test_parse_pi_tokens():
     assert run.scenario.theta.half_period == PI
 
 
+def test_parse_indexed_keys_by_their_index():
+    run = parse_config_text("A.00 = 2\nA.01 = -1\nt0 = 1\nc.003 = 4\nd.01 = 5\n")
+    assert run.scenario.op.coefficients == (2.0, -1.0, 0.0)
+    assert run.scenario.theta.c[2] == 4.0 and run.scenario.theta.d[0] == 5.0
+
+
 def test_parse_number_pi_over_zero_is_a_value_error():
     with pytest.raises(ValueError, match="integer >= 1"):  # once a ZeroDivisionError
         parse_number("-pi/0")
@@ -122,8 +128,12 @@ _BASE = "A.0 = 2\nt0 = 1\n"
     (_BASE + " = 2\n", "case.cfg:3: malformed key ''"),
     (_BASE + "c.1 = # nothing\n", "case.cfg:3: empty value for key 'c.1'"),
     (_BASE + "c.0 = zebra\n", "case.cfg:3: mode indices start at 1; use c0 for the constant term"),
+    # an indexed key is its index: c.01 repeats c.1, and A.00 is A.0
     (_BASE + "c.1 = 1\nc.01 = 2\nc.1 = 3\n",
-     "case.cfg:5: duplicate key 'c.1' (first given on line 3)"),
+     "case.cfg:4: duplicate key 'c.01' (first given on line 3)"),
+    ("A.0 = 2\nA.00 = 3\nt0 = 1\n", "case.cfg:2: duplicate key 'A.00' (first given on line 1)"),
+    ("A.00 = 2\nt0 = 1\nd.7 = 1\nd.007 = 1\n",
+     "case.cfg:4: duplicate key 'd.007' (first given on line 3)"),
     (_BASE + "c.1 = pi/7/2\n",
      "case.cfg:3: bad value for 'c.1': could not convert string to float: 'pi/7/2'"),
     (_BASE + "A.1 = pi/+7\n",
@@ -143,6 +153,12 @@ def test_parse_error_messages_and_lines(text, message):
     with pytest.raises(ConfigError) as caught:
         parse_config_text(text, source="case.cfg")
     assert str(caught.value) == message
+
+
+def test_parse_index_past_int_digit_limit_is_a_malformed_key():
+    # duplicates are found by index, so an index int() cannot read is a malformed key
+    with pytest.raises(ConfigError, match="^case.cfg:3: malformed key 'c.999"):
+        parse_config_text(_BASE + "c." + "9" * 5000 + " = 1\n", source="case.cfg")
 
 
 @pytest.mark.parametrize("line, message", [
@@ -595,6 +611,37 @@ def test_cli_estimate_from_file_equals_in_memory_bytes(tmp_path, observation, wi
         assert (on_disk / name).read_bytes() == (in_memory / name).read_bytes()
 
 
+# SHA-256 under ARTIFACT_VERSION 0.6.0 of a zero signal whose constant term is -0: the
+# outputs keep the sign of each zero. At t0 = 700 the factor exp(A_0 t0) goes through log
+# space, where a zero constant term comes out +0
+SIGNED_ZERO_SAMPLES = {
+    ("5", "fourier"): "f1224eedcfa2eaca8fd58220d788319a6d35b17f7951861eb85f90f38d745159",
+    ("5", "grid"): "98fcb1f4e54b6f38c925a5432bb05b2efa8152d991164505137c0441049ef44f",
+    ("700", "fourier"): "10b647a4be5583f191027fb355e4355a90dc39a9368cda32a47aa79075e114fc",
+    ("700", "grid"): "19f3026a2d23795a56171002103718e407d69bd38bd09060e9bd786d7b0ebf1e",
+}
+SIGNED_ZERO_FRAMES = {
+    "5": "cbccf013aaa2f6124677ca31450eba76acc135b6dbf9d50a57fa57aa4d2e2a51",
+    "700": "2e630e23c928b2c0d5a28d0a30b4f5e8e66f65a8c0239f6446e7c73d08fdeb08",
+}
+SIGNED_ZERO_ESTIMATE = "00f4ce24eba38684b22477fe58a4b571970bc4b5866c5e211484642996362b83"
+
+
+@pytest.mark.parametrize("t0, observation", SIGNED_ZERO_SAMPLES)
+def test_cli_negative_zero_constant_term_matches_pinned_digests(tmp_path, t0, observation):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(f"A.0 = 1\nc0 = -0\nsigma = 0\nt0 = {t0}\nK = 2\nG = 8\nseed = 1\n"
+                   f"observation = {observation}\n")
+    for argv in (["sample", "--n", "6"], ["estimate", "--n", "6"],
+                 ["evolve", "--noise", "iid", f"--times=0:{t0}:3"]):
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path)) == 0
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("samples.csv", "estimate.csv", "frames.csv")}
+    assert digest == {"samples.csv": SIGNED_ZERO_SAMPLES[t0, observation],
+                      "estimate.csv": SIGNED_ZERO_ESTIMATE,
+                      "frames.csv": SIGNED_ZERO_FRAMES[t0]}
+
+
 def test_cli_sample_seed_changes_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_cli("sample", "--config", "ex42", "--out", str(out1), "--seed", "5")
@@ -672,6 +719,24 @@ def test_cli_estimate_one_sample_whose_quadrature_overflows_exits_3(tmp_path, ca
                        "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert "numeric instability: overflow encountered in rfft" in err and "Traceback" not in err
+
+
+def test_cli_estimate_inverse_that_overflows_exits_3(tmp_path, capsys):
+    # sigma_2 = 1 - 4 = -3, so inverting t0 = 5 grows mode 2 by exp(15) (kept: below 1e12),
+    # which takes c_2 = 1e305 past a float. This once exited 2 as "cosine coefficients must
+    # be finite", after numpy's overflow warning
+    samples = tmp_path / "samples.csv"
+    samples.write_text("sample_id,k,c,d\n0,0,0,0\n0,1,0,0\n0,2,1e305,0\n")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("A.0 = 1\nA.2 = 1\nsigma = 1\nt0 = 5\nK = 2\nG = 8\nseed = 1\n"
+                   "observation = fourier\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("estimate", "--config", str(cfg), "--samples", str(samples),
+                       "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "numeric instability: the solution map over t=-5 overflows at mode 2" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text, message", [
@@ -869,6 +934,18 @@ def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_cli_estimate_refuses_n_with_a_samples_file(tmp_path, capsys):
+    # the file sets the sample count: --n was once ignored, n_used = 10 beside a manifest n = 3
+    assert run_cli("sample", "--config", "ex42", "--seed", "4", "--n", "10",
+                   "--out", str(tmp_path)) == 0
+    out = tmp_path / "out"
+    assert run_cli("estimate", "--config", "ex42", "--samples", str(tmp_path / "samples.csv"),
+                   "--n", "3", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "--n cannot resize a --samples file" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_cli_estimate_infinite_refuses_a_samples_file(tmp_path, capsys):

@@ -86,7 +86,8 @@ def test_fourier_and_spectrum_csv_match_per_cell_format(tmp_path_factory, data, 
     write_csv(tmp / "fourier_reference.csv", ["k", "c", "d"], reference)
     assert (tmp / "fourier.csv").read_bytes() == (tmp / "fourier_reference.csv").read_bytes()
 
-    write_spectrum_csv(ModeSpectrum(at_zero, first, second), tmp / "spectrum.csv")
+    write_spectrum_csv(ModeSpectrum(np.concatenate([[at_zero], first]),
+                                    np.concatenate([[0.0], second])), tmp / "spectrum.csv")
     write_csv(tmp / "spectrum_reference.csv", ["k", "sigma", "omega"], reference)
     assert (tmp / "spectrum.csv").read_bytes() == (tmp / "spectrum_reference.csv").read_bytes()
 

@@ -127,6 +127,26 @@ def test_amplification_capped_modes_are_zeroed_with_warning():
     assert report.amplification_max <= 1e12
 
 
+def test_estimator_alone_zeroes_the_modes_past_the_cap():
+    # sigma_k = 1 - k^2 under (1, 0, 1): at t0 = 0.1 modes 17..20 need an inverse factor
+    # above 1e12 = exp(27.6). inverse_propagate applies any factor that stays finite; the
+    # estimator zeroes those modes first and reports the largest factor it keeps
+    op = OperatorSpec.of(1.0, 0.0, 1.0)
+    busy = FourierSignal.build(PI, c0=1.0, cos={16: 1e-3, 20: 1e-3}, mode_count=20)
+    assert inverse_propagate(busy, op, 0.1).c[19] == pytest.approx(1e-3 * math.exp(39.9))
+    with pytest.warns(UserWarning, match=r"unrecoverable modes \[17, 18, 19, 20\]"):
+        kept, amplification_max = estimation._cap_unrecoverable_modes(busy, op, 0.1)
+    assert (kept.c[15], kept.c[19], kept.c0) == (1e-3, 0.0, 1.0)
+    assert amplification_max == pytest.approx(math.exp(25.5), rel=1e-12)
+    # no mode past the cap: the largest kept factor may be the constant mode's exp(-A_0 t0)
+    quiet = FourierSignal.build(PI, c0=1.0, cos={1: 1.0}, mode_count=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, amplification_max = estimation._cap_unrecoverable_modes(quiet, OperatorSpec.of(2.0),
+                                                                   0.5)
+    assert amplification_max == math.exp(-2.0 * 0.5)
+
+
 @pytest.mark.parametrize("seed", [1, 3, 11])
 def test_both_estimators_zero_the_same_unrecoverable_modes(seed):
     # heat channel: modes 12..20 would need an inverse factor above the 1e12 cap. At

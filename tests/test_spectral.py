@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ousignal import (
-    AmplificationError,
     FourierSignal,
     GrowthOverflowError,
     OperatorSpec,
@@ -40,21 +41,55 @@ def symbolic_mode_rates(coefficients, k, half_period):
 
 def test_spectrum_zero_order_operator():
     spec = mode_spectrum(OperatorSpec.of(2.0), 6, PI)
+    assert spec.sigma.shape == spec.omega.shape == (7,)
     assert np.allclose(spec.sigma, 2.0)
     assert np.allclose(spec.omega, 0.0)
-    assert spec.sigma0 == 2.0
+    assert spec.sigma[0] == 2.0
 
 
 def test_spectrum_first_order_operator():
     spec = mode_spectrum(OperatorSpec.of(2.0, -1.0), 5, PI)
-    assert spec.sigma[4] == pytest.approx(2.0, abs=1e-12)
-    assert spec.omega[4] == pytest.approx(-5.0, abs=1e-12)
+    assert spec.sigma[5] == pytest.approx(2.0, abs=1e-12)
+    assert spec.omega[5] == pytest.approx(-5.0, abs=1e-12)
 
 
 def test_spectrum_second_order_operator():
     spec = mode_spectrum(OperatorSpec.of(1.0, 0.0, 1.0), 3, PI)
-    assert spec.sigma[2] == pytest.approx(-8.0, abs=1e-12)
-    assert spec.omega[2] == pytest.approx(0.0, abs=1e-12)
+    assert spec.sigma[3] == pytest.approx(-8.0, abs=1e-12)
+    assert spec.omega[3] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_spectrum_of_the_constant_mode_alone():
+    spec = mode_spectrum(OperatorSpec.of(1.5, -2.0, 3.0), 0, PI)
+    assert spec.sigma.tolist() == [1.5] and spec.omega.tolist() == [0.0]
+    with pytest.raises(ValueError):
+        mode_spectrum(OperatorSpec.of(1.5), -1, PI)
+
+
+def closed_form_rates(coefficients, mode_count, half_period):
+    """sigma_k and omega_k of modes k = 1..K, term by term in exact integer powers."""
+    sigma, omega = [], []
+    for k in range(1, mode_count + 1):
+        q = k * math.pi / half_period
+        sigma.append(sum((-1) ** (n // 2) * a * q**n for n, a in enumerate(coefficients)
+                         if n % 2 == 0))
+        omega.append(sum((-1) ** (n // 2) * a * q**n for n, a in enumerate(coefficients)
+                         if n % 2 == 1))
+    return np.array(sigma), np.array(omega)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficients=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=6),
+       a0=st.floats(0.01, 4.0), mode_count=st.integers(0, 12),
+       half_period=st.floats(0.5, 8.0))
+def test_spectrum_row_zero_is_the_constant_mode(coefficients, a0, mode_count, half_period):
+    op = OperatorSpec.of(a0, *coefficients)
+    spec = mode_spectrum(op, mode_count, half_period)
+    assert (spec.sigma[0], spec.omega[0]) == (a0, 0.0)
+    sigma, omega = closed_form_rates(op.coefficients, mode_count, half_period)
+    scale = 1.0 + np.abs(sigma) + np.abs(omega)
+    assert np.all(np.abs(spec.sigma[1:] - sigma) <= 1e-12 * scale)
+    assert np.all(np.abs(spec.omega[1:] - omega) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("coefficients,half_period", [
@@ -68,8 +103,8 @@ def test_spectrum_matches_symbolic_oracle(coefficients, half_period):
     spec = mode_spectrum(OperatorSpec(tuple(coefficients)), 3, float(half_period))
     for k in (1, 2, 3):
         rate, rotation = symbolic_mode_rates(coefficients, k, half_period)
-        assert spec.sigma[k - 1] == pytest.approx(rate, rel=1e-12, abs=1e-12)
-        assert spec.omega[k - 1] == pytest.approx(rotation, rel=1e-12, abs=1e-12)
+        assert spec.sigma[k] == pytest.approx(rate, rel=1e-12, abs=1e-12)
+        assert spec.omega[k] == pytest.approx(rotation, rel=1e-12, abs=1e-12)
 
 
 def test_operator_spec_validation():
@@ -178,7 +213,7 @@ def test_rotation_preserves_mode_radius():
     t = 0.37
     spec = mode_spectrum(op, 10, PI)
     out = propagate(s, op, t)
-    expected = np.hypot(s.c, s.d) ** 2 * np.exp(2.0 * spec.sigma * t)
+    expected = np.hypot(s.c, s.d) ** 2 * np.exp(2.0 * spec.sigma[1:] * t)
     assert np.allclose(np.hypot(out.c, out.d) ** 2, expected, rtol=1e-12)
 
 
@@ -219,16 +254,32 @@ def test_propagate_handles_huge_scale_with_tiny_coefficient():
     assert out.c[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_inverse_amplification_guard():
-    op = OperatorSpec.of(1.0, 0.0, 1.0)  # sigma_20 = 1 - 400 = -399
-    busy = FourierSignal.build(PI, cos={20: 1e-3}, mode_count=20)
-    with pytest.raises(AmplificationError, match="mode 20"):
-        inverse_propagate(busy, op, 0.1)
-    # zero coefficients on the damped modes sail through
+def test_inverse_overflow_guard_names_mode():
+    op = OperatorSpec.of(1.0, 0.0, 1.0)  # sigma_2 = 1 - 4 = -3: the inverse grows mode 2
+    s = FourierSignal.build(PI, cos={2: 1e305})
+    with pytest.raises(GrowthOverflowError, match="t=-5 overflows at mode 2"):
+        inverse_propagate(s, op, 5.0)
+    # zero coefficients on the growing modes sail through
     quiet = FourierSignal.build(PI, cos={1: 1.0}, mode_count=20)
-    out = inverse_propagate(quiet, op, 0.1)
+    out = inverse_propagate(quiet, op, 5.0)
     assert out.c[0] == pytest.approx(1.0, rel=1e-12)  # sigma_1 = 0
     assert np.all(out.c[1:] == 0.0)
+
+
+@pytest.mark.parametrize("a0, t", [(2.0, 0.3), (0.5, 4.0), (1.0, 800.0)])
+def test_constant_only_signal_scales_by_exp_a0_t(a0, t):
+    op = OperatorSpec.of(a0, -1.0, 0.5)
+    s = FourierSignal(PI, 1e-300, np.empty(0), np.empty(0))
+    forward, back = propagate(s, op, t), inverse_propagate(s, op, t)
+    assert forward.mode_count == back.mode_count == 0
+    assert forward.c0 == pytest.approx(math.exp(math.log(1e-300) + a0 * t), rel=1e-12)
+    assert back.c0 == pytest.approx(math.exp(math.log(1e-300) - a0 * t), rel=1e-12)
+    for c0 in (3.0, -0.0, 0.0):  # exactly exp(+-A_0 t) c0, the sign of a zero included
+        small = FourierSignal(PI, c0, np.empty(0), np.empty(0))
+        for out, factor in ((propagate(small, op, 0.3), math.exp(a0 * 0.3)),
+                            (inverse_propagate(small, op, 0.3), math.exp(-a0 * 0.3))):
+            assert out.c0 == factor * c0
+            assert math.copysign(1.0, out.c0) == math.copysign(1.0, c0)
 
 
 def test_negative_time_rejected():
