@@ -24,7 +24,6 @@ from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distan
 from .model import (
     SampleSet,
     ScenarioConfig,
-    analytic_mean,
     evolve_frames,
     sample_batch,
     sample_source,
@@ -65,7 +64,6 @@ __all__ = [
     "RunConfig",
     "SampleSet",
     "ScenarioConfig",
-    "analytic_mean",
     "convergence_study",
     "estimate_until_stable",
     "evolve_frames",

@@ -27,6 +27,9 @@ ESTIMATOR_MEAN, ESTIMATOR_INFINITE = ESTIMATORS
 # prefixes of the indexed keys c.<k>, d.<k> (signal) and A.<n> (operator)
 _INDEXED = frozenset(("c.", "d.", "A."))
 _MAX_ORDER = 1000  # the largest n of A.<n>: the operator's order sizes mode_spectrum's work
+# the bytes of each row a size key sets: 2K + 1 coefficients (K), G grid values (G) and
+# series_terms + 1 series Gaussians (series_terms), each 8 bytes
+_ROW_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -196,11 +199,13 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
     coeffs = [op_coeffs.get(i, 0.0) for i in range(max(op_coeffs) + 1)]
     scenario = given[ScenarioConfig]
+    modes = scenario.get("mode_count", ScenarioConfig.mode_count)  # the config's, else the field's
+    _check_sizes(modes, scenario.get("grid_points", ScenarioConfig.grid_points),
+                 given[NoiseParams].get("series_terms", NoiseParams.series_terms), seen, source)
     try:
         op = OperatorSpec.of(*coeffs)
-        theta = FourierSignal.build(  # at K modes: the config's K, else the field's default
-            cos=theta_cos, sin=theta_sin, **given[FourierSignal],
-            mode_count=scenario.get("mode_count", ScenarioConfig.mode_count))
+        theta = FourierSignal.build(cos=theta_cos, sin=theta_sin, **given[FourierSignal],
+                                    mode_count=modes)
         noise = NoiseParams(a0=op.a0, **given[NoiseParams])
         run = RunConfig(ScenarioConfig(theta=theta, op=op, noise=noise, **scenario),
                         text=text, **given[RunConfig])
@@ -209,6 +214,20 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc), source=source) from exc
     return run
+
+
+def _check_sizes(modes: int, points: int, terms: int, lines: dict, source: str) -> None:
+    """Refuse, before any array is built, a row past _ROW_BYTES and a grid that cannot
+    resolve the modes, naming the key and its line (a size past its row budget was given)."""
+    for key, value, doubles in (("K", modes, 2 * modes + 1), ("G", points, points),
+                                ("series_terms", terms, terms + 1)):
+        if 8 * doubles > _ROW_BYTES:
+            raise ConfigError(f"{key} = {value} sets rows of {doubles} doubles; a row may hold "
+                              f"at most {_ROW_BYTES // 8} ({_ROW_BYTES >> 20} MiB)",
+                              lines[key], source)
+    if points < 2 * modes + 1:
+        raise ConfigError(f"G = {points} cannot resolve K = {modes} modes; need G >= 2K + 1 = "
+                          f"{2 * modes + 1}", lines.get("G", lines.get("K")), source)
 
 
 def preset_text(name: str) -> str:

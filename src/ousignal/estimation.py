@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import RunConfig
 from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distance
-from .model import SampleSet, ScenarioConfig, _fold, _row_signal, _stream_rows, sample_batch
-from .spectral import OperatorSpec, inverse_propagate, mode_spectrum
+from .model import SampleSet, ScenarioConfig, _draw, _fold, _noiseless, _row_signal, _stream_rows
+from .spectral import _channel, _solve
 
 AMPLIFICATION_CAP = 1e12  # the largest inverse factor exp(-sigma_k t0) the estimator applies
 
@@ -39,43 +39,29 @@ class EstimateReport(NamedTuple):
     estimate: FourierSignal
 
 
-def _cap_unrecoverable_modes(mean_signal: FourierSignal, op: OperatorSpec,
-                             t0: float) -> tuple[FourierSignal, float]:
-    """Zero out modes whose inverse factor exceeds the cap; report the max applied.
-
-    Which modes go depends only on the channel (op, t0, K), never on the data:
-    a mode damped below the last bit of the observations reads as zero, and
-    is as lost as one that reads as roundoff. The constant mode, with factor
-    exp(-A_0 t0) <= 1, always stays.
-    """
-    spectrum = mode_spectrum(op, mean_signal.mode_count, mean_signal.half_period)
-    factors_log = -spectrum.sigma * t0
-    over = factors_log > math.log(AMPLIFICATION_CAP)
-    if np.any(over):
-        warnings.warn(
-            f"zeroing unrecoverable modes {np.nonzero(over)[0].tolist()}: inverse "
-            f"amplification exceeds {AMPLIFICATION_CAP:g}", stacklevel=2
-        )
-        mean_signal = FourierSignal(mean_signal.half_period, mean_signal.c0,
-                                    np.where(over[1:], 0.0, mean_signal.c),
-                                    np.where(over[1:], 0.0, mean_signal.d))
-    return mean_signal, math.exp(float(np.max(factors_log[~over])))
-
-
 def _invert(mean, config: ScenarioConfig) -> tuple[FourierSignal, float]:
     """(estimate, amplification_max) of a mean observation.
 
-    A grid mean is converted to coefficients by quadrature, a coefficient mean
-    padded to K; unrecoverable modes are zeroed before the inversion. A quadrature
-    sum past a float raises FloatingPointError (exit 3).
+    A grid mean is converted to coefficients by quadrature (a sum past a float raises
+    FloatingPointError, exit 3), a coefficient mean padded to K. Modes whose inverse
+    factor exp(-sigma_k t0) passes the cap are zeroed first, with a warning: which ones
+    depends on the channel alone, never on the data, since a mode damped below the last
+    bit of the observations is as lost as one that reads as roundoff. The constant mode,
+    with factor exp(-A_0 t0) <= 1, always stays; amplification_max is the largest kept.
     """
     if isinstance(mean, GridSignal):
         with np.errstate(over="raise"):
             mean = extract_coefficients(mean, config.mode_count)
     else:
         mean = mean.padded(config.mode_count)
-    mean, amplification_max = _cap_unrecoverable_modes(mean, config.op, config.t0)
-    return inverse_propagate(mean, config.op, config.t0), amplification_max
+    channel = _channel(config.op, config.mode_count, mean.half_period, config.t0)
+    inverse_log = -channel.log_factor
+    over = inverse_log > math.log(AMPLIFICATION_CAP)
+    if np.any(over):
+        warnings.warn(f"zeroing unrecoverable modes {np.nonzero(over)[0].tolist()}: inverse "
+                      f"amplification exceeds {AMPLIFICATION_CAP:g}", stacklevel=2)
+        mean = FourierSignal(mean.half_period, mean.c0, *np.where(over[1:], 0.0, [mean.c, mean.d]))
+    return _solve(mean, channel, -1.0), math.exp(float(np.max(inverse_log[~over])))
 
 
 def _report(config: ScenarioConfig, n_used: int, converged: bool, estimate: FourierSignal,
@@ -90,10 +76,8 @@ def _report(config: ScenarioConfig, n_used: int, converged: bool, estimate: Four
 def run_estimate(samples: SampleSet) -> EstimateReport:
     """Average the samples, invert the channel, and score the estimate against the input.
 
-    Grid samples are averaged pointwise and converted to coefficients by
-    quadrature first. Modes damped so strongly that inverting them would
-    amplify beyond the cap are zeroed (with a warning) instead of exploding
-    quadrature roundoff into the estimate.
+    Grid samples are averaged pointwise and converted to coefficients by quadrature
+    first; modes past the amplification cap are zeroed, with a warning (see _invert).
     """
     return _report(samples.config, samples.n, True, *_invert(samples.mean_signal(), samples.config))
 
@@ -175,19 +159,15 @@ def convergence_study(config: ScenarioConfig, n_grid, trials: int) -> Convergenc
         raise ValueError("n_grid must hold positive sample sizes")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows = []
-    summary = []
-    quasi_shift = 0
+    rows, summary, quasi_shift = [], [], 0
+    base = _noiseless(config)  # every trial's batch is this row plus its own noise
     for n in n_grid:
-        errors = []
+        cfg = replace(config, n=n)
         for trial in range(trials):
-            cfg = replace(config, n=n)
-            batch = sample_batch(cfg, subkey=(n, trial), quasi_shift=quasi_shift)
+            report = run_estimate(_draw(cfg, base, (n, trial), quasi_shift))
             quasi_shift += n
-            report = run_estimate(batch)
             rows.append((n, trial, report.sup_error, report.c0_error, report.max_mode_error))
-            errors.append(report.sup_error)
-        errors = np.array(errors)
+        errors = np.array([row[2] for row in rows[-trials:]])
         sd = float(errors.std(ddof=1)) if trials > 1 else 0.0
         summary.append((n, float(errors.mean()), sd))
     means = np.array([m for _, m, _ in summary])

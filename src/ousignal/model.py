@@ -98,11 +98,6 @@ class ScenarioConfig:
         return summary
 
 
-def analytic_mean(config: ScenarioConfig) -> FourierSignal:
-    """Expected observation: the propagated input (the noise is centered)."""
-    return propagate(config.theta, config.op, config.t0)
-
-
 def sample_source(config: ScenarioConfig, subkey: tuple[int, ...] = (),
                   quasi_shift: int = 0) -> RandomSource:
     """The one driver of a batch or stream: keyed (seed, *subkey), or quasi stream
@@ -243,17 +238,23 @@ class SampleSet:
 
 
 def _noiseless(config: ScenarioConfig):
-    base = analytic_mean(config)
+    """The expected observation in the config's form: the propagated input."""
+    base = propagate(config.theta, config.op, config.t0)
     if config.observation_form == OBSERVE_GRID:
         return base.evaluate_grid(config.grid_points)
     return base
 
 
+def _draw(config: ScenarioConfig, base, subkey: tuple = (), quasi_shift: int = 0) -> SampleSet:
+    """sample_batch on a base formed once: trials and sigmas share _noiseless(config)."""
+    etas = np.concatenate(list(_noise_blocks(config, subkey, quasi_shift, config.n)))
+    return SampleSet(config, etas, base=base)
+
+
 def sample_batch(config: ScenarioConfig, subkey: tuple[int, ...] = (),
                  quasi_shift: int = 0) -> SampleSet:
     """Draw n independent observations: the first n of the stream with the same keys."""
-    etas = np.concatenate(list(_noise_blocks(config, subkey, quasi_shift, config.n)))
-    return SampleSet(config, etas, base=_noiseless(config))
+    return _draw(config, _noiseless(config), subkey, quasi_shift)
 
 
 def _stream_rows(config: ScenarioConfig):

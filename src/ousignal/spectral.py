@@ -12,6 +12,7 @@ sine coefficient is zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,27 +108,49 @@ def _rescale(rotated: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve(signal: FourierSignal, op: OperatorSpec, t: float) -> FourierSignal:
-    """The time-t solution map for t of either sign, over modes k = 0..K at once.
+@dataclass(frozen=True, eq=False)
+class _Channel:
+    """The time-t solution map of an operator on modes k = 0..K of [-l, l), read-only: the
+    rates sigma_k and omega_k, the log factor sigma_k t and the cos and sin of omega_k t."""
+
+    t: float
+    sigma: np.ndarray
+    omega: np.ndarray
+    log_factor: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)  # a command's batches, trials, sigmas and rows share one
+def _channel(op: OperatorSpec, mode_count: int, half_period: float, t: float) -> _Channel:
+    if t < 0:  # the inverse runs a channel backwards, never one built over -t
+        raise ValueError("propagation time must be non-negative")
+    spectrum = mode_spectrum(op, mode_count, half_period)
+    angle = spectrum.omega * t
+    factors = (spectrum.sigma, spectrum.omega, spectrum.sigma * t, np.cos(angle), np.sin(angle))
+    for factor in factors:
+        factor.flags.writeable = False
+    return _Channel(t, *factors)
+
+
+def _solve(signal: FourierSignal, channel: _Channel, direction: float = 1.0) -> FourierSignal:
+    """The channel's map (direction 1) or its inverse (-1) over modes k = 0..K at once.
 
     Raises GrowthOverflowError naming the first mode whose coefficient would
     exceed VALUE_CAP.
     """
-    spectrum = mode_spectrum(op, signal.mode_count, signal.half_period)
     c = np.concatenate([[signal.c0], signal.c])
     d = np.concatenate([[0.0], signal.d])
-    log_scale = spectrum.sigma * t
+    log_scale = direction * channel.log_factor
     with np.errstate(divide="ignore"):
         exponent = log_scale + np.log(np.maximum(np.abs(c), np.abs(d)))
     over = exponent > np.log(VALUE_CAP)
     if np.any(over):
         k = int(np.argmax(over))
-        raise GrowthOverflowError(k, float(exponent[k]), t)
-    angle = spectrum.omega * t
-    cos_a = np.cos(angle)
-    sin_a = np.sin(angle)
-    c_out = _rescale(c * cos_a + d * sin_a, log_scale)
-    d_out = _rescale(d * cos_a - c * sin_a, log_scale)
+        raise GrowthOverflowError(k, float(exponent[k]), direction * channel.t)
+    sin_a = direction * channel.sin
+    c_out = _rescale(c * channel.cos + d * sin_a, log_scale)
+    d_out = _rescale(d * channel.cos - c * sin_a, log_scale)
     # rotating and _rescale leave every zero +0; below _SAFE_EXP a zero constant
     # term keeps its sign instead, as exp(A_0 t) * c0 does
     c0 = signal.c0 if signal.c0 == 0.0 and log_scale[0] < _SAFE_EXP else c_out[0]
@@ -141,17 +164,13 @@ def propagate(signal: FourierSignal, op: OperatorSpec, t: float) -> FourierSigna
     (the constant mode by exp(A_0 t) alone). Raises GrowthOverflowError naming
     the first mode whose coefficient would exceed VALUE_CAP.
     """
-    if t < 0:
-        raise ValueError("propagation time must be non-negative")
-    return _solve(signal, op, t)
+    return _solve(signal, _channel(op, signal.mode_count, signal.half_period, t))
 
 
 def inverse_propagate(signal: FourierSignal, op: OperatorSpec, t: float) -> FourierSignal:
     """Exact inverse of propagate: the solution map over -t, under the same overflow guard.
 
     Inverting strong damping amplifies whatever sits on a mode; the estimator
-    zeroes the modes it cannot recover before it calls this.
+    zeroes the modes it cannot recover before it inverts.
     """
-    if t < 0:
-        raise ValueError("propagation time must be non-negative")
-    return _solve(signal, op, -t)
+    return _solve(signal, _channel(op, signal.mode_count, signal.half_period, t), -1.0)

@@ -21,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _util import wideband_config_text
-from ousignal import (ConfigError, FourierSignal, NoiseParams, RunConfig, ScenarioConfig,
-                      load_config, model, noise, noise_variance, ou_joint_pairs,
-                      parse_config_text)
+from ousignal import (ConfigError, FourierSignal, NoiseParams, RunConfig, ScenarioConfig, cli,
+                      estimation, load_config, model, noise, noise_variance, ou_joint_pairs,
+                      parse_config_text, spectral)
 from ousignal.cli import build_parser, main, replay_manifest
 from ousignal.config import _KEYS, PRESETS, parse_number, preset_text
 from ousignal.manifest import RunManifest
@@ -669,6 +669,75 @@ def test_cli_estimate_sigma_sweep_orders_errors(tmp_path):
         assert (tmp_path / f"estimate_sigma{sigma}.csv").exists()
 
 
+def test_cli_commands_compute_the_channel_and_the_noiseless_row_once(tmp_path, monkeypatch):
+    # the per-mode rates of (A, t0, K, l) are computed once per command, and the noiseless
+    # row once: not once per trial, sigma, streamed row or inversion
+    calls = {"rates": 0, "base rows": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "mode_spectrum", counted("rates", spectral.mode_spectrum))
+    base_row = counted("base rows", model._noiseless)
+    for module in (model, estimation, cli):
+        monkeypatch.setattr(module, "_noiseless", base_row)
+    cfg = tmp_path / "infinite.cfg"
+    cfg.write_text(preset_text("ex42") + "estimator = infinite\nepsilon = 0.1\n")
+    samples = tmp_path / "sample" / "samples.csv"
+    commands = [
+        (("sample", "--config", "ex42", "--n", "50", "--seed", "3"), 1),
+        (("estimate", "--config", "ex42", "--n", "50", "--seed", "3"), 1),
+        (("estimate", "--config", "ex42", "--samples", str(samples)), 0),
+        (("estimate", "--config", "ex43", "--seed", "9"), 1),  # four sigmas
+        (("estimate", "--config", str(cfg), "--seed", "1"), 1),  # 47 streamed rows
+        (("convergence", "--config", "ex42", "--n-grid", "100,1000,10000", "--trials", "20",
+          "--seed", "9"), 1),  # 60 trials
+    ]
+    for argv, base_rows in commands:
+        spectral._channel.cache_clear()  # each command starts as in a fresh process
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_cli(*argv, "--out", str(tmp_path / argv[0])) == 0
+        assert calls == {"rates": 1, "base rows": base_rows}, argv
+
+
+@settings(max_examples=12, deadline=None)
+@given(modes=st.integers(1, 20), extra_points=st.integers(0, 9),
+       form=st.sampled_from(["grid", "fourier"]), quasi=st.booleans(),
+       kernel=st.sampled_from(["mean_reverting", "growth"]),
+       sampler=st.sampled_from(["exact", "series"]),
+       rates=st.tuples(st.floats(0.2, 3.0), st.floats(-2.0, 2.0), st.floats(-0.3, 0.3)),
+       t0=st.floats(0.05, 1.0), n=st.integers(1, 6), seed=st.integers(0, 2**32),
+       sigmas=st.lists(st.sampled_from(["0", "0.5", "1", "150", "1500"]), min_size=1,
+                       max_size=3, unique=True))
+def test_each_sweep_row_equals_its_single_sigma_run(modes, extra_points, form, quasi, kernel,
+                                                    sampler, rates, t0, n, seed, sigmas):
+    # the sigmas of a sweep share one channel and one noiseless row; that must not fork
+    # any of them from the run that has its sigma alone
+    text = (f"l = pi\nc0 = 1\nc.1 = 5\nd.{modes} = -2\nA.0 = {rates[0]!r}\n"
+            f"A.1 = {rates[1]!r}\nA.2 = {rates[2]!r}\nt0 = {t0!r}\nK = {modes}\n"
+            f"G = {2 * modes + 1 + extra_points}\nn = {n}\nseed = {seed}\nquasi = {int(quasi)}\n"
+            f"observation = {form}\nkernel = {kernel}\nsampler = {sampler}\n"
+            f"series_terms = 20\n")
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a damped mode zeroed past the cap warns
+        tmp = Path(tmp)
+        (tmp / "sweep.cfg").write_text(text + f"sigma_grid = {', '.join(sigmas)}\n")
+        assert run_cli("estimate", "--config", str(tmp / "sweep.cfg"), "--out",
+                       str(tmp / "sweep")) == 0
+        sweep = (tmp / "sweep" / "estimate_report.csv").read_text().splitlines()
+        for i, sigma in enumerate(sigmas):
+            (tmp / "one.cfg").write_text(text + f"sigma = {sigma}\n")
+            out = tmp / f"one{i}"
+            assert run_cli("estimate", "--config", str(tmp / "one.cfg"), "--out", str(out)) == 0
+            single = (out / "estimate_report.csv").read_text().splitlines()
+            assert single[0] == sweep[0] and single[1] == sweep[1 + i]
+            name = f"estimate_sigma{float(sigma):g}.csv"
+            assert (out / "estimate.csv").read_bytes() == (tmp / "sweep" / name).read_bytes()
+
+
 def test_cli_estimate_noiseless_recovers_input(tmp_path):
     cfg = tmp_path / "quiet.cfg"
     cfg.write_text("A.0 = 2\nA.1 = -1\nc.1 = 5\nd.5 = 5\nc0 = 1\nsigma = 0\n"
@@ -966,13 +1035,55 @@ def test_cli_estimate_infinite_refuses_a_samples_file(tmp_path, capsys):
     pytest.param("sample", "G = 2000000000000001\n", id="sample-G"),
 ])
 def test_cli_unallocatable_sizes_exit_2(tmp_path, capsys, command, sizes):
-    # arrays of 7 and 14 PiB, which numpy refuses at once without touching memory;
-    # these once ended in an _ArrayMemoryError traceback and exit 1
+    # arrays of 7 and 14 PiB: these once ended in an _ArrayMemoryError traceback and
+    # exit 1, then in numpy's "Unable to allocate"; the row budget now refuses the first
+    # size key, on its line, before numpy is asked for anything
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("A.0 = 1\nc0 = 1\nsigma = 1\nt0 = 1\nn = 1\nseed = 1\n" + sizes)
     assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
-    assert "input too large: Unable to allocate" in err and "Traceback" not in err
+    key = sizes.split(" =")[0]
+    assert f"config error: {cfg}:7: {key} = " in err and "a row may hold at most 131072" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sizes, key", [
+    ("K = 10000000\n", "K"),  # with the default G = 200
+    ("K = 100000000\nG = 200000001\n", "K"),
+    ("K = 65536\nG = 131073\n", "K"),
+    ("G = 131073\n", "G"),
+    ("G = 1000000000\n", "G"),
+    ("series_terms = 131072\n", "series_terms"),
+    ("series_terms = 1000000000\n", "series_terms"),
+    ("K = 5000\n", "K"),  # inside the budget, but the default G = 200 cannot resolve it
+    ("K = 5000\nG = 10000\n", "G"),
+])
+def test_sizes_past_the_row_budget_are_refused_before_allocating(sizes, key):
+    # every row a size key sets (2K + 1 coefficients, G values, series_terms + 1 Gaussians)
+    # fits in 1 MiB, and G >= 2K + 1, both checked before theta or any other array is built
+    text = "A.0 = 1\nc0 = 1\nc.3 = 1\nsigma = 1\nt0 = 1\n" + sizes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as refused:
+            parse_config_text(text, source="big.cfg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    line = 6 + [k.split(" =")[0] for k in sizes.splitlines()].index(key)
+    assert str(refused.value).startswith(f"big.cfg:{line}: ") and f"{key} = " in str(refused.value)
+
+
+def test_sizes_at_the_row_budget_are_accepted():
+    # the limits themselves, and the presets and wideband far inside them
+    run = parse_config_text("A.0 = 1\nt0 = 1\nK = 65535\nG = 131072\nseries_terms = 131071\n")
+    assert (run.scenario.mode_count, run.scenario.grid_points) == (65535, 131072)
+    assert run.scenario.noise.series_terms == 131071
+    wideband = parse_config_text(wideband_config_text()).scenario
+    for scenario in [load_config(name).scenario for name in PRESETS] + [wideband]:
+        rows = (2 * scenario.mode_count + 1, scenario.grid_points,
+                scenario.noise.series_terms + 1)
+        assert 8 * max(rows) <= (1 << 20) // 16
 
 
 _FLOAT_TOKENS = ["0", "-0", "1", "-1", "0.5", "150", "5e-324", "1e-300", "1e308", "-1e308",

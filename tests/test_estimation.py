@@ -134,16 +134,21 @@ def test_estimator_alone_zeroes_the_modes_past_the_cap():
     op = OperatorSpec.of(1.0, 0.0, 1.0)
     busy = FourierSignal.build(PI, c0=1.0, cos={16: 1e-3, 20: 1e-3}, mode_count=20)
     assert inverse_propagate(busy, op, 0.1).c[19] == pytest.approx(1e-3 * math.exp(39.9))
+    cfg = make_config(theta=busy, op=op, t0=0.1, observation_form=OBSERVE_FOURIER)
     with pytest.warns(UserWarning, match=r"unrecoverable modes \[17, 18, 19, 20\]"):
-        kept, amplification_max = estimation._cap_unrecoverable_modes(busy, op, 0.1)
-    assert (kept.c[15], kept.c[19], kept.c0) == (1e-3, 0.0, 1.0)
+        estimate, amplification_max = estimation._invert(busy, cfg)
+    kept = FourierSignal.build(PI, c0=1.0, cos={16: 1e-3}, mode_count=20)
+    expected = inverse_propagate(kept, op, 0.1)
+    assert (estimate.c0, estimate.c[15], estimate.c[19]) == (expected.c0, expected.c[15], 0.0)
+    assert np.array_equal(estimate.c, expected.c) and np.array_equal(estimate.d, expected.d)
     assert amplification_max == pytest.approx(math.exp(25.5), rel=1e-12)
     # no mode past the cap: the largest kept factor may be the constant mode's exp(-A_0 t0)
     quiet = FourierSignal.build(PI, c0=1.0, cos={1: 1.0}, mode_count=2)
+    cfg = make_config(theta=quiet, op=OperatorSpec.of(2.0), t0=0.5, mode_count=2,
+                      grid_points=5, observation_form=OBSERVE_FOURIER)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, amplification_max = estimation._cap_unrecoverable_modes(quiet, OperatorSpec.of(2.0),
-                                                                   0.5)
+        _, amplification_max = estimation._invert(quiet, cfg)
     assert amplification_max == math.exp(-2.0 * 0.5)
 
 
@@ -296,6 +301,40 @@ def test_study_noiseless_has_undefined_slope():
     study = convergence_study(make_config(sigma=0.0), [10, 100], trials=3)
     assert study.slope is None
     assert all(row[2] < 1e-9 for row in study.rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(form=st.sampled_from(["grid", "fourier"]), quasi=st.booleans(),
+       kernel=st.sampled_from(["mean_reverting", "growth"]),
+       sampler=st.sampled_from(["exact", "series"]), modes=st.integers(1, 20),
+       n_grid=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True).map(sorted),
+       trials=st.integers(1, 3), seed=st.integers(0, 2**63 - 1),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_study_rows_equal_separately_drawn_estimates(form, quasi, kernel, sampler, modes, n_grid,
+                                                     trials, seed, data_seed):
+    # the trials share one channel and one noiseless row; each row must still be the
+    # estimate of its own batch, drawn at its own keys and quasi shift, bit for bit
+    rng = np.random.default_rng(data_seed)
+    op = OperatorSpec.of(rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(-0.3, 0.3))
+    cfg = make_config(theta=random_signal(rng, PI, modes), op=op, sigma=rng.uniform(0.0, 200.0),
+                      t0=rng.uniform(0.05, 1.0), mode_count=modes,
+                      grid_points=2 * modes + 1 + int(rng.integers(0, 10)), seed=seed,
+                      observation_form=form, quasi=quasi, kernel=kernel, sampler=sampler,
+                      series_terms=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a damped mode zeroed past the cap warns
+        study = convergence_study(cfg, n_grid, trials)
+        rows, shift = iter(study.rows), 0
+        for n in n_grid:
+            for trial in range(trials):
+                batch = sample_batch(replace(cfg, n=n), subkey=(n, trial), quasi_shift=shift)
+                report = run_estimate(batch)
+                shift += n
+                n_row, trial_row, *errors = next(rows)
+                assert (n_row, trial_row) == (n, trial)
+                assert [e.hex() for e in errors] == [
+                    report.sup_error.hex(), report.c0_error.hex(), report.max_mode_error.hex()]
+    assert next(rows, None) is None
 
 
 def test_study_rows_and_summary_shape():

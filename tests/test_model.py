@@ -15,12 +15,12 @@ from ousignal import (
     OperatorSpec,
     RandomSource,
     ScenarioConfig,
-    analytic_mean,
     evolve_frames,
     extract_coefficients,
     noise_covariance,
     noise_variance,
     ou_joint_pairs,
+    propagate,
     sample_batch,
     sample_stream,
     sup_distance,
@@ -68,7 +68,7 @@ def test_noiseless_sample_equals_propagated_input():
         batch = sample_batch(cfg)
         z, eta = batch.signal(0), batch.etas[0]
         assert eta == 0.0
-        expected = analytic_mean(cfg)
+        expected = propagate(cfg.theta, cfg.op, cfg.t0)
         if form == "grid":
             assert np.allclose(z.values, expected.evaluate_grid(cfg.grid_points).values)
         else:
@@ -220,8 +220,8 @@ def test_batch_quasi_uses_consecutive_streams():
 def test_noise_lives_only_in_constant_mode():
     cfg = make_config(sigma=15000.0, n=6, seed=2)
     batch = sample_batch(cfg)
-    base = extract_coefficients(analytic_mean(cfg).evaluate_grid(cfg.grid_points),
-                                cfg.mode_count)
+    noiseless = propagate(cfg.theta, cfg.op, cfg.t0).evaluate_grid(cfg.grid_points)
+    base = extract_coefficients(noiseless, cfg.mode_count)
     for i in range(batch.n):
         coeffs = extract_coefficients(batch.signal(i), cfg.mode_count)
         gap = np.hypot(coeffs.c - base.c, coeffs.d - base.d)
@@ -233,8 +233,9 @@ def test_sample_mean_coefficients_unbiased_with_clt_rate():
     # coefficient-wise mean over samples: modes are exact, c0 deviates ~ 1/sqrt(n)
     base_cfg = make_config(seed=17)
     v = noise_variance(base_cfg.noise, base_cfg.t0)
-    expected = extract_coefficients(
-        analytic_mean(base_cfg).evaluate_grid(base_cfg.grid_points), base_cfg.mode_count)
+    noiseless = propagate(base_cfg.theta, base_cfg.op, base_cfg.t0)
+    expected = extract_coefficients(noiseless.evaluate_grid(base_cfg.grid_points),
+                                    base_cfg.mode_count)
     deviations = {}
     for n in (100, 1000, 10000):
         batch = sample_batch(make_config(seed=17, n=n))
@@ -253,7 +254,8 @@ def test_empirical_moments_match_analytic_variance():
     v = noise_variance(cfg.noise, cfg.t0)
     values = batch.grid_values[:, cfg.grid_points // 2]
     assert abs(values.var(ddof=1) - v) < 3.0 * v * math.sqrt(2.0 / (cfg.n - 1))
-    assert abs(values.mean() - analytic_mean(cfg).evaluate(0.0)) < 3.0 * math.sqrt(v / cfg.n)
+    mean = propagate(cfg.theta, cfg.op, cfg.t0).evaluate(0.0)
+    assert abs(values.mean() - mean) < 3.0 * math.sqrt(v / cfg.n)
 
 
 def test_variance_is_location_independent():
@@ -272,8 +274,8 @@ def test_joint_value_covariance_matches_formula():
     count = 100000
     eta_s, eta_t = ou_joint_pairs(cfg.noise, s, t, count, RandomSource.pseudo(3))
     x = 0.3
-    base_s = analytic_mean(make_config(sigma=20.0, t0=s)).evaluate(x)
-    base_t = analytic_mean(cfg).evaluate(x)
+    base_s = propagate(cfg.theta, cfg.op, s).evaluate(x)
+    base_t = propagate(cfg.theta, cfg.op, cfg.t0).evaluate(x)
     values_s = base_s + eta_s
     values_t = base_t + eta_t
     analytic = noise_covariance(cfg.noise, s, t)

@@ -19,8 +19,8 @@ PUBLIC = {
     "NoiseParams", "RandomSource", "noise_covariance", "noise_variance",
     "ou_integral_exact", "ou_integral_series", "ou_joint_pairs",
     # the channel
-    "SampleSet", "ScenarioConfig", "analytic_mean", "evolve_frames", "sample_batch",
-    "sample_source", "sample_stream",
+    "SampleSet", "ScenarioConfig", "evolve_frames", "sample_batch", "sample_source",
+    "sample_stream",
     # estimation
     "ConvergenceStudy", "EstimateReport", "convergence_study", "estimate_until_stable",
     "run_estimate",
@@ -66,11 +66,14 @@ GONE = [
     (errors, "KLDomainError"),
     (ousignal, "AmplificationError"),
     (errors, "AmplificationError"),
+    (ousignal, "analytic_mean"),
+    (model, "analytic_mean"),
+    (estimation, "_cap_unrecoverable_modes"),
 ]
 
 
 def test_all_lists_exactly_the_public_names_and_each_resolves():
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 34
     assert sorted(ousignal.__all__) == sorted(PUBLIC)  # as lists: a repeated name fails too
     for name in ousignal.__all__:
         getattr(ousignal, name)
