@@ -42,6 +42,8 @@ def _parse_times(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ConfigError(f"times range must be start:stop:count, got {spec!r}")
         start, stop = parse_number(parts[0]), parse_number(parts[1])
+        if not (0 <= start < math.inf and 0 <= stop < math.inf):  # so linspace stays finite
+            raise ConfigError(f"frame times must be non-negative and finite, got {spec!r}")
         count = int(parts[2])
         if count < 1:
             raise ConfigError("times count must be >= 1")

@@ -217,8 +217,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 
 def _check_sizes(modes: int, points: int, terms: int, lines: dict, source: str) -> None:
-    """Refuse, before any array is built, a row past _ROW_BYTES and a grid that cannot
-    resolve the modes, naming the key and its line (a size past its row budget was given)."""
+    """Refuse, before any array is built, a K or series_terms below 1, a row past _ROW_BYTES
+    and a grid that cannot resolve the modes, naming the key and its line (a size outside
+    its bounds was given)."""
+    for key, value in (("K", modes), ("series_terms", terms)):
+        if value < 1:
+            raise ConfigError(f"{key} = {value} must be >= 1", lines[key], source)
     for key, value, doubles in (("K", modes, 2 * modes + 1), ("G", points, points),
                                 ("series_terms", terms, terms + 1)):
         if 8 * doubles > _ROW_BYTES:

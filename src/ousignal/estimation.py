@@ -20,7 +20,7 @@ import numpy as np
 from .config import RunConfig
 from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distance
 from .model import SampleSet, ScenarioConfig, _draw, _fold, _noiseless, _row_signal, _stream_rows
-from .spectral import _channel, _solve
+from .spectral import _spectrum, inverse_propagate
 
 AMPLIFICATION_CAP = 1e12  # the largest inverse factor exp(-sigma_k t0) the estimator applies
 
@@ -45,7 +45,7 @@ def _invert(mean, config: ScenarioConfig) -> tuple[FourierSignal, float]:
     A grid mean is converted to coefficients by quadrature (a sum past a float raises
     FloatingPointError, exit 3), a coefficient mean padded to K. Modes whose inverse
     factor exp(-sigma_k t0) passes the cap are zeroed first, with a warning: which ones
-    depends on the channel alone, never on the data, since a mode damped below the last
+    depends on the rates and t0 alone, never on the data, since a mode damped below the last
     bit of the observations is as lost as one that reads as roundoff. The constant mode,
     with factor exp(-A_0 t0) <= 1, always stays; amplification_max is the largest kept.
     """
@@ -54,14 +54,14 @@ def _invert(mean, config: ScenarioConfig) -> tuple[FourierSignal, float]:
             mean = extract_coefficients(mean, config.mode_count)
     else:
         mean = mean.padded(config.mode_count)
-    channel = _channel(config.op, config.mode_count, mean.half_period, config.t0)
-    inverse_log = -channel.log_factor
+    with np.errstate(over="ignore"):  # a product past a float is +-inf, which the mask reads
+        inverse_log = -(_spectrum(config.op, config.mode_count, mean.half_period).sigma * config.t0)
     over = inverse_log > math.log(AMPLIFICATION_CAP)
     if np.any(over):
         warnings.warn(f"zeroing unrecoverable modes {np.nonzero(over)[0].tolist()}: inverse "
                       f"amplification exceeds {AMPLIFICATION_CAP:g}", stacklevel=2)
         mean = FourierSignal(mean.half_period, mean.c0, *np.where(over[1:], 0.0, [mean.c, mean.d]))
-    return _solve(mean, channel, -1.0), math.exp(float(np.max(inverse_log[~over])))
+    return inverse_propagate(mean, config.op, config.t0), math.exp(inverse_log[~over].max())
 
 
 def _report(config: ScenarioConfig, n_used: int, converged: bool, estimate: FourierSignal,

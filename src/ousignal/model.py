@@ -56,8 +56,8 @@ class ScenarioConfig:
     series_variant: str = VARIANT_VARIANCE_MATCHED
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise ValueError("observation time t0 must be positive")
+        if not 0 < self.t0 < math.inf:
+            raise ValueError(f"observation time t0 must be positive and finite, got {self.t0:g}")
         if self.n < 1:
             raise ValueError("sample size n must be >= 1")
         if self.mode_count < 1:
@@ -282,8 +282,9 @@ def evolve_frames(config: ScenarioConfig, times,
     noise.
     """
     times = [float(t) for t in times]
-    if any(t < 0 for t in times):
-        raise ValueError("frame times must be non-negative")
+    for t in times:
+        if not 0 <= t < math.inf:
+            raise ValueError(f"frame times must be non-negative and finite, got {t:g}")
     if sorted(times) != times:
         raise ValueError("frame times must be sorted ascending")
     if noise not in NOISE_MODES:

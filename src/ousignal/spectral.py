@@ -108,49 +108,42 @@ def _rescale(rotated: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _Channel:
-    """The time-t solution map of an operator on modes k = 0..K of [-l, l), read-only: the
-    rates sigma_k and omega_k, the log factor sigma_k t and the cos and sin of omega_k t."""
-
-    t: float
-    sigma: np.ndarray
-    omega: np.ndarray
-    log_factor: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
-
-
-@functools.lru_cache(maxsize=1)  # a command's batches, trials, sigmas and rows share one
-def _channel(op: OperatorSpec, mode_count: int, half_period: float, t: float) -> _Channel:
-    if t < 0:  # the inverse runs a channel backwards, never one built over -t
-        raise ValueError("propagation time must be non-negative")
+@functools.lru_cache(maxsize=1)  # a command's frames, batches, trials, sigmas and rows share one
+def _spectrum(op: OperatorSpec, mode_count: int, half_period: float) -> ModeSpectrum:
+    """mode_spectrum's result, read-only, kept while it is the last one asked for."""
     spectrum = mode_spectrum(op, mode_count, half_period)
-    angle = spectrum.omega * t
-    factors = (spectrum.sigma, spectrum.omega, spectrum.sigma * t, np.cos(angle), np.sin(angle))
-    for factor in factors:
-        factor.flags.writeable = False
-    return _Channel(t, *factors)
+    spectrum.sigma.flags.writeable = spectrum.omega.flags.writeable = False
+    return spectrum
 
 
-def _solve(signal: FourierSignal, channel: _Channel, direction: float = 1.0) -> FourierSignal:
-    """The channel's map (direction 1) or its inverse (-1) over modes k = 0..K at once.
+def _solve(signal: FourierSignal, op: OperatorSpec, t: float, direction=1.0) -> FourierSignal:
+    """The time-t map (direction 1) or its inverse (-1) over modes k = 0..K at once.
 
-    Raises GrowthOverflowError naming the first mode whose coefficient would
-    exceed VALUE_CAP.
+    Raises GrowthOverflowError naming the first mode whose coefficient would exceed
+    VALUE_CAP (an infinite log factor on a nonzero coefficient included), then
+    FloatingPointError naming the first mode whose rotation angle omega_k t is not finite.
     """
+    if not 0 <= t < np.inf:  # the inverse runs the map backwards, never one over -t
+        raise ValueError(f"propagation time must be non-negative and finite, got {t:g}")
+    spectrum = _spectrum(op, signal.mode_count, signal.half_period)
     c = np.concatenate([[signal.c0], signal.c])
     d = np.concatenate([[0.0], signal.d])
-    log_scale = direction * channel.log_factor
-    with np.errstate(divide="ignore"):
+    # a product past a float is +-inf, checked below; a zero coefficient takes any factor
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_scale = direction * (spectrum.sigma * t)
+        angle = spectrum.omega * t
         exponent = log_scale + np.log(np.maximum(np.abs(c), np.abs(d)))
     over = exponent > np.log(VALUE_CAP)
     if np.any(over):
         k = int(np.argmax(over))
-        raise GrowthOverflowError(k, float(exponent[k]), direction * channel.t)
-    sin_a = direction * channel.sin
-    c_out = _rescale(c * channel.cos + d * sin_a, log_scale)
-    d_out = _rescale(d * channel.cos - c * sin_a, log_scale)
+        raise GrowthOverflowError(k, float(exponent[k]), direction * t)
+    if not np.isfinite(angle).all():
+        k = int(np.argmin(np.isfinite(angle)))
+        raise FloatingPointError(f"the solution map over t={direction * t:g} rotates mode {k} "
+                                 f"by an angle that is not finite ({angle[k]:g})")
+    cos, sin_a = np.cos(angle), direction * np.sin(angle)
+    c_out = _rescale(c * cos + d * sin_a, log_scale)
+    d_out = _rescale(d * cos - c * sin_a, log_scale)
     # rotating and _rescale leave every zero +0; below _SAFE_EXP a zero constant
     # term keeps its sign instead, as exp(A_0 t) * c0 does
     c0 = signal.c0 if signal.c0 == 0.0 and log_scale[0] < _SAFE_EXP else c_out[0]
@@ -161,10 +154,11 @@ def propagate(signal: FourierSignal, op: OperatorSpec, t: float) -> FourierSigna
     """Apply the time-t solution map of d/dt = (operator) to the signal.
 
     Each mode k = 0..K is scaled by exp(sigma_k t) and rotated by omega_k t
-    (the constant mode by exp(A_0 t) alone). Raises GrowthOverflowError naming
-    the first mode whose coefficient would exceed VALUE_CAP.
+    (the constant mode by exp(A_0 t) alone). Raises ValueError for a t that is
+    negative or not finite, and GrowthOverflowError (a coefficient past VALUE_CAP)
+    or FloatingPointError (a rotation angle past a float) naming the first mode.
     """
-    return _solve(signal, _channel(op, signal.mode_count, signal.half_period, t))
+    return _solve(signal, op, t)
 
 
 def inverse_propagate(signal: FourierSignal, op: OperatorSpec, t: float) -> FourierSignal:
@@ -173,4 +167,4 @@ def inverse_propagate(signal: FourierSignal, op: OperatorSpec, t: float) -> Four
     Inverting strong damping amplifies whatever sits on a mode; the estimator
     zeroes the modes it cannot recover before it inverts.
     """
-    return _solve(signal, _channel(op, signal.mode_count, signal.half_period, t), -1.0)
+    return _solve(signal, op, t, -1.0)

@@ -400,6 +400,62 @@ def test_cli_non_finite_mode_rate_exits_3(tmp_path, capsys, command, fill):
     assert list(out.iterdir()) == []
 
 
+_EX42 = preset_text("ex42")
+# omega_1 = 1e10, so at t = 1e300 the rotation angle omega_1 t overflows a float
+_ROTATING = ("l = pi\nc.1 = 1\nA.0 = 1\nA.1 = 1e10\nA.2 = 1\nsigma = 0\nt0 = 1\nK = 2\nG = 8\n"
+             "seed = 1\n")
+
+
+@pytest.mark.parametrize("argv, text, code, message", [
+    (["sample"], _EX42.replace("t0 = pi/7", "t0 = inf"), 2,
+     "observation time t0 must be positive and finite, got inf"),
+    (["estimate"], _EX42.replace("t0 = pi/7", "t0 = inf"), 2,
+     "observation time t0 must be positive and finite, got inf"),
+    (["sample"], _EX42.replace("t0 = pi/7", "t0 = 1e308"), 3,
+     "the solution map over t=1e+308 overflows at mode 0: coefficient magnitude would reach "
+     "exp(inf)"),
+    (["estimate"], _EX42.replace("t0 = pi/7", "t0 = 1e308"), 3,
+     "the solution map over t=1e+308 overflows at mode 0: coefficient magnitude would reach "
+     "exp(inf)"),
+    (["evolve", "--times", "nan"], _EX42, 2,
+     "frame times must be non-negative and finite, got nan"),
+    (["evolve", "--times", "0,inf"], _EX42, 2,
+     "frame times must be non-negative and finite, got inf"),
+    (["evolve", "--times", "0:inf:3"], _EX42, 2,
+     "frame times must be non-negative and finite, got '0:inf:3'"),
+    (["evolve", "--times", "0,1e300"], _ROTATING, 3,
+     "the solution map over t=1e+300 rotates mode 1 by an angle that is not finite (inf)"),
+], ids=["sample-t0-inf", "estimate-t0-inf", "sample-t0-1e308", "estimate-t0-1e308",
+        "evolve-nan", "evolve-inf", "evolve-range-inf", "evolve-angle"])
+def test_cli_non_finite_times_and_maps_exit_2_or_3(tmp_path, capsys, argv, text, code, message):
+    # these once ran on through numpy warnings (to exit 3), or named c0 for a nan frame time
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv[0], "--config", str(cfg), *argv[1:], "--out", str(out)) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_cli_estimate_zeroes_modes_whose_log_factor_passes_a_float(tmp_path, capsys):
+    # sigma_k t0 = (1e-20 - 1e300 k^2) 1e10 is -inf for k >= 1: the samples lose those modes,
+    # and the estimator zeroes them; this once ran on through numpy's overflow and invalid
+    # warnings, the last on inf + log(0) in the inverse's overflow guard
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text("A.0 = 1e-20\nA.2 = 1e300\nc.1 = 1\nsigma = 1\nt0 = 1e10\nK = 20\nG = 41\n"
+                   "n = 2\nseed = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "zeroing unrecoverable modes", UserWarning)
+        assert run_cli("estimate", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    report = (tmp_path / "estimate_report.csv").read_text().splitlines()[1].split(",")
+    assert float(report[5]) == 1.0  # max_mode_error: mode 1, zeroed
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("text", ["t0 = pi/0\n", "t0 = 1\nsigma_grid = 1, pi/0\n"])
 def test_cli_pi_over_zero_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "zero.cfg"
@@ -695,9 +751,11 @@ def test_cli_commands_compute_the_channel_and_the_noiseless_row_once(tmp_path, m
         (("estimate", "--config", str(cfg), "--seed", "1"), 1),  # 47 streamed rows
         (("convergence", "--config", "ex42", "--n-grid", "100,1000,10000", "--trials", "20",
           "--seed", "9"), 1),  # 60 trials
+        (("evolve", "--config", "ex41"), 0),  # 64 frames
+        (("evolve", "--config", "ex42", "--noise", "iid", "--seed", "4"), 0),
     ]
     for argv, base_rows in commands:
-        spectral._channel.cache_clear()  # each command starts as in a fresh process
+        spectral._spectrum.cache_clear()  # each command starts as in a fresh process
         calls.update(dict.fromkeys(calls, 0))
         assert run_cli(*argv, "--out", str(tmp_path / argv[0])) == 0
         assert calls == {"rates": 1, "base rows": base_rows}, argv
@@ -1057,10 +1115,14 @@ def test_cli_unallocatable_sizes_exit_2(tmp_path, capsys, command, sizes):
     ("series_terms = 1000000000\n", "series_terms"),
     ("K = 5000\n", "K"),  # inside the budget, but the default G = 200 cannot resolve it
     ("K = 5000\nG = 10000\n", "G"),
+    ("K = -3\n", "K"),  # once "coefficient index 0 exceeds mode_count -3", with no line
+    ("K = 0\n", "K"),
+    ("series_terms = 0\n", "series_terms"),
 ])
 def test_sizes_past_the_row_budget_are_refused_before_allocating(sizes, key):
     # every row a size key sets (2K + 1 coefficients, G values, series_terms + 1 Gaussians)
-    # fits in 1 MiB, and G >= 2K + 1, both checked before theta or any other array is built
+    # fits in 1 MiB, K and series_terms are >= 1, and G >= 2K + 1, all checked before
+    # theta or any other array is built
     text = "A.0 = 1\nc0 = 1\nc.3 = 1\nsigma = 1\nt0 = 1\n" + sizes
     tracemalloc.start()
     try:

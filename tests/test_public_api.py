@@ -1,7 +1,7 @@
 """The public surface: what `import ousignal` exports, and the names it no longer has."""
 
 import ousignal
-from ousignal import cli, csvio, errors, estimation, model, noise
+from ousignal import cli, csvio, errors, estimation, model, noise, spectral
 from ousignal.fourier import FourierSignal, GridSignal
 from ousignal.model import SampleSet
 from ousignal.spectral import ModeSpectrum, OperatorSpec
@@ -69,6 +69,8 @@ GONE = [
     (ousignal, "analytic_mean"),
     (model, "analytic_mean"),
     (estimation, "_cap_unrecoverable_modes"),
+    (spectral, "_Channel"),
+    (spectral, "_channel"),
 ]
 
 

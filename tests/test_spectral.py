@@ -15,6 +15,7 @@ from ousignal import (
     inverse_propagate,
     mode_spectrum,
     propagate,
+    spectral,
     sup_distance,
 )
 from ousignal.csvio import write_spectrum_csv
@@ -284,10 +285,47 @@ def test_constant_only_signal_scales_by_exp_a0_t(a0, t):
 
 def test_negative_time_rejected():
     s = example_theta()
-    with pytest.raises(ValueError):
-        propagate(s, OperatorSpec.of(2.0), -0.1)
-    with pytest.raises(ValueError):
-        inverse_propagate(s, OperatorSpec.of(2.0), -0.1)
+    for t in (-0.1, math.nan, math.inf):  # a time that is not finite is refused too
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            propagate(s, OperatorSpec.of(2.0), t)
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            inverse_propagate(s, OperatorSpec.of(2.0), t)
+
+
+_CHANNEL = st.tuples(
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4).map(tuple),  # A_1.. after A_0
+    st.floats(0.1, 3.0), st.integers(1, 20), st.floats(0.5, 4.0), st.floats(0.0, 2.0))
+
+
+def _outcome(run, signal, op, t):
+    """The bits of run(signal, op, t), or the message of the overflow it raises."""
+    try:
+        out = run(signal, op, t)
+    except GrowthOverflowError as exc:
+        return str(exc)
+    return np.concatenate([[out.c0], out.c, out.d]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(channels=st.lists(_CHANNEL, min_size=2, max_size=3),
+       calls=st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_one_cached_spectrum_never_serves_a_stale_operator(channels, calls, seed):
+    # propagate and inverse_propagate interleaved over several (A, K, l, t): each outcome is
+    # the bits of the same call made on an empty cache
+    rng = np.random.default_rng(seed)
+    cases = [(OperatorSpec.of(a0, *rest), random_signal(rng, half_period, modes, 1.0), t)
+             for rest, a0, modes, half_period, t in channels]
+    for which, inverse in calls:
+        op, signal, t = cases[which % len(cases)]
+        run = inverse_propagate if inverse else propagate
+        cached = _outcome(run, signal, op, t)
+        spectral._spectrum.cache_clear()
+        assert cached == _outcome(run, signal, op, t)
+        spectrum = spectral._spectrum(op, signal.mode_count, signal.half_period)
+        for rates in (spectrum.sigma, spectrum.omega):
+            with pytest.raises(ValueError, match="read-only"):
+                rates[0] = 1.0
 
 
 def test_spectrum_csv(tmp_path):
