@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import ConfigError
-from .fourier import FourierSignal
+from .fourier import FourierSignal, _grid
 from .manifest import write_columns, write_long_csv
 from .model import OBSERVE_GRID, SampleSet, ScenarioConfig
 from .spectral import ModeSpectrum
@@ -29,18 +31,19 @@ def write_samples_csv(samples: SampleSet, path) -> None:
 
     Rows are formatted and written one block of samples at a time.
     """
-    ids = np.arange(samples.n)
-    first = samples.signal(0)
+    blocks = samples._blocks()
     if samples.form == OBSERVE_GRID:
-        write_long_csv(path, ["sample_id", "x", "value"], ids, first.grid, samples._blocks())
-        return
-    k_count = first.mode_count
-    write_long_csv(path, ["sample_id", "k", "c", "d"], ids, np.arange(k_count + 1),
-                   (_coefficient_table(block, k_count) for block in samples._blocks()))
+        header = ["sample_id", "x", "value"]
+        shared = _grid(samples.config.theta.half_period, samples._width)
+    else:
+        header, shared = ["sample_id", "k", "c", "d"], np.arange(samples._width // 2 + 1)
+        blocks = map(_coefficient_table, blocks)
+    write_long_csv(path, header, shared, enumerate(chain.from_iterable(blocks)))
 
 
-def _coefficient_table(coef: np.ndarray, k_count: int) -> np.ndarray:
+def _coefficient_table(coef: np.ndarray) -> np.ndarray:
     """(rows, 2K+1) coefficients as (rows, K+1, 2) pairs (c_k, d_k); the k=0 row has d = 0."""
+    k_count = coef.shape[1] // 2
     d = np.hstack([np.zeros((coef.shape[0], 1)), coef[:, k_count + 1:]])
     return np.stack([coef[:, :k_count + 1], d], axis=-1)
 
@@ -64,7 +67,7 @@ def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
                               f"{counts.max()} rows per sample_id", source=str(path))
         order, points = np.argsort(ids, kind="stable"), counts[0]
         l = config.theta.half_period
-        grid = l * (2.0 * np.arange(points) / points - 1.0)
+        grid = _grid(l, points)
         off = ~(np.abs(body[order, 1].reshape(-1, points) - grid) <= l / (2 * points)).ravel()
         if off.any():  # a NaN x is off too
             first = np.argmax(off)
@@ -98,10 +101,11 @@ def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
 
 
 def write_frames_csv(frames, path) -> None:
-    """Long format t,x,value over all frames (they share one grid)."""
-    times = np.asarray([t for t, _ in frames])
-    values = np.array([grid.values for _, grid in frames])
-    write_long_csv(path, ["t", "x", "value"], times, frames[0][1].grid, [values])
+    """Long format t,x,value, each (t, GridSignal) frame written as it comes (one grid)."""
+    frames = iter(frames)
+    t, first = next(frames)
+    write_long_csv(path, ["t", "x", "value"], first.grid,
+                   ((t, grid.values) for t, grid in chain([(t, first)], frames)))
 
 
 def _read_table(path, *headers: str) -> tuple[str, np.ndarray]:

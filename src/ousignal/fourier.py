@@ -31,6 +31,11 @@ def _grid_values(signal: FourierSignal, points: int) -> np.ndarray:
     return np.fft.irfft(spectrum, size, norm="forward")
 
 
+def _grid(half_period: float, points: int) -> np.ndarray:
+    """The x values of the uniform left-endpoint grid of `points` points over [-l, l)."""
+    return half_period * (2.0 * np.arange(points) / points - 1.0)
+
+
 def _as_coeff_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True).reshape(-1)
     if arr.size and not np.all(np.isfinite(arr)):
@@ -137,8 +142,7 @@ class GridSignal:
 
     @property
     def grid(self) -> np.ndarray:
-        points = self.grid_points
-        return self.half_period * (2.0 * np.arange(points) / points - 1.0)
+        return _grid(self.half_period, self.grid_points)
 
 
 def extract_coefficients(grid: GridSignal, mode_count: int) -> FourierSignal:

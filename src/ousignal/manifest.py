@@ -78,29 +78,21 @@ def write_columns(path, header: list[str], columns) -> None:
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
-def write_long_csv(path, header: list[str], keys, shared, blocks) -> None:
-    """Long-format table: one row per pair (keys[i], shared[j]), i major.
+def write_long_csv(path, header: list[str], shared, rows) -> None:
+    """Long-format table: for each (key, values) pair of rows, one line per shared[j].
 
-    blocks yields the value table in consecutive blocks of rows, one row
-    per key. Row (i, j) reads keys[i], shared[j], then table[i, j] (one
-    float, or a row of them when the table has a third axis). The bytes
-    equal `write_csv` over the same rows. shared is formatted once; each
-    key's rows are one %-format call over table[i], through a template that
-    holds the shared cells, written to the file as it is made, so memory
-    holds one block and one key's text.
+    Line j reads key, shared[j], then values[j] (one float, or a row of them),
+    with the bytes of `write_csv`. The per-cell templates are built once; each
+    key's lines are one %-format call, written as they are made, so memory
+    holds what rows holds and one key's text.
     """
-    shared = _cells(shared)
-    done = 0
+    cells = [cell + ",%.17g" * (len(header) - 2) for cell in _cells(shared)]
     with _atomic_file(path) as handle:
         handle.write(",".join(header) + "\n")
-        for block in blocks:
-            spec = ",%.17g" * (block.shape[2] if block.ndim == 3 else 1)
-            rows = [cell + spec for cell in shared]
-            for key, values in zip(_cells(keys[done:done + len(block)]), block):
-                head = key + ","
-                template = head + ("\n" + head).join(rows) + "\n"
-                handle.write(template % tuple(values.ravel().tolist()))
-            done += len(block)
+        for key, values in rows:
+            head = fmt(key) + ","
+            template = head + ("\n" + head).join(cells) + "\n"
+            handle.write(template % tuple(values.ravel().tolist()))
 
 
 @dataclass

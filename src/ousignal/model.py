@@ -11,6 +11,7 @@ quasi_base + quasi_shift + i in quasi mode, never on how draws are grouped.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -272,14 +273,14 @@ def sample_stream(config: ScenarioConfig):
 
 
 def evolve_frames(config: ScenarioConfig, times,
-                  noise: str = NOISE_NONE) -> list[tuple[float, GridSignal]]:
-    """Snapshots of the evolving signal at the given times.
+                  noise: str = NOISE_NONE) -> Iterator[tuple[float, GridSignal]]:
+    """Snapshots (t, GridSignal) of the evolving signal at the given times.
 
     noise selects how the scalar noise enters: 'none' for the deterministic
     evolution, 'path' for one trajectory driven by a single coefficient vector
     (the series form, read at every frame time on the clock of the last), or
     'iid' for an independent exact draw per frame. Frames at t = 0 carry no
-    noise.
+    noise. The inputs are checked on the call; each frame is made when reached.
     """
     times = [float(t) for t in times]
     for t in times:
@@ -295,11 +296,12 @@ def evolve_frames(config: ScenarioConfig, times,
         coeffs = rng.normals(config.noise.series_terms + 1)
         etas = iter(ou_integral_series(config.noise, noisy, coeffs, config.series_variant))
 
-    frames = []
-    for t in times:
-        values = propagate(config.theta, config.op, t).evaluate_grid(config.grid_points)
-        if t > 0 and noisy:
-            eta = next(etas) if noise == NOISE_PATH else ou_integral_exact(config.noise, t, rng)
-            values = GridSignal(values.half_period, values.values + eta)
-        frames.append((t, values))
-    return frames
+    def frames():
+        for t in times:
+            values = propagate(config.theta, config.op, t).evaluate_grid(config.grid_points)
+            if t > 0 and noisy:
+                eta = next(etas) if noise == NOISE_PATH else ou_integral_exact(config.noise, t, rng)
+                values = GridSignal(values.half_period, values.values + eta)
+            yield t, values
+
+    return frames()

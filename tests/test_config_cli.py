@@ -425,8 +425,16 @@ _ROTATING = ("l = pi\nc.1 = 1\nA.0 = 1\nA.1 = 1e10\nA.2 = 1\nsigma = 0\nt0 = 1\n
      "frame times must be non-negative and finite, got '0:inf:3'"),
     (["evolve", "--times", "0,1e300"], _ROTATING, 3,
      "the solution map over t=1e+300 rotates mode 1 by an angle that is not finite (inf)"),
+    (["evolve", "--times", "0,1e300"], _EX42, 3,  # a finite exponent, in short form
+     "the solution map over t=1e+300 overflows at mode 0: coefficient magnitude would reach "
+     "exp(2e+300)\n"),
+    # frames 0 and 0.1 are written into the temp file before the map over t = 400 overflows
+    (["evolve", "--times", "0,0.1,400"], _EX42.replace("sigma = 150", "sigma = 0"), 3,
+     "the solution map over t=400 overflows at mode 0: coefficient magnitude would reach "
+     "exp(800)\n"),
 ], ids=["sample-t0-inf", "estimate-t0-inf", "sample-t0-1e308", "estimate-t0-1e308",
-        "evolve-nan", "evolve-inf", "evolve-range-inf", "evolve-angle"])
+        "evolve-nan", "evolve-inf", "evolve-range-inf", "evolve-angle", "evolve-growth",
+        "evolve-last-frame"])
 def test_cli_non_finite_times_and_maps_exit_2_or_3(tmp_path, capsys, argv, text, code, message):
     # these once ran on through numpy warnings (to exit 3), or named c0 for a nan frame time
     cfg = tmp_path / "case.cfg"
@@ -1035,6 +1043,21 @@ def test_cli_verify_memory_does_not_grow_with_n(tmp_path, flags):
         tracemalloc.stop()
     assert code in (0, 3)
     assert peak < 4e6
+
+
+def test_cli_evolve_memory_does_not_grow_with_the_frame_count(tmp_path):
+    # a frame list and its stacked matrix held 6.4 MB at 2000 frames of G = 200
+    peaks = []
+    for count in (50, 2000):
+        tracemalloc.start()
+        try:
+            code = run_cli("evolve", "--config", "ex42", "--times", f"0:1:{count}",
+                           "--out", str(tmp_path / str(count)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] - peaks[0] < 1e6
 
 
 def test_cli_estimate_infinite_zeroes_modes_and_reports_amplification(tmp_path):

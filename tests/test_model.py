@@ -298,7 +298,7 @@ def test_stream_is_deterministic_and_matches_batch():
 
 def test_frames_start_at_input_signal():
     cfg = make_config()
-    frames = evolve_frames(cfg, [0.0])
+    frames = list(evolve_frames(cfg, [0.0]))
     assert np.array_equal(frames[0][1].values,
                           cfg.theta.evaluate_grid(cfg.grid_points).values)
 
@@ -334,8 +334,8 @@ def test_path_noise_single_driver_reproducible():
     times = list(np.linspace(0.0, T0, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the path's clock passes 1 with no warning
-        one = evolve_frames(cfg, times, noise="path")
-        two = evolve_frames(cfg, times, noise="path")
+        one = list(evolve_frames(cfg, times, noise="path"))
+        two = list(evolve_frames(cfg, times, noise="path"))
     for (_, a), (_, b) in zip(one, two):
         assert np.array_equal(a.values, b.values)
     assert not np.array_equal(one[0][1].values, one[-1][1].values)
@@ -359,4 +359,4 @@ def test_frames_validate_times():
 def test_frames_overflow_reports_mode():
     cfg = make_config(sigma=0.0)
     with pytest.raises(GrowthOverflowError, match="mode"):
-        evolve_frames(cfg, [0.0, 400.0])
+        list(evolve_frames(cfg, [0.0, 400.0]))
