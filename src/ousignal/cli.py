@@ -78,8 +78,9 @@ def cmd_spectrum(args, run: RunConfig, out_dir: Path):
 def cmd_evolve(args, run: RunConfig, out_dir: Path):
     sc = run.scenario
     times = _parse_times(args.times) if args.times else list(np.linspace(0.0, sc.t0, 64))
+    frames = evolve_frames(sc, times, noise=args.noise)
     out = out_dir / "frames.csv"
-    csvio.write_frames_csv(evolve_frames(sc, times, noise=args.noise), out)
+    csvio.write_frames_csv(frames, out)
     return [out], {}, EXIT_OK
 
 

@@ -16,8 +16,10 @@ class GrowthOverflowError(OusignalError, FloatingPointError):
         self.mode = mode
         self.exponent = exponent
         self.t = t
-        super().__init__(f"the solution map over t={t:g} overflows at mode {mode}: "
-                         f"coefficient magnitude would reach exp({exponent:.4g})")
+        super().__init__(
+            f"the solution map over t={t:g} overflows at mode {mode}: "
+            f"coefficient magnitude would reach exp({exponent:.4g})"
+        )
 
 
 class ConfigError(OusignalError, ValueError):

@@ -82,17 +82,16 @@ def write_long_csv(path, header: list[str], shared, rows) -> None:
     """Long-format table: for each (key, values) pair of rows, one line per shared[j].
 
     Line j reads key, shared[j], then values[j] (one float, or a row of them),
-    with the bytes of `write_csv`. The per-cell templates are built once; each
+    with the bytes of `write_csv`. The per-line templates are built once; each
     key's lines are one %-format call, written as they are made, so memory
     holds what rows holds and one key's text.
     """
-    cells = [cell + ",%.17g" * (len(header) - 2) for cell in _cells(shared)]
+    lines = [cell + ",%.17g" * (len(header) - 2) + "\n" for cell in _cells(shared)]
     with _atomic_file(path) as handle:
         handle.write(",".join(header) + "\n")
         for key, values in rows:
             head = fmt(key) + ","
-            template = head + ("\n" + head).join(cells) + "\n"
-            handle.write(template % tuple(values.ravel().tolist()))
+            handle.write((head + head.join(lines)) % tuple(values.ravel().tolist()))
 
 
 @dataclass

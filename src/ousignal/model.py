@@ -281,6 +281,7 @@ def evolve_frames(config: ScenarioConfig, times,
     (the series form, read at every frame time on the clock of the last), or
     'iid' for an independent exact draw per frame. Frames at t = 0 carry no
     noise. The inputs are checked on the call; each frame is made when reached.
+    The result is a one-pass iterator: wrap it in list(...) to read it twice.
     """
     times = [float(t) for t in times]
     for t in times:

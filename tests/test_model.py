@@ -321,7 +321,7 @@ def test_frames_grow_at_constant_mode_rate():
 def test_noisy_frames_with_zero_sigma_equal_deterministic():
     cfg = make_config(sigma=0.0)
     times = list(np.linspace(0.0, T0, 5))
-    plain = evolve_frames(cfg, times)
+    plain = list(evolve_frames(cfg, times))
     for mode in ("path", "iid"):
         noisy = evolve_frames(cfg, times, noise=mode)
         for (_, a), (_, b) in zip(plain, noisy):
