@@ -8,22 +8,21 @@ import numpy as np
 
 from .errors import ConfigError
 from .fourier import FourierSignal, _grid
-from .manifest import write_columns, write_long_csv
+from .manifest import write_long_csv
 from .model import OBSERVE_GRID, SampleSet, ScenarioConfig
 from .spectral import ModeSpectrum
 
 
 def write_fourier_csv(signal: FourierSignal, path) -> None:
     """Rows k,c,d for k = 0..K; the k=0 row carries (c0, 0)."""
-    write_columns(path, ["k", "c", "d"], [np.arange(signal.mode_count + 1),
-                                          np.concatenate([[signal.c0], signal.c]),
-                                          np.concatenate([[0.0], signal.d])])
+    pairs = np.stack([np.r_[signal.c0, signal.c], np.r_[0.0, signal.d]], axis=-1)
+    write_long_csv(path, ["k", "c", "d"], np.arange(signal.mode_count + 1), [(None, pairs)])
 
 
 def write_spectrum_csv(spectrum: ModeSpectrum, path) -> None:
     """Rows k,sigma,omega for k = 0..K; k = 0 is the constant mode."""
-    write_columns(path, ["k", "sigma", "omega"],
-                  [np.arange(spectrum.sigma.size), spectrum.sigma, spectrum.omega])
+    pairs = np.stack([spectrum.sigma, spectrum.omega], axis=-1)
+    write_long_csv(path, ["k", "sigma", "omega"], np.arange(spectrum.sigma.size), [(None, pairs)])
 
 
 def write_samples_csv(samples: SampleSet, path) -> None:

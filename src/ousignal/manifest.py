@@ -15,6 +15,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .noise import _block_sizes
+
 # Bumped whenever the same config and seed stop giving the same bytes; replay
 # refuses manifests written under another version.
 ARTIFACT_VERSION = "0.6.0"
@@ -59,39 +61,31 @@ def write_csv(path, header: list[str], rows, trailer: str | None = None) -> None
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _cells(values) -> list[str]:
-    """`fmt` of every entry of a numeric array, by one %-format call over all of them.
-
-    `%.17g` and `f"{v:.17g}"` share Python's correctly rounded conversion, so
-    each cell has the bytes `fmt` gives it.
-    """
-    flat = values.ravel().tolist()
-    spec = "%.17g\n" if values.dtype.kind == "f" else "%d\n"
-    return (spec * len(flat) % tuple(flat)).split("\n")[:-1]
-
-
-def write_columns(path, header: list[str], columns) -> None:
-    """`write_csv` over the rows of equal-length numeric columns, each formatted by one
-    `_cells` call (float columns as %.17g, integer ones as %d), with the same bytes."""
-    cells = [_cells(column) for column in columns]
-    rows = [",".join(header), *map(",".join, zip(*cells))]
-    atomic_write_text(path, "\n".join(rows) + "\n")
-
-
 def write_long_csv(path, header: list[str], shared, rows) -> None:
     """Long-format table: for each (key, values) pair of rows, one line per shared[j].
 
     Line j reads key, shared[j], then values[j] (one float, or a row of them),
-    with the bytes of `write_csv`. The per-line templates are built once; each
-    key's lines are one %-format call, written as they are made, so memory
-    holds what rows holds and one key's text.
+    with the bytes of `write_csv`; a key of None writes no key cell. A key's
+    lines are written in slices of at most 2**14 values (`_block_sizes`), each
+    one %-format call on its slice's template, built once per call. So memory
+    holds what rows holds, the templates and one slice's text.
     """
-    lines = [cell + ",%.17g" * (len(header) - 2) + "\n" for cell in _cells(shared)]
+    slices = []
     with _atomic_file(path) as handle:
         handle.write(",".join(header) + "\n")
         for key, values in rows:
-            head = fmt(key) + ","
-            handle.write((head + head.join(lines)) % tuple(values.ravel().tolist()))
+            if not slices:  # "\0" keeps the key cell's place; %.17g and fmt round alike
+                width, start = len(header) - 1 - (key is not None), 0
+                cell = "\0%.17g" if shared.dtype.kind == "f" else "\0%d"
+                line = cell + ",%%.17g" * width + "\n"
+                for size in _block_sizes(shared.size, width):
+                    part = tuple(shared[start:start + size].tolist())
+                    start += size
+                    slices.append((start * width, line * size % part))
+            head, flat, start = "" if key is None else fmt(key) + ",", values.ravel(), 0
+            for stop, template in slices:
+                handle.write(template.replace("\0", head) % tuple(flat[start:stop].tolist()))
+                start = stop
 
 
 @dataclass

@@ -284,6 +284,8 @@ def evolve_frames(config: ScenarioConfig, times,
     The result is a one-pass iterator: wrap it in list(...) to read it twice.
     """
     times = [float(t) for t in times]
+    if not times:
+        raise ValueError("frame times must not be empty")
     for t in times:
         if not 0 <= t < math.inf:
             raise ValueError(f"frame times must be non-negative and finite, got {t:g}")

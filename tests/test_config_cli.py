@@ -977,15 +977,21 @@ def test_cli_estimate_infinite_mode_exit_codes(tmp_path):
     assert run_cli("estimate", "--config", str(easy), "--out", str(tmp_path / "y")) == 0
 
 
-@pytest.mark.parametrize("n_max", ["0", "-5"])
-def test_cli_estimate_infinite_refuses_n_max_below_one(tmp_path, capsys, n_max):
-    # this once drew one sample, printed "no convergence after 1 samples" and exited 4
+@pytest.mark.parametrize("line, message", [
+    pytest.param("n_max = 0", "n_max must be >= 1", id="0"),
+    pytest.param("n_max = -5", "n_max must be >= 1", id="-5"),
+    pytest.param("epsilon = -1", "epsilon must be non-negative", id="epsilon"),
+    pytest.param("window = 1", "window must be >= 2", id="window"),
+])
+def test_cli_estimate_infinite_refuses_n_max_below_one(tmp_path, capsys, line, message):
+    # n_max below one once drew one sample, printed "no convergence after 1 samples" and
+    # exited 4; it and the other stopping rules are refused before a sample is drawn
     cfg = tmp_path / "stream.cfg"
-    cfg.write_text(preset_text("ex42") + f"estimator = infinite\nn_max = {n_max}\n")
+    cfg.write_text(preset_text("ex42") + f"estimator = infinite\n{line}\n")
     out = tmp_path / "out"
     assert run_cli("estimate", "--config", str(cfg), "--seed", "1", "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert "invalid input: n_max must be >= 1" in err and "Traceback" not in err
+    assert f"invalid input: {message}" in err and "Traceback" not in err
     assert list(out.iterdir()) == []
 
 
@@ -1075,6 +1081,13 @@ def test_cli_estimate_infinite_zeroes_modes_and_reports_amplification(tmp_path):
     (["estimate", "--config", "ex42", "--samples", "{tmp}/missing.csv"], "missing.csv"),
     (["spectrum", "--config", "ex42", "--out", "{tmp}/afile/sub"], "afile/sub"),
     (["sample", "--config", "ex42", "--seed", "-4"], "--seed must be an integer >= 0"),
+    (["evolve", "--config", "ex42", "--times", "0:1"], "start:stop:count"),
+    (["evolve", "--config", "ex42", "--times", "0:1:0"], "times count must be >= 1"),
+    (["sample", "--config", "ex42", "--n", "0"], "--n must be >= 1"),
+    (["convergence", "--config", "ex42", "--n-grid", "10,x"], "bad --n-grid"),
+    (["convergence", "--config", "ex42", "--n-grid", "100,10"], "strictly ascending"),
+    (["convergence", "--config", "ex42", "--trials", "0"], "trials must be >= 1"),
+    (["spectrum", "--config", "{tmp}/missing.cfg"], "cannot read config"),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, message):
     (tmp_path / "afile").write_text("")

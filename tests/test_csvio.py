@@ -15,6 +15,7 @@ from ousignal.csvio import (read_samples_csv, write_fourier_csv, write_frames_cs
 from ousignal.fourier import FourierSignal, GridSignal
 from ousignal.manifest import write_csv
 from ousignal.model import _signal_row
+from ousignal.noise import _block_sizes
 from ousignal.spectral import ModeSpectrum
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308]
@@ -90,6 +91,44 @@ def test_fourier_and_spectrum_csv_match_per_cell_format(tmp_path_factory, data, 
                                     np.concatenate([[0.0], second])), tmp / "spectrum.csv")
     write_csv(tmp / "spectrum_reference.csv", ["k", "sigma", "omega"], reference)
     assert (tmp / "spectrum.csv").read_bytes() == (tmp / "spectrum_reference.csv").read_bytes()
+
+
+def test_tables_longer_than_a_slice_match_per_cell_format(tmp_path):
+    # one frame of 3 * 2**14 + 5 points and 3 * 2**13 + 5 lines of 2 values each span 4
+    # slices of at most 2**14 values; edge values and every exponent range are included
+    rng = np.random.default_rng(7)
+    points, modes = 3 * 2**14 + 5, 3 * 2**13 + 4
+    assert len(list(_block_sizes(points, 1))) == len(list(_block_sizes(modes + 1, 2))) == 4
+    size = points + 2 * modes
+    wide = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    wide[:len(EDGE_VALUES)] = EDGE_VALUES
+
+    frame = GridSignal(math.pi, wide[:points])
+    write_frames_csv([(0.5, frame)], tmp_path / "frames.csv")
+    rows = ((0.5, x, v) for x, v in zip(frame.grid, frame.values))
+    write_csv(tmp_path / "frames_reference.csv", ["t", "x", "value"], rows)
+
+    c, d = wide[points:points + modes], wide[points + modes:]
+    write_fourier_csv(FourierSignal(math.pi, -0.0, c, d), tmp_path / "fourier.csv")
+    rows = [(0, -0.0, 0.0)] + [(k + 1, c[k], d[k]) for k in range(modes)]
+    write_csv(tmp_path / "fourier_reference.csv", ["k", "c", "d"], rows)
+    for name in ("frames", "fourier"):
+        written = (tmp_path / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}_reference.csv").read_bytes()
+
+
+def test_long_table_writer_memory_does_not_grow_with_the_key(tmp_path):
+    # two frames of G = 131072: a key's whole text and its G per-cell templates peaked at
+    # 25 MB; slices of 2**14 values hold their templates, the grid and one slice's text
+    rng = np.random.default_rng(8)
+    frames = [(t, GridSignal(math.pi, rng.standard_normal(131072))) for t in (0.0, 1.0)]
+    tracemalloc.start()
+    try:
+        write_frames_csv(frames, tmp_path / "frames.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_samples_reader_groups_by_id_and_keeps_row_order(tmp_path):

@@ -354,6 +354,8 @@ def test_frames_validate_times():
         evolve_frames(cfg, [0.2, 0.1])
     with pytest.raises(ValueError):
         evolve_frames(cfg, [-0.1, 0.2])
+    with pytest.raises(ValueError, match="empty"):  # was an empty iterator: StopIteration on write
+        evolve_frames(cfg, [])
 
 
 def test_frames_overflow_reports_mode():

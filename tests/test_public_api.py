@@ -1,7 +1,7 @@
 """The public surface: what `import ousignal` exports, and the names it no longer has."""
 
 import ousignal
-from ousignal import cli, csvio, errors, estimation, model, noise, spectral
+from ousignal import cli, csvio, errors, estimation, manifest, model, noise, spectral
 from ousignal.fourier import FourierSignal, GridSignal
 from ousignal.model import SampleSet
 from ousignal.spectral import ModeSpectrum, OperatorSpec
@@ -71,6 +71,7 @@ GONE = [
     (estimation, "_cap_unrecoverable_modes"),
     (spectral, "_Channel"),
     (spectral, "_channel"),
+    (manifest, "write_columns"),
 ]
 
 
