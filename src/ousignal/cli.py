@@ -27,7 +27,7 @@ from .estimation import EstimateReport, convergence_study, estimate_until_stable
 from .manifest import ARTIFACT_VERSION, RunManifest, atomic_write_text, fmt, write_csv
 from .model import (NOISE_MODES, NOISE_NONE, _draw, _noiseless, evolve_frames, sample_batch,
                     sample_source)
-from .noise import _block_sizes, _pair_blocks, noise_covariance, noise_variance
+from .noise import _block_sizes, _markov_pair, noise_covariance, noise_variance
 from .spectral import mode_spectrum
 
 EXIT_OK = 0
@@ -135,7 +135,10 @@ def cmd_verify(args, run: RunConfig, out_dir: Path):
         raise ConfigError("verify --n must be >= 2: a sample variance needs two draws")
     rows = []
 
-    rng = sample_source(sc, (0, 0))  # each check folds its draws a block at a time
+    # each row of each check is its own source, folded a block at a time: the variance
+    # row is (seed, 0, 0) or quasi_base; covariance i reads its early value and its
+    # increment from rows r = 0, 1, keyed (seed, 1, i, r) or quasi_base + 1 + 2i + r
+    rng = sample_source(sc, (0, 0))
     analytic = noise_variance(sc.noise, sc.t0)
     values = (math.sqrt(analytic) * rng.normals(m) for m in _block_sizes(draws))
     empirical = _sample_covariance((x, x) for x in values)
@@ -145,9 +148,12 @@ def cmd_verify(args, run: RunConfig, out_dir: Path):
     fractions = [(0.25, 0.5), (0.25, 1.0), (0.5, 0.75), (0.5, 1.0), (0.75, 1.0)]
     for i, (fs, ft) in enumerate(fractions):
         s, t = fs * sc.t0, ft * sc.t0
-        pair_rng = sample_source(sc, (1, i), quasi_shift=2 * i)
+        early, increment = (sample_source(sc, (1, i, r), quasi_shift=1 + 2 * i + r)
+                            for r in (0, 1))
         analytic = noise_covariance(sc.noise, s, t)
-        empirical = _sample_covariance(_pair_blocks(sc.noise, s, t, draws, pair_rng))
+        empirical = _sample_covariance(
+            _markov_pair(sc.noise, s, t, early.normals(m), increment.normals(m))
+            for m in _block_sizes(draws))
         spread = noise_variance(sc.noise, s) * noise_variance(sc.noise, t) + analytic**2
         se = math.sqrt(spread / (draws - 1))
         rows.append(_check_row("covariance", s, t, analytic, empirical, se))
@@ -163,14 +169,16 @@ def _sample_covariance(blocks) -> float:
 
     Each block's count, means and co-moment are merged into the running ones
     by the pairwise update of Chan, Golub & LeVeque (1983), so memory is one
-    block whatever the count; blocks (x, x) give the sample variance.
+    block whatever the count; blocks (x, x) give the sample variance. The
+    co-moment is numpy's own sum, not a BLAS dot, whose threaded split would
+    make its last bits depend on the thread count.
     """
     n, mean_x, mean_y, comoment = 0, 0.0, 0.0, 0.0
     for x, y in blocks:
         m = x.size
         bx, by = float(x.mean()), float(y.mean())
         dx, dy = bx - mean_x, by - mean_y
-        comoment += float(np.dot(x - bx, y - by)) + dx * dy * n * m / (n + m)
+        comoment += float(np.add.reduce((x - bx) * (y - by))) + dx * dy * n * m / (n + m)
         mean_x += dx * m / (n + m)
         mean_y += dy * m / (n + m)
         n += m

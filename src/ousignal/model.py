@@ -247,8 +247,12 @@ def _noiseless(config: ScenarioConfig):
 
 
 def _draw(config: ScenarioConfig, base, subkey: tuple = (), quasi_shift: int = 0) -> SampleSet:
-    """sample_batch on a base formed once: trials and sigmas share _noiseless(config)."""
-    etas = np.concatenate(list(_noise_blocks(config, subkey, quasi_shift, config.n)))
+    """sample_batch on a base formed once: trials and sigmas share _noiseless(config).
+    The draws fill one array of n, a noise block at a time."""
+    etas, start = np.empty(config.n), 0
+    for block in _noise_blocks(config, subkey, quasi_shift, config.n):
+        etas[start:start + block.size] = block
+        start += block.size
     return SampleSet(config, etas, base=base)
 
 

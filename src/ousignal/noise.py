@@ -33,8 +33,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _EPS = np.finfo(float).eps
 _SAFE_LOG = 700.0
 
-# doubles drawn at once (at least one row's worth), so no draw, replay or fold
-# holds more than O(_BLOCK) memory whatever the count
+# doubles drawn at once (at least one row's worth), so no draw or fold holds more
+# than O(_BLOCK) memory whatever the count
 _BLOCK = 1 << 14
 
 
@@ -168,15 +168,14 @@ class RandomSource:
     """Deterministic Gaussian stream with a draw counter.
 
     pseudo mode wraps numpy's PCG64 seeded by the key path (seed, path...);
-    quasi mode replays quasi_gaussian(stream, j) for j = 1, 2, ... The pair
+    quasi mode reads quasi_gaussian(stream, j) for j = 1, 2, ... The pair
     (mode/key, counter) fully determines every draw.
     """
 
     PSEUDO = "pseudo"
     QUASI = "quasi"
 
-    def __init__(self, mode: str, key: tuple[int, ...] = (0,), stream: int = 1,
-                 counter: int = 0):
+    def __init__(self, mode: str, key: tuple[int, ...] = (0,), stream: int = 1):
         if mode not in (self.PSEUDO, self.QUASI):
             raise ValueError(f"unknown RandomSource mode {mode!r}")
         if mode == self.QUASI and stream < 1:
@@ -184,7 +183,7 @@ class RandomSource:
         self.mode = mode
         self.key = tuple(int(k) for k in key)
         self.stream = int(stream)
-        self.counter = int(counter)
+        self.counter = 0
         self._gen = None
 
     @classmethod
@@ -198,8 +197,6 @@ class RandomSource:
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
             self._gen = np.random.default_rng(self.key)
-            for rows in _block_sizes(self.counter):  # replayed a block at a time
-                self._gen.standard_normal(rows)
         return self._gen
 
     def normal(self) -> float:
@@ -229,17 +226,6 @@ class RandomSource:
         values = quasi_gaussian(streams, np.arange(self.counter + 1, self.counter + width + 1))
         self.stream += rows
         return values
-
-    def _rows(self, rows: int, width: int) -> list["RandomSource"]:
-        """Sources for the rows of blocks(rows, width), each readable a piece at a time;
-        this source moves past them as blocks would."""
-        draws, streams = (width, 0) if self.mode == self.PSEUDO else (0, 1)  # per row
-        sources = [RandomSource(self.mode, self.key, self.stream + r * streams,
-                                self.counter + r * draws) for r in range(rows)]
-        self._gen = None  # replayed up to the new counter on the next draw, as the rows are
-        self.counter += rows * draws
-        self.stream += rows * streams
-        return sources
 
     def __repr__(self):
         ident = f"key={self.key}" if self.mode == self.PSEUDO else f"stream={self.stream}"
@@ -344,25 +330,20 @@ def ou_integral_series(params: NoiseParams, t0, coeffs,
 def ou_joint_pairs(params: NoiseParams, s: float, t: float, count: int,
                    rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
     """Exact joint draws (noise(s), noise(t)) sharing one driving path, rng.blocks(2, count)
-    driving them: the blocks of _pair_blocks, joined."""
+    driving them: the Markov step of _markov_pair on its two rows."""
     if s < 0 or t < 0 or count < 0:
         raise ValueError("times and count must be non-negative")
-    # the blocks side by side, after an empty head that serves count = 0
-    early, late = np.hstack([np.empty((2, 0)),
-                             *_pair_blocks(params, min(s, t), max(s, t), count, rng)])
+    early, late = _markov_pair(params, min(s, t), max(s, t), *rng.blocks(2, count))
     return (late, early) if s > t else (early, late)
 
 
-def _pair_blocks(params: NoiseParams, s: float, t: float, count: int, rng: RandomSource):
-    """Blocks [noise(s), noise(t)], s <= t, of count joint draws, by the Markov decomposition:
-    the later value is the earlier one decayed (or grown) plus an independent increment.
-    Row 0 of rng.blocks(2, count) drives the earlier value and row 1 the increment, each
-    read a block at a time; rng moves past both rows at once."""
-    early_rng, inc_rng = rng._rows(2, count)
-    spread = math.sqrt(noise_variance(params, s))
+def _markov_pair(params: NoiseParams, s: float, t: float, early: np.ndarray,
+                 increment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint draws (noise(s), noise(t)), s <= t, by the Markov decomposition: the later value
+    is the earlier one decayed (or grown) plus an independent increment. The Gaussian arrays
+    early and increment drive the earlier value and the increment, element by element, so
+    pairs formed a block at a time are those formed at once."""
+    first = math.sqrt(noise_variance(params, s)) * early
     gap = params.a0 * (t - s)
     carry = math.exp(-gap) if params.kernel == KERNEL_MEAN_REVERTING else _grown(1.0, math.exp, gap, t)
-    step = math.sqrt(noise_variance(params, t - s))
-    for rows in _block_sizes(count):
-        early = spread * early_rng.normals(rows)
-        yield np.array((early, carry * early + step * inc_rng.normals(rows)))
+    return first, carry * first + math.sqrt(noise_variance(params, t - s)) * increment

@@ -8,7 +8,10 @@ import inspect
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -21,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _util import wideband_config_text
-from ousignal import (ConfigError, FourierSignal, NoiseParams, RunConfig, ScenarioConfig, cli,
-                      estimation, load_config, model, noise, noise_variance, ou_joint_pairs,
+from ousignal import (ConfigError, FourierSignal, NoiseParams, RandomSource, RunConfig,
+                      ScenarioConfig, cli, estimation, load_config, model, noise, noise_variance,
                       parse_config_text, spectral)
 from ousignal.cli import build_parser, main, replay_manifest
 from ousignal.config import _KEYS, PRESETS, parse_number, preset_text
@@ -581,13 +584,14 @@ def test_cli_convergence_makes_no_lapack_call(tmp_path, monkeypatch):
     assert digest == "e2a81bd92c907da971987b38ef856cd3ca217ceef56c7d01a7146eb4948341f6"
 
 
-# SHA-256 under ARTIFACT_VERSION 0.4.0 of the outputs that fold streamed draws: verify's
-# blocks of paired draws, and the infinite estimator's running mean at a stop and at n_max
+# SHA-256 of the outputs that fold streamed draws: verify's blocks of paired draws, re-pinned
+# under ARTIFACT_VERSION 0.7.0 (a source per check row, and a co-moment summed by numpy, not
+# a BLAS dot), and the infinite estimator's running mean at a stop and at n_max, under 0.4.0
 STREAMED_DIGESTS = {
     "verify": ([], 0, {
-        "verify.csv": "2a96c13b7942d448fe7bd781a3d4c87843b7fdfe3c43d15d75d579d4e152d313"}),
+        "verify.csv": "80cc88a6f1912a6503343d3665d8133bd197336c43d3a24d970d51f7ec63a0eb"}),
     "verify-quasi": (["--quasi"], 0, {
-        "verify.csv": "4fb46d3c20e51733a1ca3e681c13565c0af8e7eed1233a7f6cc88d03d2a4b994"}),
+        "verify.csv": "3df1874d8ecac68a17053d97a5898549704ffc28e3a7405be37e147605fffcb1"}),
     "infinite-stops": ("epsilon = 0.1\n", 0, {
         "estimate.csv": "04f02ffc8c4a37f7a3f99aef54624a48d94e45c73734cc299a2960b396a376c5",
         "estimate_report.csv":
@@ -1029,12 +1033,56 @@ def test_cli_verify_streamed_moments_equal_whole_array_formulas(tmp_path, quasi)
               * model.sample_source(sc, (0, 0)).normals(draws))
     expected = [values.var(ddof=1)]
     for i, row in enumerate(rows[1:]):
-        rng = model.sample_source(sc, (1, i), quasi_shift=2 * i)
-        early, late = ou_joint_pairs(sc.noise, float(row[1]), float(row[2]), draws, rng)
-        expected.append(np.cov(early, late)[0, 1])
+        # row r = 0 drives the early value and r = 1 the increment, each its own source
+        early, increment = (model.sample_source(sc, (1, i, r), quasi_shift=1 + 2 * i + r)
+                            .normals(draws) for r in (0, 1))
+        s, t = float(row[1]), float(row[2])
+        first = math.sqrt(noise_variance(sc.noise, s)) * early
+        second = (math.exp(-sc.noise.a0 * (t - s)) * first
+                  + math.sqrt(noise_variance(sc.noise, t - s)) * increment)
+        expected.append(np.cov(first, second)[0, 1])
     assert [float(row[4]) for row in rows] == pytest.approx(expected, rel=1e-12, abs=0.0)
     for row in rows:  # a numpy bool would print True / False
         assert row[7] == ("1" if abs(float(row[6])) <= 3.0 else "0")
+
+
+@pytest.mark.parametrize("quasi", [False, True], ids=["pseudo", "quasi"])
+def test_cli_verify_reads_each_row_of_each_check_from_its_own_stream(tmp_path, monkeypatch,
+                                                                     quasi):
+    # eleven rows: the variance row, and the early and increment rows of five covariances
+    first_blocks = {}
+    normals = RandomSource.normals
+
+    def recording(source, count):
+        values = normals(source, count)
+        first_blocks.setdefault(source, values)
+        return values
+
+    monkeypatch.setattr(RandomSource, "normals", recording)
+    flags = ["--quasi"] if quasi else ["--seed", "9"]
+    assert run_cli("verify", "--config", "ex42", "--n", "200", "--out", str(tmp_path),
+                   *flags) in (0, 3)
+    streams = [source.stream if quasi else source.key for source in first_blocks]
+    assert streams == ([*range(1, 12)] if quasi
+                       else [(9, 0, 0)] + [(9, 1, i, r) for i in range(5) for r in (0, 1)])
+    blocks = list(first_blocks.values())
+    for i, block in enumerate(blocks):
+        assert not any(np.array_equal(block, other) for other in blocks[i + 1:])
+
+
+def test_cli_verify_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a threaded BLAS dot split each block's co-moment by thread, moving its last bits
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                           os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "ousignal.cli", "verify", "--config", "ex42",
+                        "--seed", "9", "--n", "20000", "--out", str(out)], env=env, check=True,
+                       timeout=120)
+        outputs.append((out / "verify.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("flags", [["--seed", "9", "--n", "1000000"], ["--quasi", "--n", "200000"]],

@@ -1,6 +1,7 @@
 """Channel sampling: noise enters only the constant mode, moments match the formulas."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from itertools import islice
@@ -136,6 +137,21 @@ def test_pseudo_batch_seeds_one_generator(monkeypatch):
     sample_batch(make_config(n=noise._BLOCK, seed=5, sampler="series", t0=0.1,
                              series_terms=9))  # eleven blocks
     assert seeded == [((5,),)]
+
+
+def test_batch_draws_fill_one_array_of_n():
+    # the n = 1e6 draws take 8 MB; a list of their blocks and its concatenation held 16.8 MB
+    cfg = replace(load_config("ex42").scenario, n=1_000_000, seed=3)
+    base = model._noiseless(cfg)
+    model._draw(replace(cfg, n=1), base)  # numpy's first draw imports about 1 MB of modules
+    tracemalloc.start()
+    try:
+        batch = model._draw(cfg, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.etas.shape == (cfg.n,)
+    assert peak < 9e6
 
 
 @pytest.mark.parametrize("sampler", ["exact", "series"])

@@ -1,7 +1,6 @@
 """Gaussian drivers, the KL path, and the scalar OU integral against analytic moments."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -136,44 +135,6 @@ def test_counter_tracks_consumption():
     src.normal()
     src.normals(4)
     assert src.counter == 5
-
-
-def test_counter_reconstruction_matches_sequence():
-    # a fresh source fast-forwarded to counter j yields the same continuation
-    whole = RandomSource.pseudo(5).normals(10)
-    resumed = RandomSource(RandomSource.PSEUDO, key=(5,), counter=4).normals(6)
-    assert np.allclose(whole[4:], resumed)
-
-
-def test_resumed_stream_replays_in_blocks_and_bounded_memory():
-    # a resume past several replay blocks continues the unresumed stream exactly
-    counter = 3 * noise._BLOCK + 5
-    whole = RandomSource.pseudo(5, 2).normals(counter + 7)
-    resumed = RandomSource(RandomSource.PSEUDO, key=(5, 2), counter=counter)
-    assert np.array_equal(resumed.normals(7), whole[counter:])
-    # replaying 4e6 draws at once would hold 32 MB
-    tracemalloc.start()
-    try:
-        RandomSource(RandomSource.PSEUDO, key=(5,), counter=4_000_000).normal()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2e6
-
-
-def test_row_sources_read_the_rows_of_blocks():
-    # a row's source yields that row of blocks(rows, width), a piece at a time, and the
-    # source they come from moves on as blocks would, whether or not it has drawn yet
-    for make in (lambda: RandomSource.pseudo(8, 1), lambda: RandomSource.quasi(3)):
-        for drawn in (0, 3):
-            whole, split = make(), make()
-            whole.normals(drawn)
-            split.normals(drawn)
-            rows = whole.blocks(2, 9)
-            for r, src in enumerate(split._rows(2, 9)):
-                assert np.array_equal(np.concatenate([src.normals(4), src.normals(5)]), rows[r])
-            assert (split.counter, split.stream) == (whole.counter, whole.stream)
-            assert np.array_equal(split.normals(5), whole.normals(5))
 
 
 def test_quasi_source_matches_pointwise_map():
