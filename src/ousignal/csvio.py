@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from itertools import chain
+from contextlib import suppress
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import ConfigError
 from .fourier import FourierSignal, _grid
 from .manifest import write_long_csv
-from .model import OBSERVE_GRID, SampleSet, ScenarioConfig
+from .model import OBSERVE_FOURIER, OBSERVE_GRID, SampleSet, ScenarioConfig
+from .noise import _BLOCK
 from .spectral import ModeSpectrum
 
 
@@ -26,16 +28,12 @@ def write_spectrum_csv(spectrum: ModeSpectrum, path) -> None:
 
 
 def write_samples_csv(samples: SampleSet, path) -> None:
-    """Long format: sample_id,x,value for grids, sample_id,k,c,d for coefficients.
-
-    Rows are formatted and written one block of samples at a time.
-    """
-    blocks = samples._blocks()
+    """Long format, sample_id,x,value (grid) or sample_id,k,c,d, a block of samples at a time."""
+    blocks, width = samples._blocks(), next(samples._blocks()).shape[1]
     if samples.form == OBSERVE_GRID:
-        header = ["sample_id", "x", "value"]
-        shared = _grid(samples.config.theta.half_period, samples._width)
+        header, shared = ["sample_id", "x", "value"], _grid(samples.config.theta.half_period, width)
     else:
-        header, shared = ["sample_id", "k", "c", "d"], np.arange(samples._width // 2 + 1)
+        header, shared = ["sample_id", "k", "c", "d"], np.arange(width // 2 + 1)
         blocks = map(_coefficient_table, blocks)
     write_long_csv(path, header, shared, enumerate(chain.from_iterable(blocks)))
 
@@ -48,55 +46,106 @@ def _coefficient_table(coef: np.ndarray) -> np.ndarray:
 
 
 def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
-    """Rebuild a SampleSet written by write_samples_csv (noise draws unknown).
+    """The SampleSet of a file that write_samples_csv wrote, parsed at each read. sample_id is an
+    integer that never decreases from one data row to the next, each run of one id a sample
+    (see _grid_rows, _coefficient_rows). Refusals name data rows, blank lines not counted."""
+    with open(path) as handle:
+        header = handle.readline().rstrip("\r\n")
+    form = {"sample_id,x,value": OBSERVE_GRID, "sample_id,k,c,d": OBSERVE_FOURIER}.get(header)
+    if form is None:
+        raise ConfigError("expected columns sample_id,x,value or sample_id,k,c,d, found "
+                          f"{header or '<empty>'}", source=str(path))
+    return SampleSet(config, form, lambda: _sample_blocks(path, config, form))
 
-    Samples are taken in ascending sample_id order, each sample's rows in file
-    order. sample_id must be an integer and k an integer from 0 to the
-    config's mode count. In the grid schema every sample must have the same
-    number G of rows, and its x values, in file order, must lie within a
-    quarter step of the G-point grid of [-l, l). In the coefficient schema
-    every sample must list each k from 0 to the file's largest k exactly once.
-    """
-    header, body = _read_table(path, "sample_id,x,value", "sample_id,k,c,d")
-    ids = _integers(path, body[:, 0], "sample_id")
-    if header == "sample_id,x,value":
-        _, counts = np.unique(ids, return_counts=True)
-        if counts.min() != counts.max():
-            raise ConfigError(f"samples have inconsistent grid sizes: {counts.min()} to "
-                              f"{counts.max()} rows per sample_id", source=str(path))
-        order, points = np.argsort(ids, kind="stable"), counts[0]
-        l = config.theta.half_period
-        grid = _grid(l, points)
-        off = ~(np.abs(body[order, 1].reshape(-1, points) - grid) <= l / (2 * points)).ravel()
-        if off.any():  # a NaN x is off too
-            first = np.argmax(off)
-            at, j = order[first], first % points
-            raise ConfigError(f"sample_id {ids[at]:g}: x = {body[at, 1]:g} in data row {at + 1} is "
-                              f"more than a quarter step from grid point {j} (x = {grid[j]:.6g}) "
-                              f"of the {points}-point grid of [-l, l)", source=str(path))
-        values = body[order, 2].reshape(counts.size, points)
-        return SampleSet(config, etas=np.full(counts.size, np.nan), grid_values=values)
-    k = _integers(path, body[:, 1], "k", minimum=0)
+
+def _sample_blocks(path, config: ScenarioConfig, form: str):
+    """A samples CSV's samples as row blocks, parsed 2**14 values of lines at a time. The parses
+    of samples not yet complete are held, and joined once a later sample starts, the file ends
+    or they are longer than a sample. A file of one parse is checked ids, sizes, then rows."""
+    columns, make = (3, _grid_rows) if form == OBSERVE_GRID else (4, _coefficient_rows)
+    lines, ended, size, last, held, start, count = _BLOCK // columns, False, None, -np.inf, [], 0, 0
+    with open(path) as handle:  # held: the parses of data rows start + 1 to start + count
+        handle.readline()
+        while not ended:
+            text = list(islice(handle, lines))
+            ended, end = len(text) < lines, 0  # end: the held rows whose samples are complete
+            if any(line != "\n" for line in text):  # np.loadtxt warns on blank lines alone
+                rows = _parse(path, text, start + count + 1, columns)
+                ids = _integers(path, rows[:, 0], "sample_id", start + count)
+                before = np.r_[last, ids[:-1]]
+                if (ids < before).any():
+                    at = int(np.argmax(ids < before))
+                    raise ConfigError(f"sample_id must not decrease from one data row to the next: "
+                                      f"{ids[at]:g} follows {before[at]:g} in data row "
+                                      f"{start + count + at + 1}", source=str(path))
+                firsts = np.flatnonzero(ids != before)  # where a later sample starts
+                end = count + firsts[-1] if firsts.size else 0
+                held.append(rows)
+                count, last = count + len(rows), ids[-1]
+            if ended or size is not None and count - end > size:
+                end = count
+            if end:
+                table = np.concatenate(held)
+                ids = table[:end, 0]
+                counts = np.diff(np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1, end])
+                block, size = make(path, config, table[:end], start, counts, size)
+                yield block
+                held, start, count = [table[end:].copy()], start + end, count - end
+    if not start:
+        raise ConfigError("no data rows", source=str(path))
+
+
+def _grid_rows(path, config: ScenarioConfig, rows: np.ndarray, start: int, counts: np.ndarray,
+               points: int | None) -> tuple[np.ndarray, int]:
+    """(values, G) of whole samples of counts rows, rows[0] in data row start + 1: G rows each
+    (the first's, unless given) whose x lie within a quarter step of the grid of [-l, l)."""
+    points = points or counts[0]
+    if np.any(counts != points):
+        i = int(np.argmax(counts != points))
+        at = counts[:i].sum()
+        raise ConfigError(f"samples have inconsistent grid sizes: sample_id {rows[at, 0]:g} from "
+                          f"data row {start + at + 1} has {counts[i]} rows, not the first "
+                          f"sample's {points}", source=str(path))
+    l = config.theta.half_period
+    grid = _grid(l, points)
+    off = ~(np.abs(rows[:, 1].reshape(-1, points) - grid) <= l / (2 * points)).ravel()
+    if off.any():  # a NaN x is off too
+        at = int(np.argmax(off))
+        raise ConfigError(f"sample_id {rows[at, 0]:g}: x = {rows[at, 1]:g} in data row "
+                          f"{start + at + 1} is more than a quarter step from grid point "
+                          f"{at % points} (x = {grid[at % points]:.6g}) of the {points}-point "
+                          f"grid of [-l, l)", source=str(path))
+    return rows[:, 2].reshape(-1, points).copy(), points
+
+
+def _coefficient_rows(path, config: ScenarioConfig, rows: np.ndarray, start: int,
+                      counts: np.ndarray, size: int | None) -> tuple[np.ndarray, int]:
+    """(coefficients, K + 1) of whole samples, as _grid_rows: each k an integer up to the mode
+    count, each sample listing every k up to K (the first's largest, unless given) once."""
+    k = _integers(path, rows[:, 1], "k", start, minimum=0)
     if k.max() > config.mode_count:  # refused before k sizes the coefficient matrix
         at = int(np.argmax(k > config.mode_count))
         raise ConfigError(f"k must be at most the mode count K = {config.mode_count}, found "
-                          f"{k[at]:g} in data row {at + 1}", source=str(path))
+                          f"{k[at]:g} in data row {start + at + 1}", source=str(path))
     k = k.astype(np.intp)
-    sample_ids, row = np.unique(ids, return_inverse=True)
-    k_count = k.max()
-    listed = np.bincount(row * (k_count + 1) + k, minlength=sample_ids.size * (k_count + 1))
-    listed = listed.reshape(sample_ids.size, k_count + 1)
+    size = size or int(k[:counts[0]].max()) + 1
+    if k.max() >= size:
+        at = int(np.argmax(k >= size))
+        raise ConfigError(f"sample_id {rows[at, 0]:g} lists k = {k[at]} in data row "
+                          f"{start + at + 1}, past the first sample's largest k, {size - 1}",
+                          source=str(path))
+    sample = np.repeat(np.arange(counts.size), counts)
+    listed = np.bincount(sample * size + k, minlength=counts.size * size).reshape(-1, size)
     bad = np.argwhere(listed != 1)
     if bad.size:  # a missing mode would read as 0, a repeated one hide a row
         at, k_bad = bad[0]
         fault = "missing" if listed[at, k_bad] == 0 else "repeated"
-        raise ConfigError(f"sample_id {sample_ids[at]:g} must list every k from 0 to {k_count} "
-                          f"exactly once; k = {k_bad} is {fault}", source=str(path))
-    coef = np.zeros((sample_ids.size, 2 * k_count + 1))
-    coef[row, k] = body[:, 2]
-    mode = k > 0
-    coef[row[mode], k_count + k[mode]] = body[mode, 3]
-    return SampleSet(config, etas=np.full(coef.shape[0], np.nan), fourier_coef=coef)
+        raise ConfigError(f"sample_id {rows[counts[:at].sum(), 0]:g} must list every k from 0 to "
+                          f"{size - 1} exactly once; k = {k_bad} is {fault}", source=str(path))
+    coef = np.zeros((counts.size, 2 * size - 1))
+    coef[sample, k] = rows[:, 2]
+    coef[sample[k > 0], size - 1 + k[k > 0]] = rows[k > 0, 3]
+    return coef, size
 
 
 def write_frames_csv(frames, path) -> None:
@@ -107,37 +156,30 @@ def write_frames_csv(frames, path) -> None:
                    ((t, grid.values) for t, grid in chain([(t, first)], frames)))
 
 
-def _read_table(path, *headers: str) -> tuple[str, np.ndarray]:
-    """The header of a CSV, which must be one of `headers`, and its rows as a float array.
-
-    Blank lines are skipped. There must be at least one row, and every row
-    must hold one number per column.
-    """
-    with open(path, newline="") as handle:
-        header = handle.readline().rstrip("\r\n")
-        has_rows = any(not line.isspace() for line in handle)
-    if header not in headers:
-        raise ConfigError(f"expected columns {' or '.join(headers)}, found {header or '<empty>'}",
-                          source=str(path))
-    if not has_rows:
-        raise ConfigError("no data rows", source=str(path))
-    try:
-        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
-    except ValueError as exc:  # a row with a missing, extra or non-numeric cell
-        raise ConfigError(f"bad row: {exc}", source=str(path)) from exc
-    columns = header.count(",") + 1
-    if body.shape[1] != columns:
-        raise ConfigError(f"expected {columns} columns per row, found {body.shape[1]}",
-                          source=str(path))
-    return header, body
+def _parse(path, lines: list[str], first: int, columns: int) -> np.ndarray:
+    """The lines, data rows first, first + 1, ..., as (rows, columns) numbers, or a refusal."""
+    with suppress(ValueError):  # a row with a missing, extra or non-numeric cell
+        body = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        if body.shape[1] == columns:
+            return body
+    for at, line in enumerate((line for line in lines if line != "\n"), start=first):
+        try:
+            found = np.loadtxt([line], delimiter=",", ndmin=2, comments=None).shape[1]
+        except ValueError:
+            raise ConfigError(f"bad row: data row {at} holds a cell that is not a number: "
+                              f"{line.strip()!r}", source=str(path)) from None
+        if found != columns:
+            raise ConfigError(f"bad row: expected {columns} columns per row, found {found} in "
+                              f"data row {at}: the number of columns changed", source=str(path))
 
 
-def _integers(path, column: np.ndarray, name: str, minimum: float = -np.inf) -> np.ndarray:
-    """The column unchanged; a fraction, non-finite value or value below minimum is refused."""
+def _integers(path, column: np.ndarray, name: str, start: int, minimum=-np.inf) -> np.ndarray:
+    """The column, row i data row start + i + 1, unchanged; a fraction, non-finite value or
+    value below minimum is refused."""
     bad = ~np.isfinite(column) | (column != np.floor(column)) | (column < minimum)
     if bad.any():
         row = int(np.argmax(bad))
         rule = "an integer" if minimum == -np.inf else f"an integer >= {minimum:g}"
-        raise ConfigError(f"{name} must be {rule}, found {column[row]:g} in data row {row + 1}",
-                          source=str(path))
+        raise ConfigError(f"{name} must be {rule}, found {column[row]:g} in data row "
+                          f"{start + row + 1}", source=str(path))
     return column

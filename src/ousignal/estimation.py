@@ -13,13 +13,14 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import RunConfig
 from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distance
-from .model import SampleSet, ScenarioConfig, _draw, _fold, _noiseless, _row_signal, _stream_rows
+from .model import SampleSet, ScenarioConfig, _draw, _noiseless, _row_blocks, _row_signal
 from .spectral import _spectrum, inverse_propagate
 
 AMPLIFICATION_CAP = 1e12  # the largest inverse factor exp(-sigma_k t0) the estimator applies
@@ -79,7 +80,8 @@ def run_estimate(samples: SampleSet) -> EstimateReport:
     Grid samples are averaged pointwise and converted to coefficients by quadrature
     first; modes past the amplification cap are zeroed, with a warning (see _invert).
     """
-    return _report(samples.config, samples.n, True, *_invert(samples.mean_signal(), samples.config))
+    mean, n = samples._mean()
+    return _report(samples.config, n, True, *_invert(mean, samples.config))
 
 
 def estimate_until_stable(config: ScenarioConfig, epsilon: float,
@@ -87,8 +89,8 @@ def estimate_until_stable(config: ScenarioConfig, epsilon: float,
                           n_max: int = RunConfig.n_max) -> EstimateReport:
     """Running estimate over sample_stream(config) with a Cauchy stopping rule.
 
-    Folds the rows of that stream into a running sum one at a time, through
-    the fold of SampleSet.mean_signal (so the mean is a batch's bit for bit),
+    Adds the rows of that stream to a running sum one at a time, in the order
+    of SampleSet.mean_signal's fold (so the mean is a batch's bit for bit),
     inverts each running mean once, as run_estimate does, and stops once all
     consecutive sup-norm gaps inside a window of `window` successive
     estimates fall strictly below epsilon. Exhausting n_max is reported via
@@ -101,14 +103,12 @@ def estimate_until_stable(config: ScenarioConfig, epsilon: float,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     half_period, form = config.theta.half_period, config.observation_form
-    buf = inverted = None
+    base = _noiseless(config)
+    total, inverted = np.full(base.size, -0.0), None
     gaps: deque[float] = deque(maxlen=window - 1)
-    for n_used, row in enumerate(_stream_rows(config), start=1):
-        if buf is None:
-            buf = np.full((2, row.size), -0.0)  # the running sum, then the row to add
-        buf[1] = row
+    for n_used, row in enumerate(chain.from_iterable(_row_blocks(config, base)), start=1):
         with np.errstate(over="raise"):
-            total = _fold(buf, 1)
+            np.add(total, row, out=total)
         previous = inverted
         inverted = _invert(_row_signal(half_period, form, total / n_used), config)
         if previous is not None:

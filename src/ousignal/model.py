@@ -110,150 +110,114 @@ def sample_source(config: ScenarioConfig, subkey: tuple[int, ...] = (),
     return RandomSource.pseudo(config.seed, *subkey)
 
 
-def _noise_blocks(config: ScenarioConfig, subkey: tuple[int, ...] = (),
-                  quasi_shift: int = 0, count: int | None = None):
-    """Noise draws of samples 0, 1, ... in the blocks of _block_sizes(count, width)."""
-    width = 1 if config.sampler == SAMPLER_EXACT else config.noise.series_terms + 1
-    rng = sample_source(config, subkey, quasi_shift)
-    for rows in _block_sizes(count, width):
-        g = rng.blocks(rows, width)
-        if config.sampler == SAMPLER_EXACT:
-            yield math.sqrt(noise_variance(config.noise, config.t0)) * g[:, 0]
-        else:
-            yield ou_integral_series(config.noise, config.t0, g, config.series_variant)
-
-
-def _signal_row(signal) -> np.ndarray:
-    """A signal as one row: its grid values, or its coefficients c0, c_1..c_K, d_1..d_K."""
-    if isinstance(signal, GridSignal):
-        return signal.values
-    return np.concatenate([[signal.c0], signal.c, signal.d])
-
-
 def _row_signal(half_period: float, form: str, row: np.ndarray):
-    """The signal a row holds: the inverse of _signal_row."""
+    """The signal a row holds: grid values, or coefficients c0, c_1..c_K, d_1..d_K."""
     if form == OBSERVE_GRID:
         return GridSignal(half_period, row)
     k = (row.size - 1) // 2
     return FourierSignal(half_period, float(row[0]), row[1: k + 1], row[k + 1:])
 
 
-def _form_rows(base: np.ndarray, etas: np.ndarray, form: str,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Drawn rows (into out, if given): row i the noiseless row base plus eta_i on every grid
-    value, or plus 2 eta_i on c0 (the stored c0 is twice the constant term)."""
-    out = np.empty((etas.size, base.size)) if out is None else out
-    out[...] = base
-    if form == OBSERVE_GRID:
-        out += etas[:, None]
-    else:
-        out[:, 0] += 2.0 * etas
-    return out
-
-
-def _fold(buf: np.ndarray, rows: int) -> np.ndarray:
-    """Add rows 1..rows of buf to the running row sum in its row 0, and return that sum.
-
-    numpy reduces axis 0 of a C-ordered matrix row by row, so the sum has the same bits
-    however the rows are blocked; row 0 starts at -0.0, which adds to any row exactly.
-    Both estimators fold their rows here, under np.errstate(over="raise") set once per
-    mean, so a sum of finite rows past a float raises FloatingPointError (exit 3)."""
-    return np.add.reduce(buf[:rows + 1], axis=0, out=buf[0])
+def _row_blocks(config: ScenarioConfig, base: np.ndarray, subkey: tuple[int, ...] = (),
+                quasi_shift: int = 0, count: int | None = None):
+    """The drawn rows of samples 0, 1, ... (count of them, or endless) in new blocks: row i
+    is the noiseless row base plus noise draw eta_i on every grid value, or plus 2 eta_i on
+    c0 (twice the constant term). Draws and rows come in the blocks of _block_sizes."""
+    width = 1 if config.sampler == SAMPLER_EXACT else config.noise.series_terms + 1
+    rng = sample_source(config, subkey, quasi_shift)
+    for draws in _block_sizes(count, width):
+        g = rng.blocks(draws, width)
+        if config.sampler == SAMPLER_EXACT:
+            etas = math.sqrt(noise_variance(config.noise, config.t0)) * g[:, 0]
+        else:
+            etas = ou_integral_series(config.noise, config.t0, g, config.series_variant)
+        start = 0
+        for rows in _block_sizes(draws, base.size):
+            part, start = etas[start:start + rows], start + rows
+            block = np.empty((rows, base.size))
+            block[...] = base  # then one add in place: faster than a broadcast base + part
+            if config.observation_form == OBSERVE_GRID:
+                block += part[:, None]
+            else:
+                block[:, 0] += 2.0 * part
+            yield block
 
 
 class SampleSet:
-    """A batch of observed signals with their noise draws and provenance.
+    """A set of observed signals: its scenario config, its form and a source of its rows.
 
-    Each sample is one row: G grid values, or 2K+1 coefficients with columns
-    c0, c_1..c_K, d_1..d_K. A drawn batch keeps what it is made of, the
-    noiseless observation `base` and the per-sample noise draws `etas`: row
-    i is base with eta_i added to its constant mode. A set read back from
-    disk keeps its row matrix (passed as `grid_values` or `fourier_coef`;
-    etas NaN). Rows are read in the contiguous blocks of noise._block_sizes,
-    so the mean and the CSV writer hold one block whatever n is. Only the
-    grid_values view builds a drawn set's whole matrix, on first use.
-    """
+    Each sample is one row: G grid values (form "grid"), or 2K+1 coefficients
+    c0, c_1..c_K, d_1..d_K (form "fourier"). The set holds no rows: blocks()
+    returns a new iterator over them, as new (rows, width) arrays that a read may
+    overwrite, drawn (sample_batch) or parsed (csvio.read_samples_csv) anew."""
 
-    def __init__(self, config: ScenarioConfig, etas: np.ndarray,
-                 grid_values: np.ndarray | None = None,
-                 fourier_coef: np.ndarray | None = None,
-                 base: GridSignal | FourierSignal | None = None):
-        if sum(a is not None for a in (grid_values, fourier_coef, base)) != 1:
-            raise ValueError("exactly one of grid_values / fourier_coef / base must be set")
-        self.config = config
-        self.etas = etas
-        self._base = None if base is None else _signal_row(base)
-        self._rows = grid_values if grid_values is not None else fourier_coef
-        self._width = (self._rows if base is None else self._base).shape[-1]
-        grid = grid_values is not None or isinstance(base, GridSignal)
-        self.form = OBSERVE_GRID if grid else OBSERVE_FOURIER
+    def __init__(self, config: ScenarioConfig, form: str, blocks):
+        if form not in OBSERVATIONS:
+            raise ValueError(f"unknown observation form {form!r}")
+        self.config, self.form, self._blocks = config, form, blocks
 
     @property
     def n(self) -> int:
-        return self.etas.size if self._rows is None else self._rows.shape[0]
+        return sum(len(block) for block in self._blocks())
 
-    @cached_property
-    def grid_values(self) -> np.ndarray | None:
-        """The (n, G) value matrix of a grid set, else None.
-
-        A drawn set builds its rows once, on first use, read-only.
-        """
-        if self.form != OBSERVE_GRID:
-            return None
-        if self._rows is not None:
-            return self._rows
-        rows = self._block(0, self.n)
-        rows.flags.writeable = False
-        return rows
-
-    def _block(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows start..stop-1 (stop <= n), written into out when it is given; else a view
-        of a read set's matrix, or a drawn set's rows formed into a new array."""
-        if self._rows is None:
-            return _form_rows(self._base, self.etas[start:stop], self.form, out)
-        if out is None:
-            return self._rows[start:stop]
-        out[...] = self._rows[start:stop]
+    def _stack(self, take) -> np.ndarray:
+        """take(block) of every block, in one new read-only array of n rows; the set is read
+        once for the shape of a row, once for n, and once to fill the array."""
+        out, at = np.empty((self.n, *take(next(self._blocks())).shape[1:])), 0
+        for block in self._blocks():
+            out[at:at + len(block)] = take(block)
+            at += len(block)
+        out.flags.writeable = False
         return out
 
-    def _blocks(self, buf: np.ndarray | None = None):
-        """All rows in order, in the blocks of _block_sizes; below row 0 of buf, if given."""
-        start = 0
-        for rows in _block_sizes(self.n, self._width):
-            yield self._block(start, start + rows, None if buf is None else buf[1:rows + 1])
-            start += rows
+    @cached_property
+    def etas(self) -> np.ndarray:
+        """Each row's constant term (its grid mean, or c0 / 2) less the noiseless one."""
+        constant = propagate(self.config.theta, self.config.op, self.config.t0).c0 / 2.0
+        return self._stack(lambda block: (block.mean(axis=1) if self.form == OBSERVE_GRID
+                                          else block[:, 0] / 2.0) - constant)
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        return self._stack(lambda block: block)
+
+    @property
+    def grid_values(self) -> np.ndarray | None:
+        """The (n, G) value matrix of a grid set, else None."""
+        return self._matrix if self.form == OBSERVE_GRID else None
 
     def signal(self, i: int):
         """Materialize sample i as a GridSignal or FourierSignal."""
-        i = range(self.n)[i]
-        return _row_signal(self.config.theta.half_period, self.form, self._block(i, i + 1)[0])
+        return _row_signal(self.config.theta.half_period, self.form, self._matrix[i])
+
+    def _mean(self):
+        """(mean signal, n): each block's first row takes the running sum, and numpy sums a
+        block row by row (axis 0), so however the rows are blocked the bits are the same."""
+        total, n = -0.0, 0  # -0.0 adds to any row exactly
+        with np.errstate(over="raise"):
+            for block in self._blocks():
+                np.add(total, block[0], out=block[0])
+                total, n = np.add.reduce(block, axis=0), n + len(block)
+        return _row_signal(self.config.theta.half_period, self.form, total / n), n
 
     def mean_signal(self):
         """Pointwise (grid) or coefficient-wise (Fourier) sample mean: the row sum over n."""
-        # the running sum, then room for the first block, which is the largest
-        buf = np.full((next(_block_sizes(self.n, self._width)) + 1, self._width), -0.0)
-        with np.errstate(over="raise"):
-            for block in self._blocks(buf):
-                _fold(buf, len(block))
-        return _row_signal(self.config.theta.half_period, self.form, buf[0] / self.n)
+        return self._mean()[0]
 
 
-def _noiseless(config: ScenarioConfig):
-    """The expected observation in the config's form: the propagated input."""
+def _noiseless(config: ScenarioConfig) -> np.ndarray:
+    """The expected observation in the config's form, as a row: the propagated input."""
     base = propagate(config.theta, config.op, config.t0)
     if config.observation_form == OBSERVE_GRID:
-        return base.evaluate_grid(config.grid_points)
-    return base
+        return base.evaluate_grid(config.grid_points).values
+    return np.concatenate([[base.c0], base.c, base.d])
 
 
-def _draw(config: ScenarioConfig, base, subkey: tuple = (), quasi_shift: int = 0) -> SampleSet:
-    """sample_batch on a base formed once: trials and sigmas share _noiseless(config).
-    The draws fill one array of n, a noise block at a time."""
-    etas, start = np.empty(config.n), 0
-    for block in _noise_blocks(config, subkey, quasi_shift, config.n):
-        etas[start:start + block.size] = block
-        start += block.size
-    return SampleSet(config, etas, base=base)
+def _draw(config: ScenarioConfig, base: np.ndarray, subkey: tuple = (),
+          quasi_shift: int = 0) -> SampleSet:
+    """sample_batch on a noiseless row formed once, which trials and sigmas share."""
+    return SampleSet(config, config.observation_form,
+                     lambda: _row_blocks(config, base, subkey, quasi_shift, config.n))
 
 
 def sample_batch(config: ScenarioConfig, subkey: tuple[int, ...] = (),
@@ -262,18 +226,11 @@ def sample_batch(config: ScenarioConfig, subkey: tuple[int, ...] = (),
     return _draw(config, _noiseless(config), subkey, quasi_shift)
 
 
-def _stream_rows(config: ScenarioConfig):
-    """Endless rows of observations, formed a noise block at a time; the first n are
-    sample_batch's rows."""
-    base = _signal_row(_noiseless(config))
-    for etas in _noise_blocks(config):
-        yield from _form_rows(base, etas, config.observation_form)
-
-
 def sample_stream(config: ScenarioConfig):
     """Endless generator of observations; its first n equal sample_batch's rows."""
-    for row in _stream_rows(config):
-        yield _row_signal(config.theta.half_period, config.observation_form, row)
+    for block in _row_blocks(config, _noiseless(config)):
+        for row in block:
+            yield _row_signal(config.theta.half_period, config.observation_form, row)
 
 
 def evolve_frames(config: ScenarioConfig, times,

@@ -4,13 +4,20 @@ import random
 
 import numpy as np
 
-from ousignal import FourierSignal, NoiseParams, OperatorSpec, ScenarioConfig
+from ousignal import FourierSignal, GridSignal, NoiseParams, OperatorSpec, ScenarioConfig
 
 
 def random_signal(rng, half_period=np.pi, mode_count=20, scale=5.0):
     c = rng.uniform(-scale, scale, mode_count)
     d = rng.uniform(-scale, scale, mode_count)
     return FourierSignal(half_period, rng.uniform(-scale, scale), c, d)
+
+
+def signal_row(signal):
+    """A signal as one row, as a SampleSet holds it: grid values, or c0, c_1..c_K, d_1..d_K."""
+    if isinstance(signal, GridSignal):
+        return signal.values
+    return np.concatenate([[signal.c0], signal.c, signal.d])
 
 
 def example_theta(mode_count=20):

@@ -2,19 +2,21 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _util import make_config
-from ousignal import SampleSet, sample_batch
+from _util import make_config, signal_row
+from ousignal import ConfigError, SampleSet, csvio, run_estimate, sample_batch
+from ousignal.cli import main
 from ousignal.csvio import (read_samples_csv, write_fourier_csv, write_frames_csv,
                             write_samples_csv, write_spectrum_csv)
 from ousignal.fourier import FourierSignal, GridSignal
 from ousignal.manifest import write_csv
-from ousignal.model import _signal_row
 from ousignal.noise import _block_sizes
 from ousignal.spectral import ModeSpectrum
 
@@ -47,16 +49,15 @@ def test_samples_csv_matches_per_cell_format_and_round_trips_bits(tmp_path_facto
     config = make_config()
     if form == "grid":
         values = data.draw(arrays(np.float64, (n, width), elements=FINITE))
-        samples = SampleSet(config, etas=np.zeros(n), grid_values=values)
     else:
         values = data.draw(arrays(np.float64, (n, 2 * width + 1), elements=FINITE))
-        samples = SampleSet(config, etas=np.zeros(n), fourier_coef=values)
+    samples = SampleSet(config, form, lambda: iter([values.copy()]))
     write_samples_csv(samples, tmp / "columnar.csv")
     _reference_samples_csv(form, values, tmp / "reference.csv")
     assert (tmp / "columnar.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
 
     back = read_samples_csv(tmp / "columnar.csv", config)
-    read = np.array([_signal_row(back.signal(i)) for i in range(back.n)])
+    read = np.array([signal_row(back.signal(i)) for i in range(back.n)])
     assert read.tobytes() == values.tobytes()  # bit for bit, -0.0 and subnormals included
     write_samples_csv(back, tmp / "again.csv")
     assert (tmp / "again.csv").read_bytes() == (tmp / "columnar.csv").read_bytes()
@@ -131,11 +132,116 @@ def test_long_table_writer_memory_does_not_grow_with_the_key(tmp_path):
     assert peak < 8e6
 
 
-def test_samples_reader_groups_by_id_and_keeps_row_order(tmp_path):
+def test_samples_reader_refuses_ids_that_decrease(tmp_path, capsys):
+    # interleaved ids were once sorted by a whole-file parse; a streamed reader takes the
+    # writer's layout, in which sample_id never decreases from one data row to the next
     path = tmp_path / "samples.csv"
     path.write_text("sample_id,x,value\n7,-3.14159,1\n-2,-3.14159,5\n7,0,2\n-2,0,6\n")
-    back = read_samples_csv(path, make_config())
-    assert back.grid_values.tolist() == [[5.0, 6.0], [1.0, 2.0]]
+    assert main(["estimate", "--config", "ex42", "--samples", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "sample_id must not decrease" in err and "-2 follows 7 in data row 2" in err
+
+
+def _grid_lines(samples: int, points: int) -> list[str]:
+    """Data rows of `samples` grid samples of `points` values each, as `sample` writes them."""
+    x = GridSignal(math.pi, np.zeros(points)).grid.tolist()
+    return [f"{i},{x[j]!r},{i + j}\n" for i in range(samples) for j in range(points)]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # numpy counted this row as row 3 (it skips the blank line and counts from 0)
+    (lambda lines: lines[:3] + ["\n", "1,,4\n"] + lines[4:],
+     "bad row: data row 4 holds a cell that is not a number: '1,,4'"),
+    # and this one as row 4 (counting from 1)
+    (lambda lines: lines[:3] + ["1,4\n"] + lines[4:],
+     "bad row: expected 3 columns per row, found 2 in data row 4"),
+    # past the first parse of 5461 lines, where numpy's count would start again
+    (lambda lines: lines[:6009] + ["30,abc,1\n"] + lines[6010:],
+     "bad row: data row 6010 holds a cell that is not a number: '30,abc,1'"),
+], ids=["empty-cell-after-a-blank-line", "short-row", "bad-cell-in-the-second-parse"])
+def test_samples_reader_names_the_data_row_of_a_bad_row(tmp_path, edit, message):
+    assert next(_block_sizes(16384, 3)) == 5461
+    path = tmp_path / "samples.csv"
+    path.write_text("sample_id,x,value\n" + "".join(edit(_grid_lines(40, 200))))
+    samples = read_samples_csv(path, make_config())
+    with pytest.raises(ConfigError) as refusal:
+        samples.mean_signal()
+    assert message in str(refusal.value)
+
+
+def test_samples_reader_reads_a_file_of_whole_blocks_without_a_numpy_warning(tmp_path):
+    # 4 * 3 * 5461 rows: three full blocks of lines, and nothing left for a fourth parse,
+    # which numpy would answer with "input contained no data"
+    per_parse = next(_block_sizes(16384, 3))
+    cfg = make_config(theta=FourierSignal.build(math.pi, c0=1.0, cos={1: 2.0}, mode_count=1),
+                      mode_count=1, grid_points=4, n=3 * per_parse, seed=6)
+    batch = sample_batch(cfg)
+    write_samples_csv(batch, tmp_path / "samples.csv")
+    lines = (tmp_path / "samples.csv").read_text().count("\n")
+    assert lines - 1 == 4 * 3 * per_parse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_samples_csv(tmp_path / "samples.csv", cfg)
+        assert signal_row(back.mean_signal()).tobytes() == signal_row(batch.mean_signal()).tobytes()
+
+
+def test_samples_reader_carries_samples_longer_than_a_block(tmp_path):
+    # G = 6000 rows per sample, past the 5461 lines of one parse: every sample is split
+    cfg = make_config(mode_count=20, grid_points=6000, n=4, seed=7)
+    batch = sample_batch(cfg)
+    write_samples_csv(batch, tmp_path / "samples.csv")
+    back = read_samples_csv(tmp_path / "samples.csv", cfg)
+    assert back.n == 4
+    assert back.grid_values.tobytes() == batch.grid_values.tobytes()
+    read, drawn = run_estimate(back), run_estimate(batch)
+    assert read[:-1] == drawn[:-1]
+    assert signal_row(read.estimate).tobytes() == signal_row(drawn.estimate).tobytes()
+
+
+def test_samples_reader_joins_and_checks_each_row_of_a_long_sample_once(tmp_path, monkeypatch):
+    # G = 60000 spans 11 parses of 5461 lines. Joining the carried table to each new parse,
+    # and checking its ids again, handled each sample's rows about 6 times
+    cfg = make_config(grid_points=60000, n=2, seed=7)
+    write_samples_csv(sample_batch(cfg), tmp_path / "samples.csv")
+    checked, joined = [], []
+    integers, concatenate = csvio._integers, np.concatenate
+
+    def counted_integers(path, column, *args, **kwargs):
+        checked.append(column.size)
+        return integers(path, column, *args, **kwargs)
+
+    def counted_concatenate(arrays, *args, **kwargs):
+        joined.append(sum(len(a) for a in arrays if np.ndim(a) == 2))
+        return concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(csvio, "_integers", counted_integers)
+    monkeypatch.setattr(np, "concatenate", counted_concatenate)
+    assert read_samples_csv(tmp_path / "samples.csv", cfg).n == cfg.n
+    assert sum(checked) == cfg.n * cfg.grid_points
+    # each row is joined once, and the start of a sample twice at most: its parse's tail
+    assert sum(joined) < cfg.n * cfg.grid_points + 5461
+
+
+@pytest.mark.parametrize("form", ["grid", "fourier"])
+def test_samples_reader_memory_does_not_grow_with_the_sample_count(tmp_path, form):
+    # G = 41 (K = 20): 8000 samples are 328,000 grid rows (14 MB) or 168,000 coefficient
+    # rows (9 MB). A whole-file parse peaked at 15.9 MB and 17.4 MB on them, and at 4.0 MB
+    # and 4.3 MB on 2000 samples; one parse of lines at a time peaks at 1.5 MB and 1.0 MB
+    peaks = {}
+    for n in (2000, 8000):
+        cfg = make_config(grid_points=41, n=n, seed=n, observation_form=form)
+        path = tmp_path / f"samples{n}.csv"
+        write_samples_csv(sample_batch(cfg), path)
+        run_estimate(read_samples_csv(path, cfg))  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            run_estimate(read_samples_csv(path, cfg))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8000] < 1.1 * peaks[2000]
+    assert peaks[8000] < 2e6
 
 
 def test_samples_writer_memory_does_not_grow_with_the_batch(tmp_path):

@@ -25,10 +25,10 @@ from ousignal import (
     sample_batch,
     sup_distance,
 )
-from ousignal import estimation, model, noise
+from ousignal import estimation, noise
 from ousignal.model import OBSERVE_FOURIER, SampleSet
 
-from _util import example_theta, make_config, random_signal
+from _util import example_theta, make_config, random_signal, signal_row
 
 PI = math.pi
 T0 = PI / 7
@@ -79,8 +79,7 @@ def test_mean_then_invert_equals_invert_then_mean():
 def test_estimate_is_permutation_invariant():
     cfg = make_config(n=16, seed=9)
     batch = sample_batch(cfg)
-    shuffled = SampleSet(cfg, etas=batch.etas[::-1].copy(),
-                         grid_values=batch.grid_values[::-1].copy())
+    shuffled = SampleSet(cfg, "grid", lambda: iter([batch.grid_values[::-1].copy()]))
     a = run_estimate(batch).estimate
     b = run_estimate(shuffled).estimate
     assert sup_distance(a, b) < 1e-10
@@ -90,7 +89,7 @@ def test_estimate_is_linear_in_constant_shifts():
     cfg = make_config(n=5, seed=14)
     batch = sample_batch(cfg)
     w = 3.7
-    shifted = SampleSet(cfg, etas=batch.etas, grid_values=batch.grid_values + w)
+    shifted = SampleSet(cfg, "grid", lambda: iter([batch.grid_values + w]))
     plain = run_estimate(batch).estimate
     moved = run_estimate(shifted).estimate
     shift = math.exp(-cfg.op.a0 * cfg.t0) * w  # the constant term; c0 holds twice it
@@ -191,8 +190,8 @@ def test_both_estimators_agree_bit_for_bit_on_the_same_samples(form, n, modes, s
     fields = [name for name in batch._fields if name not in ("converged", "estimate")]
     assert [float(getattr(stream, f)).hex() for f in fields] == \
         [float(getattr(batch, f)).hex() for f in fields]
-    assert model._signal_row(stream.estimate).tobytes() == \
-        model._signal_row(batch.estimate).tobytes()
+    assert signal_row(stream.estimate).tobytes() == \
+        signal_row(batch.estimate).tobytes()
 
 
 def test_stable_estimate_converges_immediately_without_noise():
@@ -234,9 +233,8 @@ def test_both_estimators_name_a_row_sum_that_overflows(monkeypatch, form):
     cfg = make_config(sigma=0.0, n=2, observation_form=form)
     rows = np.zeros((2, cfg.grid_points if form == "grid" else 2 * cfg.mode_count + 1))
     rows[:, 0] = 1e308
-    monkeypatch.setattr(estimation, "_stream_rows", lambda config: iter(rows))
-    batch = SampleSet(cfg, np.full(2, np.nan), **{
-        "grid_values" if form == "grid" else "fourier_coef": rows})
+    monkeypatch.setattr(estimation, "_row_blocks", lambda config, base: iter([rows]))
+    batch = SampleSet(cfg, form, lambda: iter([rows.copy()]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="overflow"):
@@ -359,12 +357,11 @@ def test_blockwise_mean_is_bit_identical_to_matrix_mean_and_running_sum(form):
     cfg = make_config(theta=example_theta(mode_count=100), mode_count=100, grid_points=201,
                       observation_form=form, seed=8, n=3 * (noise._BLOCK // 201) + 5)
     batch = sample_batch(cfg)
-    row = model._signal_row
+    row = signal_row
     matrix = np.array([row(batch.signal(i)) for i in range(batch.n)])
     assert np.array_equal(row(batch.mean_signal()), np.mean(matrix, axis=0))
 
-    stored = SampleSet(cfg, etas=batch.etas, **{
-        "grid_values" if form == "grid" else "fourier_coef": matrix})
+    stored = SampleSet(cfg, form, lambda: iter([matrix.copy()]))
     assert np.array_equal(row(stored.mean_signal()), row(batch.mean_signal()))
 
     folded = run_estimate(batch).estimate
@@ -383,3 +380,22 @@ def test_batch_estimate_memory_does_not_grow_with_n():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+def test_drawn_estimate_memory_does_not_grow_from_1e4_to_1e6_samples():
+    # K = 1 on G = 3 points keeps the fold fast. The n = 1e6 noise draws alone are 8 MB,
+    # which a batch held until it drew its rows as it is read; now the peak is a noise
+    # block and a row block (131 kB each), and the 1e4 draws fill less than one
+    theta = FourierSignal.build(PI, c0=1.0, cos={1: 2.0}, mode_count=1)
+    peaks = {}
+    for n in (10_000, 1_000_000):
+        cfg = make_config(theta=theta, mode_count=1, grid_points=3, n=n, seed=3)
+        run_estimate(sample_batch(replace(cfg, n=1)))  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            run_estimate(sample_batch(cfg))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1_000_000] < peaks[10_000] + 8 * noise._BLOCK
+    assert peaks[1_000_000] < 1e6

@@ -30,7 +30,7 @@ from ousignal import load_config, model, noise
 from ousignal.model import OBSERVE_FOURIER
 from ousignal.noise import quasi_gaussian
 
-from _util import example_theta, make_config
+from _util import example_theta, make_config, signal_row
 
 PI = math.pi
 T0 = PI / 7
@@ -134,24 +134,42 @@ def test_pseudo_batch_seeds_one_generator(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
-    sample_batch(make_config(n=noise._BLOCK, seed=5, sampler="series", t0=0.1,
-                             series_terms=9))  # eleven blocks
+    batch = sample_batch(make_config(n=noise._BLOCK, seed=5, sampler="series", t0=0.1,
+                                     series_terms=9))  # eleven blocks
+    assert seeded == []  # a batch draws when it is read
+    batch.n
     assert seeded == [((5,),)]
 
 
 def test_batch_draws_fill_one_array_of_n():
-    # the n = 1e6 draws take 8 MB; a list of their blocks and its concatenation held 16.8 MB
+    # the etas of n = 1e6 draws take 8 MB; a list of their blocks and its concatenation
+    # held 16.8 MB
     cfg = replace(load_config("ex42").scenario, n=1_000_000, seed=3)
     base = model._noiseless(cfg)
-    model._draw(replace(cfg, n=1), base)  # numpy's first draw imports about 1 MB of modules
+    model._draw(replace(cfg, n=1), base).etas  # numpy's first draw imports about 1 MB of modules
     tracemalloc.start()
     try:
-        batch = model._draw(cfg, base)
+        etas = model._draw(cfg, base).etas
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert batch.etas.shape == (cfg.n,)
+    assert etas.shape == (cfg.n,)
     assert peak < 9e6
+
+
+def test_sample_matrix_fills_one_array_of_n_rows():
+    # the grid_values of 100000 x 42 samples take 33.6 MB; a list of the blocks and its
+    # concatenation held twice that
+    batch = sample_batch(make_config(n=100_000, grid_points=42, seed=3))
+    sample_batch(make_config(n=1, grid_points=42)).grid_values
+    tracemalloc.start()
+    try:
+        values = batch.grid_values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (batch.n, 42)
+    assert peak < values.nbytes + 1e6
 
 
 @pytest.mark.parametrize("sampler", ["exact", "series"])
@@ -168,7 +186,7 @@ def test_stream_prefix_equals_batch(quasi, form, sampler):
         if form == "grid":
             assert np.array_equal(z.values, batch.grid_values[i])
         else:
-            assert np.array_equal(model._signal_row(z), model._signal_row(batch.signal(i)))
+            assert np.array_equal(signal_row(z), signal_row(batch.signal(i)))
 
 
 def _euler_maruyama(kernel, c0, a0, sigma, t, paths, steps, rng):

@@ -1,5 +1,7 @@
 """The public surface: what `import ousignal` exports, and the names it no longer has."""
 
+import inspect
+
 import ousignal
 from ousignal import cli, csvio, errors, estimation, manifest, model, noise, spectral
 from ousignal.fourier import FourierSignal, GridSignal
@@ -72,6 +74,10 @@ GONE = [
     (spectral, "_Channel"),
     (spectral, "_channel"),
     (manifest, "write_columns"),
+    (SampleSet, "_block"),
+    (model, "_stream_rows"),
+    (model, "_fold"),
+    (csvio, "_read_table"),
 ]
 
 
@@ -86,3 +92,9 @@ def test_deleted_names_are_gone():
     present = [f"{getattr(owner, '__name__', owner)}.{name}" for owner, name in GONE
                if hasattr(owner, name)]
     assert present == []
+
+
+def test_a_sample_set_is_its_config_form_and_row_blocks():
+    # a drawn set once held (base, etas) and a read one its row matrix, through three
+    # keyword forms; both are now a source of row blocks
+    assert list(inspect.signature(SampleSet).parameters) == ["config", "form", "blocks"]
