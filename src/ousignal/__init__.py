@@ -6,7 +6,7 @@ moments by Monte Carlo, and recover the transmitted signal from observed
 samples with a sample-mean inverse-propagation estimator.
 """
 
-from .config import RunConfig, load_config, parse_config_text
+from .config import RunConfig, load_config
 from .errors import (
     AliasingError,
     ConfigError,
@@ -76,7 +76,6 @@ __all__ = [
     "ou_integral_exact",
     "ou_integral_series",
     "ou_joint_pairs",
-    "parse_config_text",
     "propagate",
     "run_estimate",
     "sample_batch",

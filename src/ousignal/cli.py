@@ -98,6 +98,9 @@ def cmd_estimate(args, run: RunConfig, out_dir: Path):
     if args.samples is not None and args.n is not None:
         raise ConfigError("--n cannot resize a --samples file, whose rows set the sample "
                           "count; drop --n or --samples")
+    if args.samples is not None and run.sigma_grid:
+        raise ConfigError("--samples cannot feed a sigma_grid sweep, which draws a new batch at "
+                          "each sigma; drop --samples or the sigma_grid line")
     if run.estimator == ESTIMATOR_INFINITE:
         if args.samples is not None:
             raise ConfigError("--samples cannot feed estimator = infinite, which draws its "

@@ -27,7 +27,7 @@ ESTIMATOR_MEAN, ESTIMATOR_INFINITE = ESTIMATORS
 # prefixes of the indexed keys c.<k>, d.<k> (signal) and A.<n> (operator)
 _INDEXED = frozenset(("c.", "d.", "A."))
 _MAX_ORDER = 1000  # the largest n of A.<n>: the operator's order sizes mode_spectrum's work
-# the bytes of each row a size key sets: 2K + 1 coefficients (K), G grid values (G) and
+# the bytes of each row a size key sets: 2K + 2 coefficients (K), G grid values (G) and
 # series_terms + 1 series Gaussians (series_terms), each 8 bytes
 _ROW_BYTES = 1 << 20
 
@@ -223,7 +223,7 @@ def _check_sizes(modes: int, points: int, terms: int, lines: dict, source: str) 
     for key, value in (("K", modes), ("series_terms", terms)):
         if value < 1:
             raise ConfigError(f"{key} = {value} must be >= 1", lines[key], source)
-    for key, value, doubles in (("K", modes, 2 * modes + 1), ("G", points, points),
+    for key, value, doubles in (("K", modes, 2 * modes + 2), ("G", points, points),
                                 ("series_terms", terms, terms + 1)):
         if 8 * doubles > _ROW_BYTES:
             raise ConfigError(f"{key} = {value} sets rows of {doubles} doubles; a row may hold "

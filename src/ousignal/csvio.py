@@ -10,15 +10,15 @@ import numpy as np
 from .errors import ConfigError
 from .fourier import FourierSignal, _grid
 from .manifest import write_long_csv
-from .model import OBSERVE_FOURIER, OBSERVE_GRID, SampleSet, ScenarioConfig
+from .model import OBSERVE_FOURIER, OBSERVE_GRID, SampleSet, ScenarioConfig, _coefficient_row
 from .noise import _BLOCK
 from .spectral import ModeSpectrum
 
 
 def write_fourier_csv(signal: FourierSignal, path) -> None:
     """Rows k,c,d for k = 0..K; the k=0 row carries (c0, 0)."""
-    pairs = np.stack([np.r_[signal.c0, signal.c], np.r_[0.0, signal.d]], axis=-1)
-    write_long_csv(path, ["k", "c", "d"], np.arange(signal.mode_count + 1), [(None, pairs)])
+    write_long_csv(path, ["k", "c", "d"], np.arange(signal.mode_count + 1),
+                   [(None, _coefficient_row(signal))])
 
 
 def write_spectrum_csv(spectrum: ModeSpectrum, path) -> None:
@@ -28,21 +28,16 @@ def write_spectrum_csv(spectrum: ModeSpectrum, path) -> None:
 
 
 def write_samples_csv(samples: SampleSet, path) -> None:
-    """Long format, sample_id,x,value (grid) or sample_id,k,c,d, a block of samples at a time."""
-    blocks, width = samples._blocks(), next(samples._blocks()).shape[1]
+    """Long format, sample_id,x,value (grid) or sample_id,k,c,d, a block of samples at a time;
+    a coefficient row is its lines' c,d cells as they stand. The set is read once."""
+    blocks = samples._blocks()
+    first = next(blocks)
     if samples.form == OBSERVE_GRID:
-        header, shared = ["sample_id", "x", "value"], _grid(samples.config.theta.half_period, width)
+        header = ["sample_id", "x", "value"]
+        shared = _grid(samples.config.theta.half_period, first.shape[1])
     else:
-        header, shared = ["sample_id", "k", "c", "d"], np.arange(width // 2 + 1)
-        blocks = map(_coefficient_table, blocks)
-    write_long_csv(path, header, shared, enumerate(chain.from_iterable(blocks)))
-
-
-def _coefficient_table(coef: np.ndarray) -> np.ndarray:
-    """(rows, 2K+1) coefficients as (rows, K+1, 2) pairs (c_k, d_k); the k=0 row has d = 0."""
-    k_count = coef.shape[1] // 2
-    d = np.hstack([np.zeros((coef.shape[0], 1)), coef[:, k_count + 1:]])
-    return np.stack([coef[:, :k_count + 1], d], axis=-1)
+        header, shared = ["sample_id", "k", "c", "d"], np.arange(first.shape[1] // 2)
+    write_long_csv(path, header, shared, enumerate(chain.from_iterable(chain([first], blocks))))
 
 
 def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
@@ -120,8 +115,8 @@ def _grid_rows(path, config: ScenarioConfig, rows: np.ndarray, start: int, count
 
 def _coefficient_rows(path, config: ScenarioConfig, rows: np.ndarray, start: int,
                       counts: np.ndarray, size: int | None) -> tuple[np.ndarray, int]:
-    """(coefficients, K + 1) of whole samples, as _grid_rows: each k an integer up to the mode
-    count, each sample listing every k up to K (the first's largest, unless given) once."""
+    """(rows of c,d cells, K + 1) of whole samples, as _grid_rows: each k an integer up to the
+    mode count, each sample listing every k up to K (the first's largest, unless given) once."""
     k = _integers(path, rows[:, 1], "k", start, minimum=0)
     if k.max() > config.mode_count:  # refused before k sizes the coefficient matrix
         at = int(np.argmax(k > config.mode_count))
@@ -142,10 +137,10 @@ def _coefficient_rows(path, config: ScenarioConfig, rows: np.ndarray, start: int
         fault = "missing" if listed[at, k_bad] == 0 else "repeated"
         raise ConfigError(f"sample_id {rows[counts[:at].sum(), 0]:g} must list every k from 0 to "
                           f"{size - 1} exactly once; k = {k_bad} is {fault}", source=str(path))
-    coef = np.zeros((counts.size, 2 * size - 1))
-    coef[sample, k] = rows[:, 2]
-    coef[sample[k > 0], size - 1 + k[k > 0]] = rows[k > 0, 3]
-    return coef, size
+    coef = np.empty((counts.size, size, 2))
+    coef[sample, k] = rows[:, 2:]
+    coef[:, 0, 1] = 0.0  # the file's d at k = 0 is not read
+    return coef.reshape(counts.size, 2 * size), size
 
 
 def write_frames_csv(frames, path) -> None:

@@ -90,7 +90,7 @@ def estimate_until_stable(config: ScenarioConfig, epsilon: float,
     """Running estimate over sample_stream(config) with a Cauchy stopping rule.
 
     Adds the rows of that stream to a running sum one at a time, in the order
-    of SampleSet.mean_signal's fold (so the mean is a batch's bit for bit),
+    of the row fold of SampleSet._mean (so the mean is a batch's bit for bit),
     inverts each running mean once, as run_estimate does, and stops once all
     consecutive sup-norm gaps inside a window of `window` successive
     estimates fall strictly below epsilon. Exhausting n_max is reported via

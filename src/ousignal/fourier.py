@@ -166,27 +166,20 @@ def extract_coefficients(grid: GridSignal, mode_count: int) -> FourierSignal:
                          -spectrum[1:].imag)
 
 
-def sup_distance(a, b) -> float:
-    """Largest pointwise gap between two signals of the same kind.
+def sup_distance(a: FourierSignal, b: FourierSignal) -> float:
+    """Largest pointwise gap between two Fourier signals.
 
-    Fourier inputs are compared through their difference on a dense probe
-    grid of 4096 points, or the smallest multiple of 4096 that holds 2K+1,
-    their coefficients zero-padded to one K and subtracted. The true sup of a
-    trig polynomial has no closed form, and this is only a lower bound of it:
-    at K = 2000 the probe has been measured 0.15 short. Grid inputs are
-    compared on their own points.
+    They are compared through their difference on a dense probe grid of 4096
+    points, or the smallest multiple of 4096 that holds 2K+1, their
+    coefficients zero-padded to one K and subtracted. The true sup of a trig
+    polynomial has no closed form, and this is only a lower bound of it: at
+    K = 2000 the probe has been measured 0.15 short.
     """
-    if isinstance(a, FourierSignal) and isinstance(b, FourierSignal):
-        if a.half_period != b.half_period:
-            raise ValueError("half_period mismatch")
-        k = max(a.mode_count, b.mode_count)
-        a, b = a.padded(k), b.padded(k)
-        gap = FourierSignal(a.half_period, a.c0 - b.c0, a.c - b.c, a.d - b.d)
-        return float(np.max(np.abs(_grid_values(gap, _PROBE_POINTS))))
-    if isinstance(a, GridSignal) and isinstance(b, GridSignal):
-        if a.half_period != b.half_period:
-            raise ValueError("half_period mismatch")
-        if a.grid_points != b.grid_points:
-            raise ValueError("grid size mismatch")
-        return float(np.max(np.abs(a.values - b.values)))
-    raise TypeError("sup_distance needs two FourierSignal or two GridSignal inputs")
+    if not (isinstance(a, FourierSignal) and isinstance(b, FourierSignal)):
+        raise TypeError("sup_distance needs two FourierSignal inputs")
+    if a.half_period != b.half_period:
+        raise ValueError("half_period mismatch")
+    k = max(a.mode_count, b.mode_count)
+    a, b = a.padded(k), b.padded(k)
+    gap = FourierSignal(a.half_period, a.c0 - b.c0, a.c - b.c, a.d - b.d)
+    return float(np.max(np.abs(_grid_values(gap, _PROBE_POINTS))))

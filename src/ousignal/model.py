@@ -110,12 +110,19 @@ def sample_source(config: ScenarioConfig, subkey: tuple[int, ...] = (),
     return RandomSource.pseudo(config.seed, *subkey)
 
 
+def _coefficient_row(signal: FourierSignal) -> np.ndarray:
+    """The row c0, 0, c_1, d_1, ..., c_K, d_K of a signal: the c,d cells of its samples.csv
+    lines k = 0..K, in line order."""
+    row = np.zeros(2 * signal.mode_count + 2)
+    row[0], row[2::2], row[3::2] = signal.c0, signal.c, signal.d
+    return row
+
+
 def _row_signal(half_period: float, form: str, row: np.ndarray):
-    """The signal a row holds: grid values, or coefficients c0, c_1..c_K, d_1..d_K."""
+    """The signal a row holds: grid values, or coefficients c0, 0, c_1, d_1, ..., c_K, d_K."""
     if form == OBSERVE_GRID:
         return GridSignal(half_period, row)
-    k = (row.size - 1) // 2
-    return FourierSignal(half_period, float(row[0]), row[1: k + 1], row[k + 1:])
+    return FourierSignal(half_period, float(row[0]), row[2::2], row[3::2])
 
 
 def _row_blocks(config: ScenarioConfig, base: np.ndarray, subkey: tuple[int, ...] = (),
@@ -146,8 +153,9 @@ def _row_blocks(config: ScenarioConfig, base: np.ndarray, subkey: tuple[int, ...
 class SampleSet:
     """A set of observed signals: its scenario config, its form and a source of its rows.
 
-    Each sample is one row: G grid values (form "grid"), or 2K+1 coefficients
-    c0, c_1..c_K, d_1..d_K (form "fourier"). The set holds no rows: blocks()
+    Each sample is one row: G grid values (form "grid"), or the 2K+2 coefficients
+    c0, 0, c_1, d_1, ..., c_K, d_K of its samples.csv lines (form "fourier"; see
+    _coefficient_row). The set holds no rows: blocks()
     returns a new iterator over them, as new (rows, width) arrays that a read may
     overwrite, drawn (sample_batch) or parsed (csvio.read_samples_csv) anew."""
 
@@ -178,17 +186,9 @@ class SampleSet:
                                           else block[:, 0] / 2.0) - constant)
 
     @cached_property
-    def _matrix(self) -> np.ndarray:
-        return self._stack(lambda block: block)
-
-    @property
     def grid_values(self) -> np.ndarray | None:
         """The (n, G) value matrix of a grid set, else None."""
-        return self._matrix if self.form == OBSERVE_GRID else None
-
-    def signal(self, i: int):
-        """Materialize sample i as a GridSignal or FourierSignal."""
-        return _row_signal(self.config.theta.half_period, self.form, self._matrix[i])
+        return self._stack(lambda block: block) if self.form == OBSERVE_GRID else None
 
     def _mean(self):
         """(mean signal, n): each block's first row takes the running sum, and numpy sums a
@@ -200,17 +200,13 @@ class SampleSet:
                 total, n = np.add.reduce(block, axis=0), n + len(block)
         return _row_signal(self.config.theta.half_period, self.form, total / n), n
 
-    def mean_signal(self):
-        """Pointwise (grid) or coefficient-wise (Fourier) sample mean: the row sum over n."""
-        return self._mean()[0]
-
 
 def _noiseless(config: ScenarioConfig) -> np.ndarray:
     """The expected observation in the config's form, as a row: the propagated input."""
     base = propagate(config.theta, config.op, config.t0)
     if config.observation_form == OBSERVE_GRID:
         return base.evaluate_grid(config.grid_points).values
-    return np.concatenate([[base.c0], base.c, base.d])
+    return _coefficient_row(base)
 
 
 def _draw(config: ScenarioConfig, base: np.ndarray, subkey: tuple = (),

@@ -227,10 +227,6 @@ class RandomSource:
         self.stream += rows
         return values
 
-    def __repr__(self):
-        ident = f"key={self.key}" if self.mode == self.PSEUDO else f"stream={self.stream}"
-        return f"RandomSource({self.mode}, {ident}, counter={self.counter})"
-
 
 # ---------------------------------------------------------------------------
 # Karhunen-Loeve Brownian path and OU integrals

@@ -5,6 +5,7 @@ import random
 import numpy as np
 
 from ousignal import FourierSignal, GridSignal, NoiseParams, OperatorSpec, ScenarioConfig
+from ousignal.model import _row_signal
 
 
 def random_signal(rng, half_period=np.pi, mode_count=20, scale=5.0):
@@ -14,10 +15,22 @@ def random_signal(rng, half_period=np.pi, mode_count=20, scale=5.0):
 
 
 def signal_row(signal):
-    """A signal as one row, as a SampleSet holds it: grid values, or c0, c_1..c_K, d_1..d_K."""
+    """A signal as one row, as a SampleSet holds it: grid values, or c0, 0, c_1, d_1, ...,
+    c_K, d_K (the c,d cells of its samples.csv lines k = 0..K)."""
     if isinstance(signal, GridSignal):
         return signal.values
-    return np.concatenate([[signal.c0], signal.c, signal.d])
+    return np.column_stack([np.r_[signal.c0, signal.c], np.r_[0.0, signal.d]]).ravel()
+
+
+def sample_rows(samples):
+    """Every row of a SampleSet, in one (n, width) array."""
+    return np.concatenate(list(samples._blocks()))
+
+
+def sample_signals(samples):
+    """Every sample of a SampleSet as the signal its row holds, in a list."""
+    half_period = samples.config.theta.half_period
+    return [_row_signal(half_period, samples.form, row) for row in sample_rows(samples)]
 
 
 def example_theta(mode_count=20):

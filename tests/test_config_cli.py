@@ -26,9 +26,9 @@ from hypothesis import strategies as st
 from _util import wideband_config_text
 from ousignal import (ConfigError, FourierSignal, NoiseParams, RandomSource, RunConfig,
                       ScenarioConfig, cli, estimation, load_config, model, noise, noise_variance,
-                      parse_config_text, spectral)
+                      spectral)
 from ousignal.cli import build_parser, main, replay_manifest
-from ousignal.config import _KEYS, PRESETS, parse_number, preset_text
+from ousignal.config import _KEYS, PRESETS, parse_config_text, parse_number, preset_text
 from ousignal.manifest import RunManifest
 
 PI = math.pi
@@ -1172,6 +1172,18 @@ def test_cli_estimate_infinite_refuses_a_samples_file(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_cli_estimate_refuses_a_samples_file_with_a_sigma_sweep(tmp_path, capsys):
+    # the file was once read at ex43's first sigma alone: exit 0, one report row at
+    # sigma = 150, and the other three levels of the sweep dropped without a word
+    assert run_cli("sample", "--config", "ex43", "--seed", "3", "--out", str(tmp_path)) == 0
+    out = tmp_path / "out"
+    assert run_cli("estimate", "--config", "ex43", "--seed", "3", "--samples",
+                   str(tmp_path / "samples.csv"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "--samples cannot feed a sigma_grid sweep" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, sizes", [
     pytest.param("spectrum", "K = 1000000000000000\nG = 2000000000000001\n", id="spectrum-K"),
     pytest.param("sample", "G = 2000000000000001\n", id="sample-G"),
@@ -1204,7 +1216,7 @@ def test_cli_unallocatable_sizes_exit_2(tmp_path, capsys, command, sizes):
     ("series_terms = 0\n", "series_terms"),
 ])
 def test_sizes_past_the_row_budget_are_refused_before_allocating(sizes, key):
-    # every row a size key sets (2K + 1 coefficients, G values, series_terms + 1 Gaussians)
+    # every row a size key sets (2K + 2 coefficients, G values, series_terms + 1 Gaussians)
     # fits in 1 MiB, K and series_terms are >= 1, and G >= 2K + 1, all checked before
     # theta or any other array is built
     text = "A.0 = 1\nc0 = 1\nc.3 = 1\nsigma = 1\nt0 = 1\n" + sizes

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _util import make_config, signal_row
-from ousignal import ConfigError, SampleSet, csvio, run_estimate, sample_batch
+from _util import make_config, sample_rows, signal_row
+from ousignal import ConfigError, SampleSet, csvio, model, propagate, run_estimate, sample_batch
 from ousignal.cli import main
 from ousignal.csvio import (read_samples_csv, write_fourier_csv, write_frames_csv,
                             write_samples_csv, write_spectrum_csv)
@@ -32,11 +32,8 @@ def _reference_samples_csv(form, matrix, path):
         rows = ((i, x[g], matrix[i, g]) for i in range(n) for g in range(x.size))
         write_csv(path, ["sample_id", "x", "value"], rows)
         return
-    k_count = (matrix.shape[1] - 1) // 2
-    rows = []
-    for i in range(n):
-        rows.append((i, 0, matrix[i, 0], 0.0))
-        rows += [(i, k, matrix[i, k], matrix[i, k_count + k]) for k in range(1, k_count + 1)]
+    rows = [(i, k, matrix[i, 2 * k], matrix[i, 2 * k + 1])
+            for i in range(n) for k in range(matrix.shape[1] // 2)]
     write_csv(path, ["sample_id", "k", "c", "d"], rows)
 
 
@@ -50,17 +47,52 @@ def test_samples_csv_matches_per_cell_format_and_round_trips_bits(tmp_path_facto
     if form == "grid":
         values = data.draw(arrays(np.float64, (n, width), elements=FINITE))
     else:
-        values = data.draw(arrays(np.float64, (n, 2 * width + 1), elements=FINITE))
+        values = data.draw(arrays(np.float64, (n, 2 * width + 2), elements=FINITE))
+        values[:, 1] = 0.0  # a row's d at k = 0
     samples = SampleSet(config, form, lambda: iter([values.copy()]))
     write_samples_csv(samples, tmp / "columnar.csv")
     _reference_samples_csv(form, values, tmp / "reference.csv")
     assert (tmp / "columnar.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
 
     back = read_samples_csv(tmp / "columnar.csv", config)
-    read = np.array([signal_row(back.signal(i)) for i in range(back.n)])
+    read = sample_rows(back)
     assert read.tobytes() == values.tobytes()  # bit for bit, -0.0 and subnormals included
     write_samples_csv(back, tmp / "again.csv")
     assert (tmp / "again.csv").read_bytes() == (tmp / "columnar.csv").read_bytes()
+
+
+def test_coefficient_rows_are_the_files_cd_cells_in_line_order(tmp_path):
+    # a coefficient row was once c0, c_1..c_K, d_1..d_K, turned into the file's (c_k, d_k)
+    # pairs on each write and back on each read
+    cfg = make_config(n=5, mode_count=5, grid_points=11, seed=2, observation_form="fourier")
+    write_samples_csv(sample_batch(cfg), tmp_path / "samples.csv")
+    cells = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)[:, 2:]
+    back = read_samples_csv(tmp_path / "samples.csv", cfg)
+    assert sample_rows(back).tobytes() == cells.reshape(cfg.n, -1).tobytes()
+
+
+def test_noiseless_row_is_the_cd_cells_of_the_propagated_input(tmp_path):
+    cfg = make_config(mode_count=5, grid_points=11, observation_form="fourier")
+    write_fourier_csv(propagate(cfg.theta, cfg.op, cfg.t0), tmp_path / "input.csv")
+    cells = np.loadtxt(tmp_path / "input.csv", delimiter=",", skiprows=1)[:, 1:]
+    assert model._noiseless(cfg).tobytes() == cells.ravel().tobytes()
+
+
+@pytest.mark.parametrize("form", ["grid", "fourier"])
+def test_samples_writer_reads_its_set_once(tmp_path, form):
+    # the writer once called blocks() a second time for the width of a row: a drawn set
+    # seeded a generator and drew its first block again, a read set parsed it again
+    batch = sample_batch(make_config(n=3, mode_count=5, grid_points=11, observation_form=form))
+    calls = []
+
+    def blocks():
+        calls.append(1)
+        return batch._blocks()
+
+    write_samples_csv(SampleSet(batch.config, form, blocks), tmp_path / "counted.csv")
+    write_samples_csv(batch, tmp_path / "samples.csv")
+    assert len(calls) == 1
+    assert (tmp_path / "counted.csv").read_bytes() == (tmp_path / "samples.csv").read_bytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -166,7 +198,7 @@ def test_samples_reader_names_the_data_row_of_a_bad_row(tmp_path, edit, message)
     path.write_text("sample_id,x,value\n" + "".join(edit(_grid_lines(40, 200))))
     samples = read_samples_csv(path, make_config())
     with pytest.raises(ConfigError) as refusal:
-        samples.mean_signal()
+        samples._mean()
     assert message in str(refusal.value)
 
 
@@ -183,7 +215,7 @@ def test_samples_reader_reads_a_file_of_whole_blocks_without_a_numpy_warning(tmp
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         back = read_samples_csv(tmp_path / "samples.csv", cfg)
-        assert signal_row(back.mean_signal()).tobytes() == signal_row(batch.mean_signal()).tobytes()
+        assert signal_row(back._mean()[0]).tobytes() == signal_row(batch._mean()[0]).tobytes()
 
 
 def test_samples_reader_carries_samples_longer_than_a_block(tmp_path):

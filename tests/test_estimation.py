@@ -28,7 +28,7 @@ from ousignal import (
 from ousignal import estimation, noise
 from ousignal.model import OBSERVE_FOURIER, SampleSet
 
-from _util import example_theta, make_config, random_signal, signal_row
+from _util import example_theta, make_config, random_signal, sample_rows, sample_signals, signal_row
 
 PI = math.pi
 T0 = PI / 7
@@ -68,8 +68,8 @@ def test_mean_then_invert_equals_invert_then_mean():
     cfg = make_config(n=8, seed=4, observation_form=OBSERVE_FOURIER)
     batch = sample_batch(cfg)
     averaged_first = run_estimate(batch).estimate
-    inverted = [inverse_propagate(batch.signal(i).padded(cfg.mode_count), cfg.op, cfg.t0)
-                for i in range(batch.n)]
+    inverted = [inverse_propagate(z.padded(cfg.mode_count), cfg.op, cfg.t0)
+                for z in sample_signals(batch)]
     averaged_last = FourierSignal(cfg.theta.half_period, sum(s.c0 for s in inverted) / batch.n,
                                   sum(s.c for s in inverted) / batch.n,
                                   sum(s.d for s in inverted) / batch.n)
@@ -231,7 +231,7 @@ def test_both_estimators_name_a_row_sum_that_overflows(monkeypatch, form):
     # two finite rows with 1e308 in the same column: their sum overflows a float. Both
     # estimators once warned and then refused the infinite mean as if a row were not finite
     cfg = make_config(sigma=0.0, n=2, observation_form=form)
-    rows = np.zeros((2, cfg.grid_points if form == "grid" else 2 * cfg.mode_count + 1))
+    rows = np.zeros((2, cfg.grid_points if form == "grid" else 2 * cfg.mode_count + 2))
     rows[:, 0] = 1e308
     monkeypatch.setattr(estimation, "_row_blocks", lambda config, base: iter([rows]))
     batch = SampleSet(cfg, form, lambda: iter([rows.copy()]))
@@ -358,11 +358,11 @@ def test_blockwise_mean_is_bit_identical_to_matrix_mean_and_running_sum(form):
                       observation_form=form, seed=8, n=3 * (noise._BLOCK // 201) + 5)
     batch = sample_batch(cfg)
     row = signal_row
-    matrix = np.array([row(batch.signal(i)) for i in range(batch.n)])
-    assert np.array_equal(row(batch.mean_signal()), np.mean(matrix, axis=0))
+    matrix = sample_rows(batch)
+    assert np.array_equal(row(batch._mean()[0]), np.mean(matrix, axis=0))
 
     stored = SampleSet(cfg, form, lambda: iter([matrix.copy()]))
-    assert np.array_equal(row(stored.mean_signal()), row(batch.mean_signal()))
+    assert np.array_equal(row(stored._mean()[0]), row(batch._mean()[0]))
 
     folded = run_estimate(batch).estimate
     running = estimate_until_stable(cfg, epsilon=0.0, n_max=cfg.n)

@@ -193,8 +193,6 @@ def test_wideband_transforms_are_exact_in_little_memory():
 def test_sup_distance_rejects_mismatches():
     with pytest.raises(ValueError):
         sup_distance(FourierSignal.build(1.0, c0=1.0), FourierSignal.build(2.0, c0=1.0))
-    with pytest.raises(ValueError):
-        sup_distance(GridSignal(1.0, np.zeros(4)), GridSignal(1.0, np.zeros(5)))
     with pytest.raises(TypeError):
         sup_distance(FourierSignal.build(1.0, c0=1.0), GridSignal(1.0, np.zeros(4)))
 
@@ -207,12 +205,6 @@ def test_sup_distance_metric_axioms():
         assert dab >= 0.0
         assert dab == pytest.approx(dba, abs=1e-12)
         assert dab <= sup_distance(a, c) + sup_distance(c, b) + 1e-12
-
-
-def test_grid_sup_distance_uses_grid_points():
-    a = GridSignal(math.pi, np.array([0.0, 1.0, 0.0]))
-    b = GridSignal(math.pi, np.array([0.0, -1.0, 0.5]))
-    assert sup_distance(a, b) == pytest.approx(2.0)
 
 
 def test_signal_validation():

@@ -20,6 +20,7 @@ from ousignal import (
     extract_coefficients,
     noise_covariance,
     noise_variance,
+    ou_integral_series,
     ou_joint_pairs,
     propagate,
     sample_batch,
@@ -30,7 +31,7 @@ from ousignal import load_config, model, noise
 from ousignal.model import OBSERVE_FOURIER
 from ousignal.noise import quasi_gaussian
 
-from _util import example_theta, make_config, signal_row
+from _util import example_theta, make_config, sample_signals, signal_row
 
 PI = math.pi
 T0 = PI / 7
@@ -67,7 +68,7 @@ def test_noiseless_sample_equals_propagated_input():
     for form in ("grid", "fourier"):
         cfg = make_config(sigma=0.0, n=1, observation_form=form)
         batch = sample_batch(cfg)
-        z, eta = batch.signal(0), batch.etas[0]
+        z, eta = sample_signals(batch)[0], batch.etas[0]
         assert eta == 0.0
         expected = propagate(cfg.theta, cfg.op, cfg.t0)
         if form == "grid":
@@ -79,7 +80,7 @@ def test_noiseless_sample_equals_propagated_input():
 def test_sample_mode_radii_under_first_order_channel():
     # every mode rate is 2, so radii scale by exp(2 t0); noise leaves k >= 1 alone
     cfg = make_config(sigma=150.0, n=1)
-    z = sample_batch(cfg).signal(0)
+    z = sample_signals(sample_batch(cfg))[0]
     coeffs = extract_coefficients(z, cfg.mode_count)
     radii = np.hypot(coeffs.c, coeffs.d)
     factor = math.exp(2.0 * T0)
@@ -95,7 +96,7 @@ def test_constant_signal_pins_noise_entry():
     cfg = make_config(theta=theta, op=OperatorSpec.of(0.5), sigma=3.0, mode_count=1,
                       grid_points=8, n=1)
     batch = sample_batch(cfg)
-    z, eta = batch.signal(0), batch.etas[0]
+    z, eta = sample_signals(batch)[0], batch.etas[0]
     coeffs = extract_coefficients(z, 1)
     base_c0 = 2.0 * math.exp(0.5 * T0)
     assert coeffs.c0 - base_c0 == pytest.approx(2.0 * eta, rel=1e-12)
@@ -107,9 +108,9 @@ def test_batch_shape_and_distinct_noise():
     assert batch.n == 4
     assert batch.grid_values.shape == (4, 200)
     assert len(set(batch.etas.tolist())) == 4
-    assert np.array_equal(batch.signal(3).values, batch.grid_values[3])
+    assert np.array_equal(sample_signals(batch)[3].values, batch.grid_values[3])
     with pytest.raises(IndexError):
-        batch.signal(4)
+        sample_signals(batch)[4]
 
 
 def test_batch_noiseless_samples_identical():
@@ -182,11 +183,12 @@ def test_stream_prefix_equals_batch(quasi, form, sampler):
                       observation_form=form, sampler=sampler, t0=0.1, series_terms=99,
                       theta=example_theta(mode_count=5), mode_count=5, grid_points=11)
     batch = sample_batch(cfg)
+    signals = sample_signals(batch)
     for i, z in enumerate(islice(sample_stream(cfg), cfg.n)):
         if form == "grid":
             assert np.array_equal(z.values, batch.grid_values[i])
         else:
-            assert np.array_equal(signal_row(z), signal_row(batch.signal(i)))
+            assert np.array_equal(signal_row(z), signal_row(signals[i]))
 
 
 def _euler_maruyama(kernel, c0, a0, sigma, t, paths, steps, rng):
@@ -256,8 +258,8 @@ def test_noise_lives_only_in_constant_mode():
     batch = sample_batch(cfg)
     noiseless = propagate(cfg.theta, cfg.op, cfg.t0).evaluate_grid(cfg.grid_points)
     base = extract_coefficients(noiseless, cfg.mode_count)
-    for i in range(batch.n):
-        coeffs = extract_coefficients(batch.signal(i), cfg.mode_count)
+    for i, z in enumerate(sample_signals(batch)):
+        coeffs = extract_coefficients(z, cfg.mode_count)
         gap = np.hypot(coeffs.c - base.c, coeffs.d - base.d)
         assert np.max(gap) < 1e-9
         assert coeffs.c0 - base.c0 == pytest.approx(2.0 * batch.etas[i], rel=1e-9)
@@ -273,7 +275,7 @@ def test_sample_mean_coefficients_unbiased_with_clt_rate():
     deviations = {}
     for n in (100, 1000, 10000):
         batch = sample_batch(make_config(seed=17, n=n))
-        mean_coeffs = extract_coefficients(batch.mean_signal(), base_cfg.mode_count)
+        mean_coeffs = extract_coefficients(batch._mean()[0], base_cfg.mode_count)
         assert np.max(np.hypot(mean_coeffs.c - expected.c,
                                mean_coeffs.d - expected.d)) < 1e-9
         deviations[n] = abs(mean_coeffs.c0 - expected.c0)
@@ -380,6 +382,28 @@ def test_iid_noise_redraws_each_frame():
     frames = evolve_frames(cfg, [0.1, 0.1, 0.1], noise="iid")
     offsets = {float(g.values[0]) for _, g in frames}
     assert len(offsets) == 3
+
+
+def test_iid_frames_are_independent_draws_and_path_frames_share_one_path():
+    # iid draws each frame's noise anew from the exact marginal law: a covariance of 0
+    # between frames, where a path's frames have noise_covariance(s, t)
+    theta = FourierSignal.build(PI, c0=1.0, cos={1: 2.0}, mode_count=1)
+    cfg = make_config(theta=theta, sigma=1.0, mode_count=1, grid_points=3, series_terms=199)
+    times, seeds = [0.05, 0.1], 1000  # clocks 0.22 and 0.49: the sine series is truncated
+    plain = [g.values[0] for _, g in evolve_frames(cfg, times)]
+    var_s, var_t = (noise_variance(cfg.noise, t) for t in times)
+    cov = noise_covariance(cfg.noise, *times)
+    expected = {"iid": 0.0, "path": cov}
+    se = {mode: math.sqrt((var_s * var_t + c**2) / (seeds - 1)) for mode, c in expected.items()}
+    # the 200-term series path has covariance weights_s . weights_t (its coefficients are
+    # independent standard normals): 3.0e-7 below cov, under a thousandth of the path's SE
+    weights = ou_integral_series(cfg.noise, times, np.eye(200), cfg.series_variant)
+    assert abs(float(weights[:, 0] @ weights[:, 1]) - cov) < se["path"] / 1000
+    for mode, c in expected.items():
+        etas = np.array([[g.values[0] - base for (_, g), base in
+                          zip(evolve_frames(replace(cfg, seed=seed), times, noise=mode), plain)]
+                         for seed in range(seeds)])
+        assert abs(np.cov(etas.T, ddof=1)[0, 1] - c) < 3.0 * se[mode]
 
 
 def test_frames_validate_times():

@@ -13,7 +13,7 @@ PUBLIC = {
     "AliasingError", "ConfigError", "GrowthOverflowError",
     "OusignalError",
     # config
-    "RunConfig", "load_config", "parse_config_text",
+    "RunConfig", "load_config",
     # signals and the operator
     "FourierSignal", "GridSignal", "extract_coefficients", "sup_distance",
     "ModeSpectrum", "OperatorSpec", "inverse_propagate", "mode_spectrum", "propagate",
@@ -78,19 +78,26 @@ GONE = [
     (model, "_stream_rows"),
     (model, "_fold"),
     (csvio, "_read_table"),
+    (csvio, "_coefficient_table"),
+    (SampleSet, "signal"),
+    (SampleSet, "mean_signal"),
+    (SampleSet, "_matrix"),
+    (noise.RandomSource, "__repr__"),
+    (ousignal, "parse_config_text"),
 ]
 
 
 def test_all_lists_exactly_the_public_names_and_each_resolves():
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 33
     assert sorted(ousignal.__all__) == sorted(PUBLIC)  # as lists: a repeated name fails too
     for name in ousignal.__all__:
         getattr(ousignal, name)
 
 
 def test_deleted_names_are_gone():
+    # a deleted __repr__ leaves the one every object has
     present = [f"{getattr(owner, '__name__', owner)}.{name}" for owner, name in GONE
-               if hasattr(owner, name)]
+               if hasattr(owner, name) and getattr(owner, name) is not getattr(object, name, None)]
     assert present == []
 
 
