@@ -25,8 +25,7 @@ from .config import ESTIMATOR_INFINITE, RunConfig, load_config, parse_number
 from .errors import ConfigError
 from .estimation import EstimateReport, convergence_study, estimate_until_stable, run_estimate
 from .manifest import ARTIFACT_VERSION, RunManifest, atomic_write_text, fmt, write_csv
-from .model import (NOISE_MODES, NOISE_NONE, _draw, _noiseless, evolve_frames, sample_batch,
-                    sample_source)
+from .model import NOISE_MODES, NOISE_NONE, evolve_frames, sample_batch, sample_source
 from .noise import _block_sizes, _markov_pair, noise_covariance, noise_variance
 from .spectral import mode_spectrum
 
@@ -115,10 +114,9 @@ def cmd_estimate(args, run: RunConfig, out_dir: Path):
                   file=sys.stderr)
     elif args.samples is not None:
         reports = [("estimate.csv", run_estimate(csvio.read_samples_csv(args.samples, sc)))]
-    else:  # one run, or a sweep whose sigmas share one noiseless base
-        base = _noiseless(sc)
+    else:  # one run, or a sweep whose sigmas share one noiseless row (model._noiseless)
         runs = [(f"estimate_sigma{s:g}.csv", sc.with_sigma(s)) for s in run.sigma_grid]
-        reports = [(name, run_estimate(_draw(cfg, base)))
+        reports = [(name, run_estimate(sample_batch(cfg)))
                    for name, cfg in runs or [("estimate.csv", sc)]]
 
     outputs = [out_dir / name for name, _ in reports]

@@ -43,7 +43,7 @@ def write_samples_csv(samples: SampleSet, path) -> None:
 def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
     """The SampleSet of a file that write_samples_csv wrote, parsed at each read. sample_id is an
     integer that never decreases from one data row to the next, each run of one id a sample
-    (see _grid_rows, _coefficient_rows). Refusals name data rows, blank lines not counted."""
+    (see _sample_rows). Refusals name data rows, blank lines not counted."""
     with open(path) as handle:
         header = handle.readline().rstrip("\r\n")
     form = {"sample_id,x,value": OBSERVE_GRID, "sample_id,k,c,d": OBSERVE_FOURIER}.get(header)
@@ -54,10 +54,11 @@ def read_samples_csv(path, config: ScenarioConfig) -> SampleSet:
 
 
 def _sample_blocks(path, config: ScenarioConfig, form: str):
-    """A samples CSV's samples as row blocks, parsed 2**14 values of lines at a time. The parses
-    of samples not yet complete are held, and joined once a later sample starts, the file ends
-    or they are longer than a sample. A file of one parse is checked ids, sizes, then rows."""
-    columns, make = (3, _grid_rows) if form == OBSERVE_GRID else (4, _coefficient_rows)
+    """A samples CSV's samples as row blocks, parsed 2**14 values of lines at a time and
+    checked by _sample_rows. The parses of samples not yet complete are held, and joined once
+    a later sample starts, the file ends or they are longer than a sample. A file of one
+    parse is checked ids, sizes, then the position of each line."""
+    columns = 3 if form == OBSERVE_GRID else 4
     lines, ended, size, last, held, start, count = _BLOCK // columns, False, None, -np.inf, [], 0, 0
     with open(path) as handle:  # held: the parses of data rows start + 1 to start + count
         handle.readline()
@@ -81,66 +82,44 @@ def _sample_blocks(path, config: ScenarioConfig, form: str):
                 end = count
             if end:
                 table = np.concatenate(held)
-                ids = table[:end, 0]
-                counts = np.diff(np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1, end])
-                block, size = make(path, config, table[:end], start, counts, size)
+                block, size = _sample_rows(path, config, form, table[:end], start, size)
                 yield block
                 held, start, count = [table[end:].copy()], start + end, count - end
     if not start:
         raise ConfigError("no data rows", source=str(path))
 
 
-def _grid_rows(path, config: ScenarioConfig, rows: np.ndarray, start: int, counts: np.ndarray,
-               points: int | None) -> tuple[np.ndarray, int]:
-    """(values, G) of whole samples of counts rows, rows[0] in data row start + 1: G rows each
-    (the first's, unless given) whose x lie within a quarter step of the grid of [-l, l)."""
-    points = points or counts[0]
-    if np.any(counts != points):
-        i = int(np.argmax(counts != points))
+def _sample_rows(path, config: ScenarioConfig, form: str, rows: np.ndarray, start: int,
+                 size: int | None) -> tuple[np.ndarray, int]:
+    """(row block, lines per sample) of whole samples, rows[0] in data row start + 1, in the
+    writer's layout: each sample has size lines (the first sample's, unless given), and line
+    j of a sample is grid point j of [-l, l), its x within a quarter step, or mode k = j up
+    to K. A coefficient row is its lines' c,d cells, the d at k = 0 read as 0."""
+    ids = rows[:, 0]
+    counts = np.diff(np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1, len(rows)])
+    size, grid = size or int(counts[0]), form == OBSERVE_GRID
+    if np.any(counts != size):
+        i = int(np.argmax(counts != size))
         at = counts[:i].sum()
-        raise ConfigError(f"samples have inconsistent grid sizes: sample_id {rows[at, 0]:g} from "
-                          f"data row {start + at + 1} has {counts[i]} rows, not the first "
-                          f"sample's {points}", source=str(path))
-    l = config.theta.half_period
-    grid = _grid(l, points)
-    off = ~(np.abs(rows[:, 1].reshape(-1, points) - grid) <= l / (2 * points)).ravel()
-    if off.any():  # a NaN x is off too
+        raise ConfigError(f"samples have inconsistent {'grid' if grid else 'coefficient'} sizes: "
+                          f"sample_id {ids[at]:g} from data row {start + at + 1} has {counts[i]} "
+                          f"rows, not the first sample's {size}", source=str(path))
+    l, modes, line = config.theta.half_period, config.mode_count, np.arange(size)
+    position = _grid(l, size) if grid else np.where(line <= modes, line, np.nan)  # NaN: past K
+    off = ~(np.abs(rows[:, 1].reshape(-1, size) - position) <= (l / (2 * size) if grid else 0))
+    if off.any():  # a NaN x or k is off too
         at = int(np.argmax(off))
-        raise ConfigError(f"sample_id {rows[at, 0]:g}: x = {rows[at, 1]:g} in data row "
-                          f"{start + at + 1} is more than a quarter step from grid point "
-                          f"{at % points} (x = {grid[at % points]:.6g}) of the {points}-point "
-                          f"grid of [-l, l)", source=str(path))
-    return rows[:, 2].reshape(-1, points).copy(), points
-
-
-def _coefficient_rows(path, config: ScenarioConfig, rows: np.ndarray, start: int,
-                      counts: np.ndarray, size: int | None) -> tuple[np.ndarray, int]:
-    """(rows of c,d cells, K + 1) of whole samples, as _grid_rows: each k an integer up to the
-    mode count, each sample listing every k up to K (the first's largest, unless given) once."""
-    k = _integers(path, rows[:, 1], "k", start, minimum=0)
-    if k.max() > config.mode_count:  # refused before k sizes the coefficient matrix
-        at = int(np.argmax(k > config.mode_count))
-        raise ConfigError(f"k must be at most the mode count K = {config.mode_count}, found "
-                          f"{k[at]:g} in data row {start + at + 1}", source=str(path))
-    k = k.astype(np.intp)
-    size = size or int(k[:counts[0]].max()) + 1
-    if k.max() >= size:
-        at = int(np.argmax(k >= size))
-        raise ConfigError(f"sample_id {rows[at, 0]:g} lists k = {k[at]} in data row "
-                          f"{start + at + 1}, past the first sample's largest k, {size - 1}",
-                          source=str(path))
-    sample = np.repeat(np.arange(counts.size), counts)
-    listed = np.bincount(sample * size + k, minlength=counts.size * size).reshape(-1, size)
-    bad = np.argwhere(listed != 1)
-    if bad.size:  # a missing mode would read as 0, a repeated one hide a row
-        at, k_bad = bad[0]
-        fault = "missing" if listed[at, k_bad] == 0 else "repeated"
-        raise ConfigError(f"sample_id {rows[counts[:at].sum(), 0]:g} must list every k from 0 to "
-                          f"{size - 1} exactly once; k = {k_bad} is {fault}", source=str(path))
-    coef = np.empty((counts.size, size, 2))
-    coef[sample, k] = rows[:, 2:]
-    coef[:, 0, 1] = 0.0  # the file's d at k = 0 is not read
-    return coef.reshape(counts.size, 2 * size), size
+        j = at % size
+        fault = f"not {j}" if j <= modes else "on a line past K"
+        rule = (f"is more than a quarter step from grid point {j} (x = {position[j]:.6g}) of the "
+                f"{size}-point grid of [-l, l)" if grid else f"is {fault}: a sample lists "
+                f"k = 0, 1, 2, ... in line order, up to K = {modes}")
+        raise ConfigError(f"sample_id {ids[at]:g}: {'x' if grid else 'k'} = {rows[at, 1]:g} in "
+                          f"data row {start + at + 1} {rule}", source=str(path))
+    block = np.ascontiguousarray(rows[:, 2:].reshape(len(rows) // size, -1))
+    if not grid:
+        block[:, 1] = 0.0  # the file's d at k = 0 is not read
+    return block, size
 
 
 def write_frames_csv(frames, path) -> None:
@@ -168,13 +147,12 @@ def _parse(path, lines: list[str], first: int, columns: int) -> np.ndarray:
                               f"data row {at}: the number of columns changed", source=str(path))
 
 
-def _integers(path, column: np.ndarray, name: str, start: int, minimum=-np.inf) -> np.ndarray:
-    """The column, row i data row start + i + 1, unchanged; a fraction, non-finite value or
-    value below minimum is refused."""
-    bad = ~np.isfinite(column) | (column != np.floor(column)) | (column < minimum)
+def _integers(path, column: np.ndarray, name: str, start: int) -> np.ndarray:
+    """The column, row i data row start + i + 1, unchanged; a fraction or non-finite value is
+    refused."""
+    bad = ~np.isfinite(column) | (column != np.floor(column))
     if bad.any():
         row = int(np.argmax(bad))
-        rule = "an integer" if minimum == -np.inf else f"an integer >= {minimum:g}"
-        raise ConfigError(f"{name} must be {rule}, found {column[row]:g} in data row "
+        raise ConfigError(f"{name} must be an integer, found {column[row]:g} in data row "
                           f"{start + row + 1}", source=str(path))
     return column

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig
 from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distance
-from .model import SampleSet, ScenarioConfig, _draw, _noiseless, _row_blocks, _row_signal
+from .model import SampleSet, ScenarioConfig, _row_signal, sample_batch
 from .spectral import _spectrum, inverse_propagate
 
 AMPLIFICATION_CAP = 1e12  # the largest inverse factor exp(-sigma_k t0) the estimator applies
@@ -87,9 +87,10 @@ def run_estimate(samples: SampleSet) -> EstimateReport:
 def estimate_until_stable(config: ScenarioConfig, epsilon: float,
                           window: int = RunConfig.window,
                           n_max: int = RunConfig.n_max) -> EstimateReport:
-    """Running estimate over sample_stream(config) with a Cauchy stopping rule.
+    """Running estimate over the rows of sample_batch(config) at n = n_max, with a Cauchy
+    stopping rule; no row past n_max is drawn.
 
-    Adds the rows of that stream to a running sum one at a time, in the order
+    Adds those rows to a running sum one at a time, in the order
     of the row fold of SampleSet._mean (so the mean is a batch's bit for bit),
     inverts each running mean once, as run_estimate does, and stops once all
     consecutive sup-norm gaps inside a window of `window` successive
@@ -103,12 +104,12 @@ def estimate_until_stable(config: ScenarioConfig, epsilon: float,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     half_period, form = config.theta.half_period, config.observation_form
-    base = _noiseless(config)
-    total, inverted = np.full(base.size, -0.0), None
+    total, inverted = -0.0, None  # -0.0 adds to any row exactly
     gaps: deque[float] = deque(maxlen=window - 1)
-    for n_used, row in enumerate(chain.from_iterable(_row_blocks(config, base)), start=1):
-        with np.errstate(over="raise"):
-            np.add(total, row, out=total)
+    rows = chain.from_iterable(sample_batch(replace(config, n=n_max))._blocks())
+    for n_used, row in enumerate(rows, start=1):
+        with np.errstate(over="raise"):  # a drawn row is the reader's to overwrite
+            total = np.add(total, row, out=row)
         previous = inverted
         inverted = _invert(_row_signal(half_period, form, total / n_used), config)
         if previous is not None:
@@ -160,11 +161,10 @@ def convergence_study(config: ScenarioConfig, n_grid, trials: int) -> Convergenc
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows, summary, quasi_shift = [], [], 0
-    base = _noiseless(config)  # every trial's batch is this row plus its own noise
     for n in n_grid:
         cfg = replace(config, n=n)
         for trial in range(trials):
-            report = run_estimate(_draw(cfg, base, (n, trial), quasi_shift))
+            report = run_estimate(sample_batch(cfg, (n, trial), quasi_shift))
             quasi_shift += n
             rows.append((n, trial, report.sup_error, report.c0_error, report.max_mode_error))
         errors = np.array([row[2] for row in rows[-trials:]])

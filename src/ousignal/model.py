@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -125,11 +125,12 @@ def _row_signal(half_period: float, form: str, row: np.ndarray):
     return FourierSignal(half_period, float(row[0]), row[2::2], row[3::2])
 
 
-def _row_blocks(config: ScenarioConfig, base: np.ndarray, subkey: tuple[int, ...] = (),
-                quasi_shift: int = 0, count: int | None = None):
+def _row_blocks(config: ScenarioConfig, subkey: tuple[int, ...] = (), quasi_shift: int = 0,
+                count: int | None = None):
     """The drawn rows of samples 0, 1, ... (count of them, or endless) in new blocks: row i
-    is the noiseless row base plus noise draw eta_i on every grid value, or plus 2 eta_i on
-    c0 (twice the constant term). Draws and rows come in the blocks of _block_sizes."""
+    is the noiseless row plus noise draw eta_i on every grid value, or plus 2 eta_i on c0
+    (twice the constant term). Draws and rows come in the blocks of _block_sizes."""
+    base = _noiseless(config)
     width = 1 if config.sampler == SAMPLER_EXACT else config.noise.series_terms + 1
     rng = sample_source(config, subkey, quasi_shift)
     for draws in _block_sizes(count, width):
@@ -164,17 +165,20 @@ class SampleSet:
             raise ValueError(f"unknown observation form {form!r}")
         self.config, self.form, self._blocks = config, form, blocks
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(len(block) for block in self._blocks())
 
     def _stack(self, take) -> np.ndarray:
-        """take(block) of every block, in one new read-only array of n rows; the set is read
-        once for the shape of a row, once for n, and once to fill the array."""
-        out, at = np.empty((self.n, *take(next(self._blocks())).shape[1:])), 0
+        """take(block) of every block, in one new read-only array of n rows, allocated on the
+        first block; the set is read to fill the array, and once for n unless already read."""
+        out, at = None, 0
         for block in self._blocks():
-            out[at:at + len(block)] = take(block)
-            at += len(block)
+            part = take(block)
+            if out is None:
+                out = np.empty((self.n, *part.shape[1:]))
+            out[at:at + len(part)] = part
+            at += len(part)
         out.flags.writeable = False
         return out
 
@@ -202,29 +206,31 @@ class SampleSet:
 
 
 def _noiseless(config: ScenarioConfig) -> np.ndarray:
-    """The expected observation in the config's form, as a row: the propagated input."""
-    base = propagate(config.theta, config.op, config.t0)
-    if config.observation_form == OBSERVE_GRID:
-        return base.evaluate_grid(config.grid_points).values
-    return _coefficient_row(base)
+    """The expected observation in the config's form, the propagated input, as a read-only row."""
+    return _noiseless_row(config.theta, config.op, config.t0, config.observation_form,
+                          config.grid_points)
 
 
-def _draw(config: ScenarioConfig, base: np.ndarray, subkey: tuple = (),
-          quasi_shift: int = 0) -> SampleSet:
-    """sample_batch on a noiseless row formed once, which trials and sigmas share."""
-    return SampleSet(config, config.observation_form,
-                     lambda: _row_blocks(config, base, subkey, quasi_shift, config.n))
+@lru_cache(maxsize=1)  # a command's batches, trials, sigmas and stream share one
+def _noiseless_row(theta: FourierSignal, op: OperatorSpec, t0: float, form: str,
+                   points: int) -> np.ndarray:
+    """_noiseless's row, kept while it is the last one asked for."""
+    base = propagate(theta, op, t0)
+    row = base.evaluate_grid(points).values if form == OBSERVE_GRID else _coefficient_row(base)
+    row.flags.writeable = False
+    return row
 
 
 def sample_batch(config: ScenarioConfig, subkey: tuple[int, ...] = (),
                  quasi_shift: int = 0) -> SampleSet:
     """Draw n independent observations: the first n of the stream with the same keys."""
-    return _draw(config, _noiseless(config), subkey, quasi_shift)
+    return SampleSet(config, config.observation_form,
+                     lambda: _row_blocks(config, subkey, quasi_shift, config.n))
 
 
 def sample_stream(config: ScenarioConfig):
     """Endless generator of observations; its first n equal sample_batch's rows."""
-    for block in _row_blocks(config, _noiseless(config)):
+    for block in _row_blocks(config):
         for row in block:
             yield _row_signal(config.theta.half_period, config.observation_form, row)
 

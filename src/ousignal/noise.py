@@ -40,12 +40,11 @@ _BLOCK = 1 << 14
 
 def _block_sizes(count: int | None, width: int = 1):
     """Row counts of the blocks, at most max(1, _BLOCK // width) rows of width values, that
-    make up count rows; for count None, endless blocks that double from one row up to a
-    full one, so a stream that stops early draws little past its stop. Every blocked loop
-    of the package takes its sizes from here, but the samples reader's endless one."""
+    make up count rows; for count None (sample_stream), endless full blocks. Every blocked
+    loop of the package takes its sizes from here, but the samples reader's endless one."""
     step, done = max(1, _BLOCK // width), 0
     while count is None or done < count:
-        rows = min(step, max(done, 1) if count is None else count - done)
+        rows = step if count is None else min(step, count - done)
         yield rows
         done += rows
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import inspect
 import io
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from _util import wideband_config_text
 from ousignal import (ConfigError, FourierSignal, NoiseParams, RandomSource, RunConfig,
-                      ScenarioConfig, cli, estimation, load_config, model, noise, noise_variance,
+                      ScenarioConfig, cli, load_config, model, noise, noise_variance,
                       spectral)
 from ousignal.cli import build_parser, main, replay_manifest
 from ousignal.config import _KEYS, PRESETS, parse_config_text, parse_number, preset_text
@@ -749,9 +750,9 @@ def test_cli_commands_compute_the_channel_and_the_noiseless_row_once(tmp_path, m
         return wrapper
 
     monkeypatch.setattr(spectral, "mode_spectrum", counted("rates", spectral.mode_spectrum))
-    base_row = counted("base rows", model._noiseless)
-    for module in (model, estimation, cli):
-        monkeypatch.setattr(module, "_noiseless", base_row)
+    base_row = functools.lru_cache(maxsize=1)(counted("base rows",
+                                                      model._noiseless_row.__wrapped__))
+    monkeypatch.setattr(model, "_noiseless_row", base_row)
     cfg = tmp_path / "infinite.cfg"
     cfg.write_text(preset_text("ex42") + "estimator = infinite\nepsilon = 0.1\n")
     samples = tmp_path / "sample" / "samples.csv"
@@ -768,6 +769,7 @@ def test_cli_commands_compute_the_channel_and_the_noiseless_row_once(tmp_path, m
     ]
     for argv, base_rows in commands:
         spectral._spectrum.cache_clear()  # each command starts as in a fresh process
+        base_row.cache_clear()
         calls.update(dict.fromkeys(calls, 0))
         assert run_cli(*argv, "--out", str(tmp_path / argv[0])) == 0
         assert calls == {"rates": 1, "base rows": base_rows}, argv
@@ -891,21 +893,27 @@ def test_cli_estimate_inverse_that_overflows_exits_3(tmp_path, capsys):
     pytest.param("sample_id,k,c,d\n\n", "no data rows", id="header-only-coefficients"),
     pytest.param("sample_id,x,value\n1.5,0,1\n", "sample_id must be an integer",
                  id="fractional-sample-id"),
-    pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1.5,1,1\n", "k must be an integer",
-                 id="fractional-k"),
-    pytest.param("sample_id,k,c,d\n0,0,1,0\n0,-3,1,1\n", "k must be an integer >= 0",
-                 id="negative-k"),
+    pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1.5,1,1\n",
+                 "sample_id 0: k = 1.5 in data row 2 is not 1", id="fractional-k"),
+    pytest.param("sample_id,k,c,d\n0,0,1,0\n0,-3,1,1\n",
+                 "sample_id 0: k = -3 in data row 2 is not 1", id="negative-k"),
     pytest.param("sample_id,x,value\n0,0,1\n0,1,2\n1,0,3\n", "inconsistent grid sizes",
                  id="unequal-grid-sizes"),
     pytest.param("sample_id,k,c,d\n0,0,1,0\n0,21,1,1\n",
-                 "k must be at most the mode count K = 20, found 21 in data row 2",
-                 id="k-above-mode-count"),
+                 "sample_id 0: k = 21 in data row 2 is not 1: a sample lists k = 0, 1, 2, ... "
+                 "in line order, up to K = 20", id="k-above-mode-count"),
     pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1000000000000000,1,1\n",
-                 "k must be at most the mode count K = 20, found 1e+15 in data row 2",
-                 id="huge-k"),
+                 "sample_id 0: k = 1e+15 in data row 2 is not 1", id="huge-k"),
+    pytest.param("sample_id,k,c,d\n" + "".join(f"0,{k},1,0\n" for k in range(22)),
+                 "sample_id 0: k = 21 in data row 22 is on a line past K: a sample lists "
+                 "k = 0, 1, 2, ... in line order, up to K = 20", id="lines-past-mode-count"),
     pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1,1,1\n1,0,1,0\n1,1,1,1\n1,1,2,2\n",
-                 "sample_id 1 must list every k from 0 to 1 exactly once; k = 1 is repeated",
-                 id="repeated-k"),
+                 "samples have inconsistent coefficient sizes: sample_id 1 from data row 3 has "
+                 "3 rows, not the first sample's 2", id="repeated-k"),
+    # a sample's k lines were once put in place whatever their order (exit 0); the writer
+    # lists k = 0..K in line order, and the reader takes that layout only
+    pytest.param("sample_id,k,c,d\n0,0,1,0\n0,2,1,1\n0,1,1,1\n",
+                 "sample_id 0: k = 2 in data row 2 is not 1", id="permuted-k"),
     pytest.param("sample_id,x,value\n0,0,1\n0,-3.141592653589793,2\n",
                  "sample_id 0: x = 0 in data row 1 is more than a quarter step from grid point 0 "
                  "(x = -3.14159) of the 2-point grid of [-l, l)", id="reversed-rows"),
@@ -940,7 +948,8 @@ def test_cli_estimate_refuses_a_coefficient_file_with_missing_rows(tmp_path, cap
     assert run_cli("estimate", "--config", str(cfg), "--seed", "5", "--samples", str(path),
                    "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert "sample_id 2 must list every k from 0 to 20 exactly once; k = 1 is missing" in err
+    assert ("samples have inconsistent coefficient sizes: sample_id 2 from data row 43 has 19 "
+            "rows, not the first sample's 21") in err
     assert "Traceback" not in err
 
 

@@ -25,7 +25,7 @@ from ousignal import (
     sample_batch,
     sup_distance,
 )
-from ousignal import estimation, noise
+from ousignal import estimation, model, noise
 from ousignal.model import OBSERVE_FOURIER, SampleSet
 
 from _util import example_theta, make_config, random_signal, sample_rows, sample_signals, signal_row
@@ -210,6 +210,23 @@ def test_stable_estimate_zero_epsilon_never_fires():
     assert report.estimate is not None
 
 
+@pytest.mark.parametrize("sampler, gaussians", [("exact", 100), ("series", 100 * 100)])
+def test_stable_estimate_draws_no_row_past_n_max(monkeypatch, sampler, gaussians):
+    # the stream's blocks once doubled from one row, so n_max = 100 drew 128 rows: 128
+    # Gaussians for the exact sampler, 12,800 for the series sampler at 99 terms
+    drawn, blocks = [], noise.RandomSource.blocks
+
+    def counted(self, rows, width):
+        drawn.append(rows * width)
+        return blocks(self, rows, width)
+
+    monkeypatch.setattr(noise.RandomSource, "blocks", counted)
+    cfg = make_config(n=1, seed=4, sampler=sampler, series_terms=99)
+    report = estimate_until_stable(cfg, epsilon=0.0, n_max=100)
+    assert not report.converged and report.n_used == 100
+    assert sum(drawn) == gaussians
+
+
 def test_stable_estimate_converges_quickly_at_loose_tolerance():
     cfg = make_config(seed=21, n=1)
     v = noise_variance(cfg.noise, cfg.t0)
@@ -233,7 +250,7 @@ def test_both_estimators_name_a_row_sum_that_overflows(monkeypatch, form):
     cfg = make_config(sigma=0.0, n=2, observation_form=form)
     rows = np.zeros((2, cfg.grid_points if form == "grid" else 2 * cfg.mode_count + 2))
     rows[:, 0] = 1e308
-    monkeypatch.setattr(estimation, "_row_blocks", lambda config, base: iter([rows]))
+    monkeypatch.setattr(model, "_row_blocks", lambda config, *keys: iter([rows]))
     batch = SampleSet(cfg, form, lambda: iter([rows.copy()]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -146,16 +146,33 @@ def test_batch_draws_fill_one_array_of_n():
     # the etas of n = 1e6 draws take 8 MB; a list of their blocks and its concatenation
     # held 16.8 MB
     cfg = replace(load_config("ex42").scenario, n=1_000_000, seed=3)
-    base = model._noiseless(cfg)
-    model._draw(replace(cfg, n=1), base).etas  # numpy's first draw imports about 1 MB of modules
+    sample_batch(replace(cfg, n=1)).etas  # numpy's first draw imports about 1 MB of modules
     tracemalloc.start()
     try:
-        etas = model._draw(cfg, base).etas
+        etas = sample_batch(cfg).etas
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert etas.shape == (cfg.n,)
     assert peak < 9e6
+
+
+def test_stacking_reads_a_set_twice_and_caches_its_count():
+    # _stack once read its set for the shape of a row, for n and for the fill: three reads
+    # for etas or grid_values alone, six for both
+    batch = sample_batch(make_config(n=5, seed=2))
+    reads = []
+
+    def blocks():
+        reads.append(1)
+        return batch._blocks()
+
+    counted = model.SampleSet(batch.config, batch.form, blocks)
+    assert counted.etas.tobytes() == batch.etas.tobytes()
+    assert len(reads) == 2
+    assert counted.grid_values.tobytes() == batch.grid_values.tobytes()
+    assert len(reads) == 3
+    assert counted.n == 5 and len(reads) == 3
 
 
 def test_sample_matrix_fills_one_array_of_n_rows():
