@@ -95,27 +95,30 @@ def _sample_rows(path, config: ScenarioConfig, form: str, rows: np.ndarray, star
     writer's layout: each sample has size lines (the first sample's, unless given), and line
     j of a sample is grid point j of [-l, l), its x within a quarter step, or mode k = j up
     to K. A coefficient row is its lines' c,d cells, the d at k = 0 read as 0."""
-    ids = rows[:, 0]
+    ids, l, modes = rows[:, 0], config.theta.half_period, config.mode_count
     counts = np.diff(np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1, len(rows)])
     size, grid = size or int(counts[0]), form == OBSERVE_GRID
+    if grid:
+        kind, name, position, tolerance = "grid", "x", _grid(l, size), l / (2 * size)
+        rule = ("more than a quarter step from grid point {j} (x = {p:.6g}) of the {size}-point "
+                "grid of [-l, l)")
+    else:
+        kind, name, position, tolerance = "coefficient", "k", np.arange(size, dtype=float), 0
+        position[modes + 1:] = np.nan  # no k is right on a line past K
+        rule = "not line {j}'s k: a sample lists k = 0, 1, 2, ... in line order, up to K = {K}"
     if np.any(counts != size):
         i = int(np.argmax(counts != size))
         at = counts[:i].sum()
-        raise ConfigError(f"samples have inconsistent {'grid' if grid else 'coefficient'} sizes: "
-                          f"sample_id {ids[at]:g} from data row {start + at + 1} has {counts[i]} "
-                          f"rows, not the first sample's {size}", source=str(path))
-    l, modes, line = config.theta.half_period, config.mode_count, np.arange(size)
-    position = _grid(l, size) if grid else np.where(line <= modes, line, np.nan)  # NaN: past K
-    off = ~(np.abs(rows[:, 1].reshape(-1, size) - position) <= (l / (2 * size) if grid else 0))
-    if off.any():  # a NaN x or k is off too
+        raise ConfigError(f"samples have inconsistent {kind} sizes: sample_id {ids[at]:g} from "
+                          f"data row {start + at + 1} has {counts[i]} rows, not the first "
+                          f"sample's {size}", source=str(path))
+    off = ~(np.abs(rows[:, 1].reshape(-1, size) - position) <= tolerance)  # a NaN is off too
+    if off.any():
         at = int(np.argmax(off))
         j = at % size
-        fault = f"not {j}" if j <= modes else "on a line past K"
-        rule = (f"is more than a quarter step from grid point {j} (x = {position[j]:.6g}) of the "
-                f"{size}-point grid of [-l, l)" if grid else f"is {fault}: a sample lists "
-                f"k = 0, 1, 2, ... in line order, up to K = {modes}")
-        raise ConfigError(f"sample_id {ids[at]:g}: {'x' if grid else 'k'} = {rows[at, 1]:g} in "
-                          f"data row {start + at + 1} {rule}", source=str(path))
+        rule = rule.format(j=j, p=position[j], size=size, K=modes)
+        raise ConfigError(f"sample_id {ids[at]:g}: {name} = {rows[at, 1]:g} in data row "
+                          f"{start + at + 1} is {rule}", source=str(path))
     block = np.ascontiguousarray(rows[:, 2:].reshape(len(rows) // size, -1))
     if not grid:
         block[:, 1] = 0.0  # the file's d at k = 0 is not read

@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import inspect
 import io
@@ -741,7 +740,7 @@ def test_cli_estimate_sigma_sweep_orders_errors(tmp_path):
 def test_cli_commands_compute_the_channel_and_the_noiseless_row_once(tmp_path, monkeypatch):
     # the per-mode rates of (A, t0, K, l) are computed once per command, and the noiseless
     # row once: not once per trial, sigma, streamed row or inversion
-    calls = {"rates": 0, "base rows": 0}
+    calls = {"rates": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -750,9 +749,6 @@ def test_cli_commands_compute_the_channel_and_the_noiseless_row_once(tmp_path, m
         return wrapper
 
     monkeypatch.setattr(spectral, "mode_spectrum", counted("rates", spectral.mode_spectrum))
-    base_row = functools.lru_cache(maxsize=1)(counted("base rows",
-                                                      model._noiseless_row.__wrapped__))
-    monkeypatch.setattr(model, "_noiseless_row", base_row)
     cfg = tmp_path / "infinite.cfg"
     cfg.write_text(preset_text("ex42") + "estimator = infinite\nepsilon = 0.1\n")
     samples = tmp_path / "sample" / "samples.csv"
@@ -769,10 +765,11 @@ def test_cli_commands_compute_the_channel_and_the_noiseless_row_once(tmp_path, m
     ]
     for argv, base_rows in commands:
         spectral._spectrum.cache_clear()  # each command starts as in a fresh process
-        base_row.cache_clear()
+        model._noiseless_row.cache_clear()
         calls.update(dict.fromkeys(calls, 0))
         assert run_cli(*argv, "--out", str(tmp_path / argv[0])) == 0
-        assert calls == {"rates": 1, "base rows": base_rows}, argv
+        assert calls == {"rates": 1}, argv
+        assert model._noiseless_row.cache_info().misses == base_rows, argv
 
 
 @settings(max_examples=12, deadline=None)
@@ -894,18 +891,18 @@ def test_cli_estimate_inverse_that_overflows_exits_3(tmp_path, capsys):
     pytest.param("sample_id,x,value\n1.5,0,1\n", "sample_id must be an integer",
                  id="fractional-sample-id"),
     pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1.5,1,1\n",
-                 "sample_id 0: k = 1.5 in data row 2 is not 1", id="fractional-k"),
+                 "sample_id 0: k = 1.5 in data row 2 is not line 1's k", id="fractional-k"),
     pytest.param("sample_id,k,c,d\n0,0,1,0\n0,-3,1,1\n",
-                 "sample_id 0: k = -3 in data row 2 is not 1", id="negative-k"),
+                 "sample_id 0: k = -3 in data row 2 is not line 1's k", id="negative-k"),
     pytest.param("sample_id,x,value\n0,0,1\n0,1,2\n1,0,3\n", "inconsistent grid sizes",
                  id="unequal-grid-sizes"),
     pytest.param("sample_id,k,c,d\n0,0,1,0\n0,21,1,1\n",
-                 "sample_id 0: k = 21 in data row 2 is not 1: a sample lists k = 0, 1, 2, ... "
+                 "sample_id 0: k = 21 in data row 2 is not line 1's k: a sample lists k = 0, 1, 2, ... "
                  "in line order, up to K = 20", id="k-above-mode-count"),
     pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1000000000000000,1,1\n",
-                 "sample_id 0: k = 1e+15 in data row 2 is not 1", id="huge-k"),
+                 "sample_id 0: k = 1e+15 in data row 2 is not line 1's k", id="huge-k"),
     pytest.param("sample_id,k,c,d\n" + "".join(f"0,{k},1,0\n" for k in range(22)),
-                 "sample_id 0: k = 21 in data row 22 is on a line past K: a sample lists "
+                 "sample_id 0: k = 21 in data row 22 is not line 21's k: a sample lists "
                  "k = 0, 1, 2, ... in line order, up to K = 20", id="lines-past-mode-count"),
     pytest.param("sample_id,k,c,d\n0,0,1,0\n0,1,1,1\n1,0,1,0\n1,1,1,1\n1,1,2,2\n",
                  "samples have inconsistent coefficient sizes: sample_id 1 from data row 3 has "
@@ -913,7 +910,7 @@ def test_cli_estimate_inverse_that_overflows_exits_3(tmp_path, capsys):
     # a sample's k lines were once put in place whatever their order (exit 0); the writer
     # lists k = 0..K in line order, and the reader takes that layout only
     pytest.param("sample_id,k,c,d\n0,0,1,0\n0,2,1,1\n0,1,1,1\n",
-                 "sample_id 0: k = 2 in data row 2 is not 1", id="permuted-k"),
+                 "sample_id 0: k = 2 in data row 2 is not line 1's k", id="permuted-k"),
     pytest.param("sample_id,x,value\n0,0,1\n0,-3.141592653589793,2\n",
                  "sample_id 0: x = 0 in data row 1 is more than a quarter step from grid point 0 "
                  "(x = -3.14159) of the 2-point grid of [-l, l)", id="reversed-rows"),
