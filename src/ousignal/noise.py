@@ -29,9 +29,7 @@ KERNEL_MEAN_REVERTING, KERNEL_GROWTH = KERNELS
 VARIANTS = ("variance_matched", "paper_faithful")
 VARIANT_VARIANCE_MATCHED, VARIANT_PAPER_FAITHFUL = VARIANTS
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _EPS = np.finfo(float).eps
-_SAFE_LOG = 700.0
 
 # doubles drawn at once (at least one row's worth), so no draw or fold holds more
 # than O(_BLOCK) memory whatever the count
@@ -75,48 +73,25 @@ class NoiseParams:
 
 # ---------------------------------------------------------------------------
 # inverse standard normal CDF
-#
-# Acklam's rational approximation (relative error < 1.15e-9 over (0, 1))
-# sharpened by one Halley step against erfc, which brings the result to
-# near machine precision.
-
-_ICDF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ICDF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-           6.680131188771972e+01, -1.328068155288572e+01)
-_ICDF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-           -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-           3.754408661907416e+00)
-_ICDF_SPLIT = 0.02425
-
-
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """math.erfc elementwise: numpy has no erfc, and scipy stays a test-only dependency."""
-    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def gaussian_inverse_cdf(p):
     """Quantile z with Phi(z) = p for the standard normal law, elementwise over arrays.
 
-    A scalar p gives a float; an array gives an array of the same shape.
+    A scalar p gives a float; an array gives an array of the same shape. The values are
+    the standard library's NormalDist().inv_cdf (Wichura's AS241), computed one at a time
+    in double arithmetic, so their bits do not depend on numpy's CPU kernels.
     """
+    # imported here, not at module level: only quasi draws reach this, and the statistics
+    # module adds about 0.4 MB to the peak memory of every run that draws none
+    from statistics import NormalDist
+
     p = np.asarray(p, dtype=float)
-    flat = np.atleast_1d(p)
+    flat = p.ravel()
+    # NormalDist checks 0 < p < 1 itself, but lets NaN through
     if not np.all((flat > 0.0) & (flat < 1.0)):
         raise ValueError("p must lie strictly between 0 and 1")
-    low = flat < _ICDF_SPLIT
-    high = flat > 1.0 - _ICDF_SPLIT
-    q = np.sqrt(-2.0 * np.log(np.where(high, 1.0 - flat, flat)))
-    tail = np.polyval(_ICDF_C, q) / np.polyval(_ICDF_D + (1.0,), q)
-    q = flat - 0.5
-    r = q * q
-    central = np.polyval(_ICDF_A, r) * q / np.polyval(_ICDF_B + (1.0,), r)
-    z = np.where(low, tail, np.where(high, -tail, central))
-    # Halley step; skipped where exp(z^2 / 2) would overflow
-    err = 0.5 * _erfc(-z / math.sqrt(2.0)) - flat
-    u = err * _SQRT2PI * np.exp(np.minimum(0.5 * z * z, _SAFE_LOG))
-    z = np.where(z * z < 2.0 * _SAFE_LOG, z - u / (1.0 + 0.5 * z * u), z)
+    z = np.fromiter(map(NormalDist().inv_cdf, flat.tolist()), float, flat.size)
     return float(z[0]) if p.ndim == 0 else z.reshape(p.shape)
 
 

@@ -552,6 +552,29 @@ def test_cli_series_outputs_on_the_unit_clock_match_pinned_digests(tmp_path, cas
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == SERIES_DIGESTS[case]
 
 
+# SHA-256 of quasi batches under ARTIFACT_VERSION 0.8.0, whose Gaussians are the standard
+# library's normal quantile: ex42's grid sample, and a series sample of coefficient rows
+# (ex42 at t0 = 0.1, 100 Gaussians a row)
+QUASI_DIGESTS = {
+    "grid": "a9852ae514e73fc38128bb5f8d252bfd46beaa6cf7ec659b43dd02fc055459ac",
+    "series-fourier": "898222071d4c5bf4ec1ad3ec3d62a6e9209f365cf2cacb0fdc9472428d823eb3",
+}
+
+
+@pytest.mark.parametrize("case", QUASI_DIGESTS)
+def test_cli_quasi_samples_match_pinned_digests(tmp_path, case):
+    if case == "grid":
+        config, n = "ex42", "50"
+    else:
+        config, n = str(tmp_path / "series.cfg"), "20"
+        (tmp_path / "series.cfg").write_text(
+            preset_text("ex42").replace("t0 = pi/7\n", "t0 = 0.1\n")
+            + "sampler = series\nseries_terms = 99\nobservation = fourier\n")
+    assert run_cli("sample", "--config", config, "--quasi", "--n", n, "--out", str(tmp_path)) == 0
+    digest = hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest()
+    assert digest == QUASI_DIGESTS[case]
+
+
 def test_cli_evolve_frames_match_pinned_digest(tmp_path):
     assert run_cli("evolve", "--config", "ex41", "--out", str(tmp_path)) == 0
     digest = hashlib.sha256((tmp_path / "frames.csv").read_bytes()).hexdigest()
@@ -586,12 +609,14 @@ def test_cli_convergence_makes_no_lapack_call(tmp_path, monkeypatch):
 
 # SHA-256 of the outputs that fold streamed draws: verify's blocks of paired draws, re-pinned
 # under ARTIFACT_VERSION 0.7.0 (a source per check row, and a co-moment summed by numpy, not
-# a BLAS dot), and the infinite estimator's running mean at a stop and at n_max, under 0.4.0
+# a BLAS dot), and the infinite estimator's running mean at a stop and at n_max, under 0.4.0;
+# verify-quasi re-pinned under 0.8.0, whose quasi Gaussians come from the standard library's
+# normal quantile (the last digits of its quasi rows move)
 STREAMED_DIGESTS = {
     "verify": ([], 0, {
         "verify.csv": "80cc88a6f1912a6503343d3665d8133bd197336c43d3a24d970d51f7ec63a0eb"}),
     "verify-quasi": (["--quasi"], 0, {
-        "verify.csv": "3df1874d8ecac68a17053d97a5898549704ffc28e3a7405be37e147605fffcb1"}),
+        "verify.csv": "3cd0475c7bdbca87646e33ef9f201d5fcbddc0c4a62e2288bba758dfc63d605b"}),
     "infinite-stops": ("epsilon = 0.1\n", 0, {
         "estimate.csv": "04f02ffc8c4a37f7a3f99aef54624a48d94e45c73734cc299a2960b396a376c5",
         "estimate_report.csv":

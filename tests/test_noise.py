@@ -1,8 +1,13 @@
 """Gaussian drivers, the KL path, and the scalar OU integral against analytic moments."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -75,6 +80,22 @@ def test_icdf_domain():
             gaussian_inverse_cdf(p)
 
 
+def test_icdf_is_within_8_ulp_of_a_high_precision_quantile():
+    # Acklam's approximation with one Halley step was 8.3e6 ulp off at p = 1 - 1e-12
+    lower = np.logspace(-300, math.log10(0.5), 300)
+    upper = 1.0 - 2.0 ** -np.arange(1, 53)
+    ps = np.concatenate([lower, upper, np.linspace(0.01, 0.99, 99)])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for p, z in zip(ps.tolist(), gaussian_inverse_cdf(ps).tolist()):
+            # 1 - p is exact for p >= 1/2, and Phi^-1(p) = -Phi^-1(1 - p)
+            q = min(p, 1.0 - p)
+            ref = mpmath.findroot(lambda x: mpmath.ncdf(x) - q, -abs(z))
+            ref = -ref if p > 0.5 else ref
+            worst = max(worst, float(abs(z - ref)) / math.ulp(float(ref)) if ref else abs(z))
+    assert worst <= 8.0
+
+
 # ---------------------------------------------------------------------------
 # quasi-random sequence
 
@@ -90,6 +111,24 @@ def test_quasi_first_values():
     # frac(sqrt 2) = 0.41421356..., frac(2 sqrt 3) = 0.46410161...
     assert quasi_gaussian(1, 1) == pytest.approx(-0.21671927622377773, abs=1e-9)
     assert quasi_gaussian(2, 2) == pytest.approx(-0.090105686695349, abs=1e-9)
+
+
+def test_quasi_bits_do_not_depend_on_numpy_cpu_kernels():
+    # the np.log and np.exp of the former quantile picked their kernel by CPU, so 1e6 quasi
+    # values had one digest under AVX-512 and another without it; on a host without
+    # AVX-512 the switch changes nothing, and the two runs are the same run
+    script = ("import hashlib, numpy as np; from ousignal.noise import quasi_gaussian; "
+              "values = quasi_gaussian(np.arange(1, 51)[:, None], np.arange(1, 20001)); "
+              "print(hashlib.sha256(values.tobytes()).hexdigest())")
+    src = str(Path(noise.__file__).parents[1])
+    digests = []
+    for disabled in ("", "AVX512_SPR AVX512_ICL X86_V4"):
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_quasi_empirical_mean_near_zero():
