@@ -104,6 +104,13 @@ def cmd_estimate(args, run: RunConfig, out_dir: Path):
         if args.samples is not None:
             raise ConfigError("--samples cannot feed estimator = infinite, which draws its "
                               "own stream; drop --samples or the estimator line")
+        if args.n is not None:
+            raise ConfigError("--n cannot size estimator = infinite, which draws until its "
+                              "stopping rule or n_max; drop --n or the estimator line")
+        if run.sigma_grid:
+            raise ConfigError("estimator = infinite cannot run a sigma_grid sweep, which needs "
+                              "a batch at each sigma; drop the sigma_grid line or the "
+                              "estimator line")
         report = estimate_until_stable(sc, epsilon=run.epsilon, window=run.window,
                                        n_max=run.n_max)
         reports = [("estimate.csv", report)]

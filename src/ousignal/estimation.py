@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import RunConfig
 from .fourier import FourierSignal, GridSignal, extract_coefficients, sup_distance
-from .model import SampleSet, ScenarioConfig, _row_signal, sample_batch
+from .model import SampleSet, ScenarioConfig, _constant_terms, sample_batch
 from .spectral import _spectrum, inverse_propagate
 
 AMPLIFICATION_CAP = 1e12  # the largest inverse factor exp(-sigma_k t0) the estimator applies
@@ -87,14 +85,15 @@ def run_estimate(samples: SampleSet) -> EstimateReport:
 def estimate_until_stable(config: ScenarioConfig, epsilon: float,
                           window: int = RunConfig.window,
                           n_max: int = RunConfig.n_max) -> EstimateReport:
-    """Running estimate over the rows of sample_batch(config) at n = n_max, with a Cauchy
-    stopping rule; no row past n_max is drawn.
+    """run_estimate over the rows of sample_batch(config) at n = n_max, stopped early by a
+    Cauchy rule; no row past n_max is drawn.
 
-    Adds those rows to a running sum one at a time, in the order
-    of the row fold of SampleSet._mean (so the mean is a batch's bit for bit),
-    inverts each running mean once, as run_estimate does, and stops once all
-    consecutive sup-norm gaps inside a window of `window` successive
-    estimates fall strictly below epsilon. Exhausting n_max is reported via
+    The rule stops once all consecutive sup-norm gaps inside a window of `window`
+    successive running estimates fall strictly below epsilon. The noise moves the constant
+    mode alone, so two successive estimates differ by a constant: their gap is
+    exp(-A_0 t0) |level_n - level_{n-1}|, where level_n is the running mean of the rows'
+    constant terms. The rule reads that one scalar per row, and the mean folded up to the
+    stop (a batch's bit for bit) is inverted once. Exhausting n_max is reported via
     converged=False, never by fabricating a value.
     """
     if epsilon < 0:
@@ -103,20 +102,22 @@ def estimate_until_stable(config: ScenarioConfig, epsilon: float,
         raise ValueError("window must be >= 2")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    half_period, form = config.theta.half_period, config.observation_form
-    total, inverted = -0.0, None  # -0.0 adds to any row exactly
-    gaps: deque[float] = deque(maxlen=window - 1)
-    rows = chain.from_iterable(sample_batch(replace(config, n=n_max))._blocks())
-    for n_used, row in enumerate(rows, start=1):
-        with np.errstate(over="raise"):  # a drawn row is the reader's to overwrite
-            total = np.add(total, row, out=row)
-        previous = inverted
-        inverted = _invert(_row_signal(half_period, form, total / n_used), config)
-        if previous is not None:
-            gaps.append(sup_distance(inverted[0], previous[0]))
-        converged = len(gaps) == window - 1 and all(g < epsilon for g in gaps)
-        if converged or n_used >= n_max:
-            return _report(config, n_used, converged, *inverted)
+    decay = math.exp(-config.op.a0 * config.t0)  # the inverse map's factor on the constant
+    total, n_used, level, below = 0.0, 0, None, 0  # below: trailing gaps under epsilon
+
+    def stop(block):
+        nonlocal total, n_used, level, below
+        for taken, term in enumerate(_constant_terms(block, config.observation_form).tolist(), 1):
+            total, n_used, previous = total + term, n_used + 1, level
+            level = total / n_used
+            if previous is not None:
+                below = below + 1 if decay * abs(level - previous) < epsilon else 0
+            if below == window - 1:
+                return taken
+        return None
+
+    mean, n = sample_batch(replace(config, n=n_max))._mean(stop)
+    return _report(config, n, below == window - 1, *_invert(mean, config))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ quasi_base + quasi_shift + i in quasi mode, never on how draws are grouped.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
@@ -118,6 +119,11 @@ def _coefficient_row(signal: FourierSignal) -> np.ndarray:
     return row
 
 
+def _constant_terms(block: np.ndarray, form: str) -> np.ndarray:
+    """Each row's constant term: its grid mean, or c0 / 2."""
+    return block.mean(axis=1) if form == OBSERVE_GRID else block[:, 0] / 2.0
+
+
 def _row_signal(half_period: float, form: str, row: np.ndarray):
     """The signal a row holds: grid values, or coefficients c0, 0, c_1, d_1, ..., c_K, d_K."""
     if form == OBSERVE_GRID:
@@ -125,15 +131,14 @@ def _row_signal(half_period: float, form: str, row: np.ndarray):
     return FourierSignal(half_period, float(row[0]), row[2::2], row[3::2])
 
 
-def _row_blocks(config: ScenarioConfig, subkey: tuple[int, ...] = (), quasi_shift: int = 0,
-                count: int | None = None):
-    """The drawn rows of samples 0, 1, ... (count of them, or endless) in new blocks: row i
-    is the noiseless row plus noise draw eta_i on every grid value, or plus 2 eta_i on c0
-    (twice the constant term). Draws and rows come in the blocks of _block_sizes."""
+def _row_blocks(config: ScenarioConfig, subkey: tuple[int, ...] = (), quasi_shift: int = 0):
+    """The drawn rows of samples 0, 1, ..., n - 1 in new blocks: row i is the noiseless row
+    plus noise draw eta_i on every grid value, or plus 2 eta_i on c0 (twice the constant
+    term). Draws and rows come in the blocks of _block_sizes."""
     base = _noiseless(config)
     width = 1 if config.sampler == SAMPLER_EXACT else config.noise.series_terms + 1
     rng = sample_source(config, subkey, quasi_shift)
-    for draws in _block_sizes(count, width):
+    for draws in _block_sizes(config.n, width):
         g = rng.blocks(draws, width)
         if config.sampler == SAMPLER_EXACT:
             etas = math.sqrt(noise_variance(config.noise, config.t0)) * g[:, 0]
@@ -184,24 +189,30 @@ class SampleSet:
 
     @cached_property
     def etas(self) -> np.ndarray:
-        """Each row's constant term (its grid mean, or c0 / 2) less the noiseless one."""
+        """Each row's constant term less the noiseless one."""
         constant = propagate(self.config.theta, self.config.op, self.config.t0).c0 / 2.0
-        return self._stack(lambda block: (block.mean(axis=1) if self.form == OBSERVE_GRID
-                                          else block[:, 0] / 2.0) - constant)
+        return self._stack(lambda block: _constant_terms(block, self.form) - constant)
 
     @cached_property
     def grid_values(self) -> np.ndarray | None:
         """The (n, G) value matrix of a grid set, else None."""
         return self._stack(lambda block: block) if self.form == OBSERVE_GRID else None
 
-    def _mean(self):
+    def _mean(self, stop=None):
         """(mean signal, n): each block's first row takes the running sum, and numpy sums a
-        block row by row (axis 0), so however the rows are blocked the bits are the same."""
+        block row by row (axis 0), so however the rows are blocked the bits are the same.
+
+        stop, if given, reads each block before it is folded and returns None to take all of
+        its rows and go on, or the count of its first rows to take and end the fold there."""
         total, n = -0.0, 0  # -0.0 adds to any row exactly
         with np.errstate(over="raise"):
             for block in self._blocks():
+                take = None if stop is None else stop(block)
+                block = block[:take]
                 np.add(total, block[0], out=block[0])
                 total, n = np.add.reduce(block, axis=0), n + len(block)
+                if take is not None:
+                    break
         return _row_signal(self.config.theta.half_period, self.form, total / n), n
 
 
@@ -225,12 +236,13 @@ def sample_batch(config: ScenarioConfig, subkey: tuple[int, ...] = (),
                  quasi_shift: int = 0) -> SampleSet:
     """Draw n independent observations: the first n of the stream with the same keys."""
     return SampleSet(config, config.observation_form,
-                     lambda: _row_blocks(config, subkey, quasi_shift, config.n))
+                     lambda: _row_blocks(config, subkey, quasi_shift))
 
 
 def sample_stream(config: ScenarioConfig):
-    """Endless generator of observations; its first n equal sample_batch's rows."""
-    for block in _row_blocks(config):
+    """Generator of observations; its first n equal sample_batch's rows."""
+    # sys.maxsize rows stand in for endless: a stream is never read that far
+    for block in _row_blocks(replace(config, n=sys.maxsize)):
         for row in block:
             yield _row_signal(config.theta.half_period, config.observation_form, row)
 

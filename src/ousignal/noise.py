@@ -36,13 +36,13 @@ _EPS = np.finfo(float).eps
 _BLOCK = 1 << 14
 
 
-def _block_sizes(count: int | None, width: int = 1):
+def _block_sizes(count: int, width: int = 1):
     """Row counts of the blocks, at most max(1, _BLOCK // width) rows of width values, that
-    make up count rows; for count None (sample_stream), endless full blocks. Every blocked
-    loop of the package takes its sizes from here, but the samples reader's endless one."""
+    make up count rows. Every blocked loop of the package takes its sizes from here, but the
+    samples reader's endless one."""
     step, done = max(1, _BLOCK // width), 0
-    while count is None or done < count:
-        rows = step if count is None else min(step, count - done)
+    while done < count:
+        rows = min(step, count - done)
         yield rows
         done += rows
 

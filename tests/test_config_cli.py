@@ -1215,6 +1215,25 @@ def test_cli_estimate_refuses_a_samples_file_with_a_sigma_sweep(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("preset, flags, message", [
+    pytest.param("ex42", ["--n", "5"], "--n cannot size estimator = infinite", id="n"),
+    pytest.param("ex43", [], "estimator = infinite cannot run a sigma_grid sweep",
+                 id="sigma-grid"),
+])
+def test_cli_estimate_infinite_refuses_n_and_a_sigma_sweep(tmp_path, capsys, preset, flags,
+                                                           message):
+    # both were once ignored: ex42 --n 5 exited 0 at n_used = 144 with n: 5 in the manifest,
+    # and ex43 exited 0 with one report row at sigma = 150, its sigma_grid dropped
+    cfg = tmp_path / "stream.cfg"
+    cfg.write_text(preset_text(preset) + "estimator = infinite\nepsilon = 0.1\n")
+    out = tmp_path / "out"
+    assert run_cli("estimate", "--config", str(cfg), "--seed", "2", *flags,
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "drop" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, sizes", [
     pytest.param("spectrum", "K = 1000000000000000\nG = 2000000000000001\n", id="spectrum-K"),
     pytest.param("sample", "G = 2000000000000001\n", id="sample-G"),

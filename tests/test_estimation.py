@@ -4,8 +4,10 @@ import inspect
 import math
 import tracemalloc
 import warnings
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from ousignal import (
     sup_distance,
 )
 from ousignal import estimation, model, noise
+from ousignal.config import parse_config_text, preset_text
 from ousignal.model import OBSERVE_FOURIER, SampleSet
 
 from _util import example_theta, make_config, random_signal, sample_rows, sample_signals, signal_row
@@ -271,6 +274,90 @@ def test_stable_estimate_defaults_are_the_run_config_defaults():
     defaults = inspect.signature(estimate_until_stable).parameters
     assert defaults["window"].default == RunConfig.window
     assert defaults["n_max"].default == RunConfig.n_max
+
+
+def _per_row_rule(config, epsilon, window, n_max):
+    """The Cauchy rule as it once ran: fold one row at a time, invert every running mean, and
+    take the sup-norm gap of successive estimates."""
+    total, inverted = -0.0, None
+    gaps = deque(maxlen=window - 1)
+    rows = chain.from_iterable(sample_batch(replace(config, n=n_max))._blocks())
+    for n_used, row in enumerate(rows, start=1):
+        with np.errstate(over="raise"):
+            total = np.add(total, row, out=row)
+        previous = inverted
+        inverted = estimation._invert(
+            model._row_signal(config.theta.half_period, config.observation_form, total / n_used),
+            config)
+        if previous is not None:
+            gaps.append(sup_distance(inverted[0], previous[0]))
+        converged = len(gaps) == window - 1 and all(g < epsilon for g in gaps)
+        if converged or n_used >= n_max:
+            return estimation._report(config, n_used, converged, *inverted)
+
+
+_HEAT = ("l = pi\nc0 = 1\nc.15 = 1\nA.0 = 1\nA.1 = 0\nA.2 = 1\nsigma = 1\nt0 = 0.2\nK = 20\n"
+         "G = 200\nestimator = infinite\nepsilon = 1e-2\n")
+# the perfbench stream-quasi config at seed 3: it stops at n = 3969 = 49 * 81, on the last
+# row of a block of _BLOCK // G = 81 rows
+_BLOCK_END = ("l = pi\nc0 = 1.566547799216759\nc.3 = -1.518489156174474\n"
+              "d.3 = -1.780251788596404\nc.14 = -0.029398760403369195\nd.14 = 2.49137646838766\n"
+              "c.15 = -3.8260599072950408\nd.15 = -4.110171089273816\nA.0 = 2\nA.1 = -1\n"
+              "A.2 = 0\nsigma = 1\nt0 = 0.17\nK = 20\nG = 200\nquasi = 1\nquasi_base = 2084\n"
+              "sampler = series\nseries_terms = 199\nestimator = infinite\nepsilon = 2e-4\n"
+              "window = 400\nn_max = 20000\n")
+
+
+def _ex42_stream(*lines, epsilon="0.1"):
+    return preset_text("ex42") + f"estimator = infinite\nepsilon = {epsilon}\n" + "".join(
+        line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_ex42_stream(), id="grid"),
+    pytest.param(_ex42_stream("observation = fourier"), id="fourier"),
+    pytest.param(_ex42_stream("sampler = series"), id="series"),
+    pytest.param(_ex42_stream("kernel = growth", "window = 10"), id="growth"),
+    pytest.param(_ex42_stream("quasi = 1", "quasi_base = 7"), id="quasi-grid"),
+    pytest.param(_ex42_stream("quasi = 1", "quasi_base = 7", "observation = fourier",
+                              "sampler = series"), id="quasi-fourier-series"),
+    pytest.param(_HEAT, id="heat-grid"),
+    pytest.param(_HEAT + "observation = fourier\n", id="heat-fourier"),
+    pytest.param(_ex42_stream("n_max = 30", epsilon="1e-9"), id="n-max"),
+    pytest.param(_BLOCK_END, id="block-end"),
+])
+def test_stable_estimate_stops_where_the_per_row_rule_stops(text):
+    # the gap of two successive estimates, read from the running mean of the rows' constant
+    # terms, stops the fold where inverting every running mean did, with the same bytes
+    run = parse_config_text(text)
+    cfg = replace(run.scenario, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the heat channel zeroes modes 12..20
+        reference = _per_row_rule(cfg, run.epsilon, run.window, run.n_max)
+        report = estimate_until_stable(cfg, run.epsilon, run.window, run.n_max)
+    assert (report.n_used, report.converged) == (reference.n_used, reference.converged)
+    fields = [name for name in report._fields if name != "estimate"]
+    assert [float(getattr(report, f)).hex() for f in fields] == \
+        [float(getattr(reference, f)).hex() for f in fields]
+    assert signal_row(report.estimate).tobytes() == signal_row(reference.estimate).tobytes()
+    if text == _BLOCK_END:
+        assert report.converged and report.n_used == 3969
+        assert report.n_used % (noise._BLOCK // cfg.grid_points) == 0
+
+
+def test_stable_estimate_inverts_once(monkeypatch):
+    # every running mean was once inverted: 144 calls for this stream, which stops at 144
+    calls, invert = [], estimation._invert
+
+    def counted(mean, config):
+        calls.append(mean)
+        return invert(mean, config)
+
+    monkeypatch.setattr(estimation, "_invert", counted)
+    cfg = replace(load_config("ex42").scenario, seed=2)
+    report = estimate_until_stable(cfg, epsilon=0.1)
+    assert report.converged and report.n_used == 144
+    assert len(calls) == 1
 
 
 @st.composite
