@@ -3,8 +3,9 @@
 Each command reads a scenario config (file path or preset name), writes CSV
 outputs plus a replayable manifest into --out, and uses documented exit codes:
 0 success, 2 config or input error, 3 numeric instability, 4 convergence not
-reached. `main` is the one runner: it loads the config, times the command and
-records its manifest; each `cmd_*` takes (args, run, out_dir) and returns
+reached. `_COMMANDS` declares each command once: its function, its help and
+its flags. `main` is the one runner: it loads the config, times the command
+and records its manifest; each `cmd_*` takes (args, run, out_dir) and returns
 (outputs, extra, exit_code).
 """
 
@@ -33,6 +34,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NO_CONVERGENCE = 4
+
+_VERIFY_DRAWS = 100000  # verify's draw count when --n is not given
 
 
 def _parse_times(spec: str) -> list[float]:
@@ -138,7 +141,7 @@ def cmd_estimate(args, run: RunConfig, out_dir: Path):
 def cmd_verify(args, run: RunConfig, out_dir: Path):
     """Monte Carlo check of the analytic noise moments (3 standard errors)."""
     sc = run.scenario
-    draws = args.n if args.n is not None else 100000
+    draws = args.n if args.n is not None else _VERIFY_DRAWS
     if draws < 2:
         raise ConfigError("verify --n must be >= 2: a sample variance needs two draws")
     rows = []
@@ -241,6 +244,37 @@ def replay_manifest(manifest_path, out_dir) -> int:
     return main(argv)
 
 
+# The flags that every command takes, then each command: its function, its one-line help
+# and its other flags, each with its argparse keywords.
+_COMMON_FLAGS = (
+    ("--config", dict(required=True, help="config file path or preset name (ex41, ex42, ex43)")),
+    ("--out", dict(default=".", help="output directory")),
+    ("--seed", dict(type=int, help="pseudo-random seed override")),
+    ("--quasi", dict(action="store_true",
+                     help="drive sampling with the deterministic quasi-random sequence")),
+)
+_N_FLAG = ("--n", dict(type=int, help="sample count override"))
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "emit per-mode rates sigma_k, omega_k", ()),
+    "evolve": (cmd_evolve, "emit frames of the evolving signal", (
+        ("--times", dict(help="start:stop:count or comma list (pi tokens allowed)")),
+        ("--noise", dict(choices=NOISE_MODES, default=NOISE_NONE)),
+    )),
+    "sample": (cmd_sample, "draw observed transformed signals", (_N_FLAG,)),
+    "estimate": (cmd_estimate, "recover the input signal from samples", (
+        _N_FLAG,
+        ("--samples", dict(help="existing samples CSV to estimate from")),
+    )),
+    "verify": (cmd_verify, "Monte Carlo check of the analytic noise moments", (
+        ("--n", dict(type=int, help=f"number of draws (default {_VERIFY_DRAWS})")),
+    )),
+    "convergence": (cmd_convergence, "error decay study over sample sizes", (
+        ("--n-grid", dict(default="100,1000,10000", help="comma list of sample sizes, ascending")),
+        ("--trials", dict(type=int, default=50)),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ousignal",
@@ -248,49 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "and recover the transmitted signal.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True,
-                       help="config file path or preset name (ex41, ex42, ex43)")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="pseudo-random seed override")
-        p.add_argument("--quasi", action="store_true",
-                       help="drive sampling with the deterministic quasi-random sequence")
-
-    p = sub.add_parser("spectrum", help="emit per-mode rates sigma_k, omega_k")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("evolve", help="emit frames of the evolving signal")
-    common(p)
-    p.add_argument("--times", default=None,
-                   help="start:stop:count or comma list (pi tokens allowed)")
-    p.add_argument("--noise", choices=NOISE_MODES, default=NOISE_NONE)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("sample", help="draw observed transformed signals")
-    common(p)
-    p.add_argument("--n", type=int, default=None, help="sample count override")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("estimate", help="recover the input signal from samples")
-    common(p)
-    p.add_argument("--n", type=int, default=None, help="sample count override")
-    p.add_argument("--samples", default=None, help="existing samples CSV to estimate from")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("verify", help="Monte Carlo check of the analytic noise moments")
-    common(p)
-    p.add_argument("--n", type=int, default=None, help="number of draws (default 100000)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("convergence", help="error decay study over sample sizes")
-    common(p)
-    p.add_argument("--n-grid", default="100,1000,10000",
-                   help="comma list of sample sizes, ascending")
-    p.add_argument("--trials", type=int, default=50)
-    p.set_defaults(func=cmd_convergence)
-
+    for name, (_, summary, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, keywords in _COMMON_FLAGS + flags:
+            command.add_argument(flag, **keywords)
     return parser
 
 
@@ -302,8 +297,8 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         started = time.monotonic()
         run = _resolve(args)
-        outputs, extra, code = args.func(args, run, out_dir)
-        recorded = {k: v for k, v in vars(args).items() if k not in ("func", "config", "out")}
+        outputs, extra, code = _COMMANDS[args.command][0](args, run, out_dir)
+        recorded = {k: v for k, v in vars(args).items() if k not in ("config", "out")}
         RunManifest(
             command=args.command,
             config_text=run.text,

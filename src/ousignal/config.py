@@ -202,6 +202,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     modes = scenario.get("mode_count", ScenarioConfig.mode_count)  # the config's, else the field's
     _check_sizes(modes, scenario.get("grid_points", ScenarioConfig.grid_points),
                  given[NoiseParams].get("series_terms", NoiseParams.series_terms), seen, source)
+    half_period = given[FourierSignal].get("half_period", math.pi)
+    if 0 < half_period < math.inf and not math.isfinite(modes * (math.pi / half_period)):
+        raise ConfigError(f"l = {half_period:g} is too small for K = {modes}: the wavenumber "
+                          "K pi / l of mode K is not finite", seen["l"], source)
     try:
         op = OperatorSpec.of(*coeffs)
         theta = FourierSignal.build(cos=theta_cos, sin=theta_sin, **given[FourierSignal],

@@ -75,10 +75,11 @@ def mode_spectrum(op: OperatorSpec, mode_count: int, half_period: float) -> Mode
     """
     if mode_count < 0:
         raise ValueError("mode_count must be >= 0")
-    q = np.arange(mode_count + 1) * (np.pi / half_period)
     sigma = np.zeros(mode_count + 1)
     omega = np.zeros(mode_count + 1)
     with np.errstate(over="ignore", invalid="ignore"):
+        q = np.arange(mode_count + 1) * (np.pi / half_period)
+        q[0] = 0.0  # not 0 * inf = nan where pi / l overflows: row 0 is (A_0, 0) for every l
         for n, a in enumerate(op.coefficients):
             if a == 0.0:
                 continue

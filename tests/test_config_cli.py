@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _util import wideband_config_text
@@ -401,6 +401,53 @@ def test_cli_non_finite_mode_rate_exits_3(tmp_path, capsys, command, fill):
     assert "numeric instability: mode 2 has a rate that is not finite" in err
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("operator", ["A.0 = 2\n", "A.0 = 2\nA.1 = 1\n"], ids=["A0", "A0-A1"])
+@pytest.mark.parametrize("half_period", ["4e-324", "1e-308", "2.2e-308"])
+@pytest.mark.parametrize("command", ["spectrum", "sample", "estimate", "evolve"])
+def test_cli_half_period_whose_wavenumbers_overflow_exits_2(tmp_path, capsys, command,
+                                                            half_period, operator):
+    # K pi / l = 2 pi / l is past a float: spectrum once warned of 0 * inf and exited 0,
+    # and with A.1 every command exited 3 blaming mode 0, whose rates are (A_0, 0)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"l = {half_period}\n{operator}sigma = 1\nt0 = 0.1\nK = 2\nG = 8\nseed = 1\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {cfg}:1: l = {float(half_period):g} is too small for K = 2" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponent=st.floats(-323.3, 308.0), modes=st.integers(1, 8),
+       a1=st.one_of(st.none(), st.floats(-1.0, 1.0)))
+@example(exponent=-323.3, modes=8, a1=1.0)
+def test_mode_zero_is_a0_and_a_half_period_is_refused_on_its_line_or_gives_finite_rates(
+        exponent, modes, a1):
+    half_period = max(10.0 ** exponent, 5e-324)
+    op = spectral.OperatorSpec.of(2.0) if a1 is None else spectral.OperatorSpec.of(2.0, a1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            spectrum = spectral.mode_spectrum(op, modes, half_period)
+        except FloatingPointError as exc:  # a rate past a float, at a mode other than 0
+            assert str(exc).startswith("mode ") and not str(exc).startswith("mode 0 "), exc
+        else:
+            assert (spectrum.sigma[0], spectrum.omega[0]) == (2.0, 0.0)
+        text = (f"t0 = 1\nA.0 = 2\nl = {half_period!r}\nK = {modes}\nG = {2 * modes + 1}\n"
+                + ("" if a1 is None else f"A.1 = {a1!r}\n"))
+        try:
+            run = parse_config_text(text)
+        except ConfigError as exc:
+            assert exc.line == 3, exc
+        else:
+            sc = run.scenario
+            spectrum = spectral.mode_spectrum(sc.op, sc.mode_count, sc.theta.half_period)
+            assert np.isfinite(spectrum.sigma).all() and np.isfinite(spectrum.omega).all()
 
 
 _EX42 = preset_text("ex42")
