@@ -95,39 +95,31 @@ def cmd_sample(args, run: RunConfig, out_dir: Path):
 
 def cmd_estimate(args, run: RunConfig, out_dir: Path):
     sc = run.scenario
-    extra: dict = {}
-
+    infinite = run.estimator == ESTIMATOR_INFINITE
     if args.samples is not None and args.n is not None:
         raise ConfigError("--n cannot resize a --samples file, whose rows set the sample "
                           "count; drop --n or --samples")
     if args.samples is not None and run.sigma_grid:
         raise ConfigError("--samples cannot feed a sigma_grid sweep, which draws a new batch at "
                           "each sigma; drop --samples or the sigma_grid line")
-    if run.estimator == ESTIMATOR_INFINITE:
-        if args.samples is not None:
-            raise ConfigError("--samples cannot feed estimator = infinite, which draws its "
-                              "own stream; drop --samples or the estimator line")
-        if args.n is not None:
-            raise ConfigError("--n cannot size estimator = infinite, which draws until its "
-                              "stopping rule or n_max; drop --n or the estimator line")
-        if run.sigma_grid:
-            raise ConfigError("estimator = infinite cannot run a sigma_grid sweep, which needs "
-                              "a batch at each sigma; drop the sigma_grid line or the "
-                              "estimator line")
-        report = estimate_until_stable(sc, epsilon=run.epsilon, window=run.window,
-                                       n_max=run.n_max)
-        reports = [("estimate.csv", report)]
-        extra = {"converged": report.converged, "epsilon": run.epsilon, "window": run.window,
-                 "n_max": run.n_max}
-        if not report.converged:
-            print(f"no convergence after {report.n_used} samples (epsilon={run.epsilon:g})",
-                  file=sys.stderr)
-    elif args.samples is not None:
-        reports = [("estimate.csv", run_estimate(csvio.read_samples_csv(args.samples, sc)))]
+    if infinite and args.n is not None:
+        raise ConfigError("--n cannot size estimator = infinite, which draws until its "
+                          "stopping rule or n_max; drop --n or the estimator line")
+    if infinite and run.n_max < 1:
+        raise ValueError("n_max must be >= 1")
+
+    if args.samples is not None:
+        sets = [("estimate.csv", csvio.read_samples_csv(args.samples, sc))]
     else:  # one run, or a sweep whose sigmas share one noiseless row (model._noiseless)
-        runs = [(f"estimate_sigma{s:g}.csv", sc.with_sigma(s)) for s in run.sigma_grid]
-        reports = [(name, run_estimate(sample_batch(cfg)))
-                   for name, cfg in runs or [("estimate.csv", sc)]]
+        drawn = replace(sc, n=run.n_max) if infinite else sc
+        runs = [(f"estimate_sigma{s:g}.csv", drawn.with_sigma(s)) for s in run.sigma_grid]
+        sets = [(name, sample_batch(cfg)) for name, cfg in runs or [("estimate.csv", drawn)]]
+    reports = [(name, estimate_until_stable(samples, run.epsilon, run.window) if infinite
+                else run_estimate(samples)) for name, samples in sets]
+    converged = all(r.converged for _, r in reports)
+    for report in (r for _, r in reports if not r.converged):
+        print(f"no convergence after {report.n_used} samples (epsilon={run.epsilon:g})",
+              file=sys.stderr)
 
     outputs = [out_dir / name for name, _ in reports]
     for path, (_, report) in zip(outputs, reports):
@@ -135,7 +127,9 @@ def cmd_estimate(args, run: RunConfig, out_dir: Path):
     report_path = out_dir / "estimate_report.csv"
     write_csv(report_path, EstimateReport._fields[:-1], [r[:-1] for _, r in reports])
     outputs.append(report_path)
-    return outputs, extra, EXIT_OK if all(r.converged for _, r in reports) else EXIT_NO_CONVERGENCE
+    extra = {"converged": converged, "epsilon": run.epsilon, "window": run.window,
+             "n_max": run.n_max} if infinite else {}
+    return outputs, extra, EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_verify(args, run: RunConfig, out_dir: Path):

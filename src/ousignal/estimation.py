@@ -82,41 +82,45 @@ def run_estimate(samples: SampleSet) -> EstimateReport:
     return _report(samples.config, n, True, *_invert(mean, samples.config))
 
 
-def estimate_until_stable(config: ScenarioConfig, epsilon: float,
-                          window: int = RunConfig.window,
-                          n_max: int = RunConfig.n_max) -> EstimateReport:
-    """run_estimate over the rows of sample_batch(config) at n = n_max, stopped early by a
-    Cauchy rule; no row past n_max is drawn.
+def estimate_until_stable(samples: SampleSet, epsilon: float,
+                          window: int = RunConfig.window) -> EstimateReport:
+    """run_estimate over the rows of samples, stopped early by a Cauchy rule; no row past
+    the stop is read.
 
     The rule stops once all consecutive sup-norm gaps inside a window of `window`
     successive running estimates fall strictly below epsilon. The noise moves the constant
     mode alone, so two successive estimates differ by a constant: their gap is
     exp(-A_0 t0) |level_n - level_{n-1}|, where level_n is the running mean of the rows'
-    constant terms. The rule reads that one scalar per row, and the mean folded up to the
-    stop (a batch's bit for bit) is inverted once. Exhausting n_max is reported via
-    converged=False, never by fabricating a value.
+    constant terms in the set's form. The rule reads that one scalar per row, and the mean
+    folded up to the stop (a batch's bit for bit) is inverted once. Running out of rows is
+    reported via converged=False, never by fabricating a value; a stop at sigma > 0 where no
+    row moved the level (noise below the rows' last bit) raises FloatingPointError.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     if window < 2:
         raise ValueError("window must be >= 2")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    config = samples.config
     decay = math.exp(-config.op.a0 * config.t0)  # the inverse map's factor on the constant
-    total, n_used, level, below = 0.0, 0, None, 0  # below: trailing gaps under epsilon
+    total, n_used, level, below, moved = 0.0, 0, None, 0, False  # below: trailing gaps < epsilon
 
     def stop(block):
-        nonlocal total, n_used, level, below
-        for taken, term in enumerate(_constant_terms(block, config.observation_form).tolist(), 1):
+        nonlocal total, n_used, level, below, moved
+        for taken, term in enumerate(_constant_terms(block, samples.form).tolist(), 1):
             total, n_used, previous = total + term, n_used + 1, level
             level = total / n_used
             if previous is not None:
                 below = below + 1 if decay * abs(level - previous) < epsilon else 0
+                moved = moved or level != previous
             if below == window - 1:
+                if config.noise.sigma > 0 and not moved:
+                    raise FloatingPointError(
+                        f"the noise at sigma = {config.noise.sigma:g} moved no running constant "
+                        f"term in {n_used} rows: it is below the rows' last bit")
                 return taken
         return None
 
-    mean, n = sample_batch(replace(config, n=n_max))._mean(stop)
+    mean, n = samples._mean(stop)
     return _report(config, n, below == window - 1, *_invert(mean, config))
 
 

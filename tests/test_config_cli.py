@@ -1237,19 +1237,6 @@ def test_cli_estimate_refuses_n_with_a_samples_file(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_cli_estimate_infinite_refuses_a_samples_file(tmp_path, capsys):
-    # the file was once ignored: exit 0 on a freshly drawn stream, the file named in the manifest
-    assert run_cli("sample", "--config", "ex42", "--seed", "4", "--out", str(tmp_path)) == 0
-    cfg = tmp_path / "stream.cfg"
-    cfg.write_text(preset_text("ex42") + "estimator = infinite\nepsilon = 5\n")
-    out = tmp_path / "out"
-    assert run_cli("estimate", "--config", str(cfg), "--samples", str(tmp_path / "samples.csv"),
-                   "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert "--samples cannot feed estimator = infinite" in err and "Traceback" not in err
-    assert list(out.iterdir()) == []
-
-
 def test_cli_estimate_refuses_a_samples_file_with_a_sigma_sweep(tmp_path, capsys):
     # the file was once read at ex43's first sigma alone: exit 0, one report row at
     # sigma = 150, and the other three levels of the sweep dropped without a word
@@ -1264,13 +1251,11 @@ def test_cli_estimate_refuses_a_samples_file_with_a_sigma_sweep(tmp_path, capsys
 
 @pytest.mark.parametrize("preset, flags, message", [
     pytest.param("ex42", ["--n", "5"], "--n cannot size estimator = infinite", id="n"),
-    pytest.param("ex43", [], "estimator = infinite cannot run a sigma_grid sweep",
-                 id="sigma-grid"),
 ])
 def test_cli_estimate_infinite_refuses_n_and_a_sigma_sweep(tmp_path, capsys, preset, flags,
                                                            message):
-    # both were once ignored: ex42 --n 5 exited 0 at n_used = 144 with n: 5 in the manifest,
-    # and ex43 exited 0 with one report row at sigma = 150, its sigma_grid dropped
+    # --n was once ignored: ex42 --n 5 exited 0 at n_used = 144 with n: 5 in the manifest.
+    # A sigma_grid sweep, refused here for a while, now runs (see the table below)
     cfg = tmp_path / "stream.cfg"
     cfg.write_text(preset_text(preset) + "estimator = infinite\nepsilon = 0.1\n")
     out = tmp_path / "out"
@@ -1279,6 +1264,167 @@ def test_cli_estimate_infinite_refuses_n_and_a_sigma_sweep(tmp_path, capsys, pre
     err = capsys.readouterr().err
     assert message in err and "drop" in err and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def _write(path: Path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+def _outputs(out: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+
+
+_TABLE_CONFIG = ("l = pi\nc0 = 1\nc.1 = 2\nd.2 = -1\nA.0 = 2\nA.1 = -1\nsigma = 1\nt0 = 0.3\n"
+                 "K = 4\nG = 16\nn = 6\nseed = 3\n")
+_REFUSALS = {
+    "n-file": "--n cannot resize a --samples file",
+    "file-sweep": "--samples cannot feed a sigma_grid sweep",
+    "n-infinite": "--n cannot size estimator = infinite",
+}
+
+
+def _estimate_table():
+    """(estimator, inputs, refusal or None) over both estimators and every set of inputs."""
+    for estimator in ("mean", "infinite"):
+        for inputs in ((), ("samples",), ("sigma_grid",), ("n",), ("samples", "n"),
+                       ("samples", "sigma_grid"), ("sigma_grid", "n"),
+                       ("samples", "sigma_grid", "n")):
+            refusal = None
+            if "samples" in inputs and "n" in inputs:
+                refusal = "n-file"
+            elif "samples" in inputs and "sigma_grid" in inputs:
+                refusal = "file-sweep"
+            elif estimator == "infinite" and "n" in inputs:
+                refusal = "n-infinite"
+            yield pytest.param(estimator, inputs, refusal,
+                               id=f"{estimator}-{'+'.join(inputs) or 'drawn'}")
+
+
+@pytest.mark.parametrize("estimator, inputs, refusal", _estimate_table())
+def test_cli_estimate_runs_each_estimator_on_each_source_of_sets(tmp_path, capsys, estimator,
+                                                                 inputs, refusal):
+    # both estimators read a drawn set, a samples file or a set per sigma; the infinite
+    # estimator once refused a file and a sweep. Three refusals remain, each naming its cause
+    assert run_cli("sample", "--config", _write(tmp_path / "sample.cfg", _TABLE_CONFIG),
+                   "--out", str(tmp_path / "sample")) == 0
+    text = _TABLE_CONFIG + ("sigma_grid = 1, 2\n" if "sigma_grid" in inputs else "")
+    if estimator == "infinite":
+        text += "estimator = infinite\nepsilon = 1\nwindow = 3\nn_max = 6\n"
+    argv = ["estimate", "--config", _write(tmp_path / "estimate.cfg", text)]
+    if "samples" in inputs:
+        argv += ["--samples", str(tmp_path / "sample" / "samples.csv")]
+    if "n" in inputs:
+        argv += ["--n", "5"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = run_cli(*argv, "--out", str(out))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if refusal is not None:
+        assert code == 2
+        assert f"config error: {_REFUSALS[refusal]}" in err and "drop" in err
+        assert list(out.iterdir()) == []
+        return
+    assert code == 0, err
+    names = ["estimate_sigma1.csv", "estimate_sigma2.csv"] if "sigma_grid" in inputs else \
+        ["estimate.csv"]
+    rows = (out / "estimate_report.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(names) and all((out / name).exists() for name in names)
+    assert all(row.split(",")[2] == "1" for row in rows)  # converged
+
+
+# about 20 ms an example, so 60 examples keep this property near 1.2 s, inside a 2 s budget
+@settings(max_examples=60, deadline=None)
+@given(form=st.sampled_from(["grid", "fourier"]), quasi=st.booleans(),
+       sampler=st.sampled_from(["exact", "series"]), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(2, 30), n_max=st.integers(2, 30), window=st.integers(2, 4),
+       epsilon=st.sampled_from(["0.02", "0.1", "0.5"]))
+def test_cli_infinite_estimate_of_a_samples_file_is_the_drawn_estimate(form, quasi, sampler,
+                                                                       seed, rows, n_max,
+                                                                       window, epsilon):
+    # the drawn run reads the rows that `sample` writes, so where its stop falls inside the
+    # file (converged within it, or out of rows at its last row) the file gives its bytes
+    text = (f"l = pi\nc0 = 1\nc.1 = 2\nd.3 = 1\nA.0 = 2\nA.1 = -1\nA.2 = 0.1\nsigma = 1\n"
+            f"t0 = 0.3\nK = 3\nG = 11\nobservation = {form}\nsampler = {sampler}\n"
+            f"series_terms = 20\nquasi = {int(quasi)}\nestimator = infinite\n"
+            f"epsilon = {epsilon}\nwindow = {window}\nn_max = {n_max}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = _write(tmp / "stream.cfg", text)
+        common = ["--config", cfg, "--seed", str(seed)]
+        assert run_cli("sample", *common, "--n", str(rows), "--out", str(tmp / "sample")) == 0
+        drawn = run_cli("estimate", *common, "--out", str(tmp / "drawn"))
+        from_file = run_cli("estimate", "--config", cfg, "--samples",
+                            str(tmp / "sample" / "samples.csv"), "--out", str(tmp / "file"))
+        assert drawn in (0, 4) and from_file in (0, 4)
+        report = (tmp / "drawn" / "estimate_report.csv").read_text().splitlines()[1].split(",")
+        n_used, converged = int(report[1]), report[2] == "1"
+        if n_used < rows and converged or n_used == rows:
+            assert from_file == drawn
+            assert _outputs(tmp / "file") == _outputs(tmp / "drawn")
+
+
+def test_cli_infinite_reads_a_coefficient_file_in_its_form_under_a_grid_config(tmp_path):
+    # the rule reads each row's constant term in the file's form, c0 / 2, not as the mean of
+    # a grid row the config's form would name: the estimate is the drawn coefficient run's
+    grid = preset_text("ex42") + "estimator = infinite\nepsilon = 0.1\n"
+    coefficients = _write(tmp_path / "fourier.cfg", grid + "observation = fourier\n")
+    assert run_cli("sample", "--config", coefficients, "--n", "300", "--seed", "2",
+                   "--out", str(tmp_path / "sample")) == 0
+    assert run_cli("estimate", "--config", _write(tmp_path / "grid.cfg", grid), "--samples",
+                   str(tmp_path / "sample" / "samples.csv"), "--out", str(tmp_path / "file")) == 0
+    assert run_cli("estimate", "--config", coefficients, "--seed", "2",
+                   "--out", str(tmp_path / "drawn")) == 0
+    report = (tmp_path / "file" / "estimate_report.csv").read_text().splitlines()[1]
+    assert report.split(",")[1:3] == ["144", "1"]
+    assert _outputs(tmp_path / "file") == _outputs(tmp_path / "drawn")
+
+
+def test_cli_infinite_sweep_runs_each_sigma_as_its_single_run(tmp_path):
+    # ex43 under estimator = infinite once exited 2; each sigma now draws n_max rows and stops
+    # on its own, where the one-sigma run stops
+    text = preset_text("ex43") + "estimator = infinite\nepsilon = 0.1\n"
+    assert run_cli("estimate", "--config", _write(tmp_path / "sweep.cfg", text), "--seed", "2",
+                   "--out", str(tmp_path / "sweep")) == 0
+    reports = (tmp_path / "sweep" / "estimate_report.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in reports[1:]] == ["144", "651", "3121", "3677"]
+    single = "".join(line + "\n" for line in text.splitlines()
+                     if not line.startswith(("sigma_grid", "sigma =")))
+    for row, sigma in zip(reports[1:], (150, 1500, 7500, 15000)):
+        out = tmp_path / f"sigma{sigma}"
+        assert run_cli("estimate", "--config", _write(out.with_suffix(".cfg"),
+                                                      single + f"sigma = {sigma}\n"),
+                       "--seed", "2", "--out", str(out)) == 0
+        assert (out / "estimate.csv").read_bytes() == \
+            (tmp_path / "sweep" / f"estimate_sigma{sigma}.csv").read_bytes()
+        assert (out / "estimate_report.csv").read_text().splitlines() == [reports[0], row]
+
+
+@pytest.mark.parametrize("seed", [1, 3, 11])
+def test_cli_infinite_refuses_a_stop_on_noise_below_the_last_bit(tmp_path, capsys, seed):
+    # backward heat: rows of about 4e19, noise of sd 0.41. Every row's constant term was the
+    # same double, so every gap was 0 and the rule stopped at n_used = 4 with converged = 1,
+    # exit 0 and sup_error 310 of roundoff, the same bytes at every seed
+    text = ("l = pi\nc0 = 1\nc.15 = 1\nA.0 = 1\nA.2 = -1\nsigma = 1\nt0 = 0.2\nK = 20\n"
+            "G = 200\nestimator = infinite\n")
+    for epsilon in ("1e-2", "1e-6"):
+        out = tmp_path / f"out{epsilon}"
+        cfg = _write(tmp_path / "heat.cfg", text + f"epsilon = {epsilon}\n")
+        assert run_cli("estimate", "--config", cfg, "--seed", str(seed), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "numeric instability: the noise at sigma = 1 moved no running constant term " \
+               "in 4 rows" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+    # in coefficient form the noise moves c0, and without noise nothing need move
+    fourier = _write(tmp_path / "fourier.cfg", text + "observation = fourier\n")
+    assert run_cli("estimate", "--config", fourier, "--seed", str(seed),
+                   "--out", str(tmp_path / "fourier")) == 0
+    quiet = _write(tmp_path / "quiet.cfg", text.replace("sigma = 1", "sigma = 0"))
+    assert run_cli("estimate", "--config", quiet, "--seed", str(seed),
+                   "--out", str(tmp_path / "quiet")) == 0
+    report = (tmp_path / "quiet" / "estimate_report.csv").read_text().splitlines()[1]
+    assert report.split(",")[:3] == ["0", "4", "1"]  # stopped at window = 4
 
 
 @pytest.mark.parametrize("command, sizes", [

@@ -164,7 +164,7 @@ def test_both_estimators_zero_the_same_unrecoverable_modes(seed):
     with pytest.warns(UserWarning, match="unrecoverable modes \\[12, .*, 20\\]"):
         mean = run_estimate(sample_batch(cfg)).estimate
     with pytest.warns(UserWarning, match="unrecoverable modes \\[12, .*, 20\\]"):
-        report = estimate_until_stable(cfg, epsilon=0.0, n_max=10)
+        report = estimate_until_stable(sample_batch(cfg), epsilon=0.0)
     assert report.n_used == 10
     for estimate in (mean, report.estimate):
         assert not np.any(estimate.c[11:]) and not np.any(estimate.d[11:])
@@ -188,7 +188,7 @@ def test_both_estimators_agree_bit_for_bit_on_the_same_samples(form, n, modes, s
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         batch = run_estimate(sample_batch(cfg))
-        stream = estimate_until_stable(cfg, epsilon=0.0, n_max=cfg.n)
+        stream = estimate_until_stable(sample_batch(cfg), epsilon=0.0)
     assert (batch.converged, stream.converged) == (True, False)
     fields = [name for name in batch._fields if name not in ("converged", "estimate")]
     assert [float(getattr(stream, f)).hex() for f in fields] == \
@@ -199,7 +199,8 @@ def test_both_estimators_agree_bit_for_bit_on_the_same_samples(form, n, modes, s
 
 def test_stable_estimate_converges_immediately_without_noise():
     cfg = make_config(sigma=0.0, n=1)
-    report = estimate_until_stable(cfg, epsilon=1e-8, window=4)
+    report = estimate_until_stable(sample_batch(replace(cfg, n=RunConfig.n_max)), epsilon=1e-8,
+                                   window=4)
     assert report.converged
     assert report.n_used == 4
     assert sup_distance(report.estimate, cfg.theta) < 1e-9
@@ -207,7 +208,7 @@ def test_stable_estimate_converges_immediately_without_noise():
 
 def test_stable_estimate_zero_epsilon_never_fires():
     cfg = make_config(sigma=0.0, n=1)
-    report = estimate_until_stable(cfg, epsilon=0.0, window=2, n_max=25)
+    report = estimate_until_stable(sample_batch(replace(cfg, n=25)), epsilon=0.0, window=2)
     assert not report.converged
     assert report.n_used == 25
     assert report.estimate is not None
@@ -225,7 +226,7 @@ def test_stable_estimate_draws_no_row_past_n_max(monkeypatch, sampler, gaussians
 
     monkeypatch.setattr(noise.RandomSource, "blocks", counted)
     cfg = make_config(n=1, seed=4, sampler=sampler, series_terms=99)
-    report = estimate_until_stable(cfg, epsilon=0.0, n_max=100)
+    report = estimate_until_stable(sample_batch(replace(cfg, n=100)), epsilon=0.0)
     assert not report.converged and report.n_used == 100
     assert sum(drawn) == gaussians
 
@@ -234,14 +235,15 @@ def test_stable_estimate_converges_quickly_at_loose_tolerance():
     cfg = make_config(seed=21, n=1)
     v = noise_variance(cfg.noise, cfg.t0)
     epsilon = 10.0 * math.sqrt(v) * math.exp(-cfg.op.a0 * cfg.t0)
-    report = estimate_until_stable(cfg, epsilon=epsilon, window=3, n_max=500)
+    report = estimate_until_stable(sample_batch(replace(cfg, n=500)), epsilon=epsilon, window=3)
     assert report.converged
     assert report.n_used < 50
 
 
 def test_stable_estimate_works_on_fourier_stream():
     cfg = make_config(sigma=0.0, n=1, observation_form=OBSERVE_FOURIER)
-    report = estimate_until_stable(cfg, epsilon=1e-8, window=2)
+    report = estimate_until_stable(sample_batch(replace(cfg, n=RunConfig.n_max)), epsilon=1e-8,
+                                   window=2)
     assert report.converged and report.n_used == 2
     assert sup_distance(report.estimate, cfg.theta) < 1e-10
 
@@ -260,20 +262,12 @@ def test_both_estimators_name_a_row_sum_that_overflows(monkeypatch, form):
         with pytest.raises(FloatingPointError, match="overflow"):
             run_estimate(batch)
         with pytest.raises(FloatingPointError, match="overflow"):
-            estimate_until_stable(cfg, epsilon=0.0, n_max=2)
-
-
-@pytest.mark.parametrize("n_max", [0, -5])
-def test_stable_estimate_refuses_n_max_below_one(n_max):
-    # n_max = 0 once drew one sample anyway and reported "no convergence after 1 samples"
-    with pytest.raises(ValueError, match="n_max must be >= 1"):
-        estimate_until_stable(make_config(n=1), epsilon=1e-3, n_max=n_max)
+            estimate_until_stable(sample_batch(cfg), epsilon=0.0)
 
 
 def test_stable_estimate_defaults_are_the_run_config_defaults():
     defaults = inspect.signature(estimate_until_stable).parameters
     assert defaults["window"].default == RunConfig.window
-    assert defaults["n_max"].default == RunConfig.n_max
 
 
 def _per_row_rule(config, epsilon, window, n_max):
@@ -334,7 +328,8 @@ def test_stable_estimate_stops_where_the_per_row_rule_stops(text):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the heat channel zeroes modes 12..20
         reference = _per_row_rule(cfg, run.epsilon, run.window, run.n_max)
-        report = estimate_until_stable(cfg, run.epsilon, run.window, run.n_max)
+        report = estimate_until_stable(sample_batch(replace(cfg, n=run.n_max)), run.epsilon,
+                                       run.window)
     assert (report.n_used, report.converged) == (reference.n_used, reference.converged)
     fields = [name for name in report._fields if name != "estimate"]
     assert [float(getattr(report, f)).hex() for f in fields] == \
@@ -355,7 +350,7 @@ def test_stable_estimate_inverts_once(monkeypatch):
 
     monkeypatch.setattr(estimation, "_invert", counted)
     cfg = replace(load_config("ex42").scenario, seed=2)
-    report = estimate_until_stable(cfg, epsilon=0.1)
+    report = estimate_until_stable(sample_batch(replace(cfg, n=RunConfig.n_max)), epsilon=0.1)
     assert report.converged and report.n_used == 144
     assert len(calls) == 1
 
@@ -469,7 +464,7 @@ def test_blockwise_mean_is_bit_identical_to_matrix_mean_and_running_sum(form):
     assert np.array_equal(row(stored._mean()[0]), row(batch._mean()[0]))
 
     folded = run_estimate(batch).estimate
-    running = estimate_until_stable(cfg, epsilon=0.0, n_max=cfg.n)
+    running = estimate_until_stable(sample_batch(cfg), epsilon=0.0)
     assert running.n_used == cfg.n
     assert np.array_equal(row(running.estimate), row(folded))
 

@@ -1,12 +1,21 @@
 """The public surface: what `import ousignal` exports, and the names it no longer has."""
 
 import inspect
+import math
+
+import numpy as np
+import pytest
 
 import ousignal
 from ousignal import cli, csvio, errors, estimation, manifest, model, noise, spectral
-from ousignal.fourier import FourierSignal, GridSignal
-from ousignal.model import SampleSet
+from ousignal.fourier import FourierSignal, GridSignal, extract_coefficients
+from ousignal.model import SampleSet, evolve_frames, sample_source
+from ousignal.noise import (NoiseParams, RandomSource, noise_covariance, noise_variance,
+                            ou_integral_exact, ou_integral_series, ou_joint_pairs,
+                            quasi_gaussian)
 from ousignal.spectral import ModeSpectrum, OperatorSpec
+
+from _util import make_config
 
 PUBLIC = {
     # errors
@@ -105,3 +114,70 @@ def test_a_sample_set_is_its_config_form_and_row_blocks():
     # a drawn set once held (base, etas) and a read one its row matrix, through three
     # keyword forms; both are now a source of row blocks
     assert list(inspect.signature(SampleSet).parameters) == ["config", "form", "blocks"]
+
+
+_NOISE = NoiseParams(sigma=1.0, a0=2.0)
+_GRID = GridSignal(math.pi, np.zeros(5))
+
+# (call, message): each guard of the public API that a command never reaches, called with
+# the one argument it refuses
+GUARDS = {
+    "noise-sigma": (lambda: NoiseParams(sigma=-1.0, a0=2.0), "sigma must be a non-negative"),
+    "noise-a0": (lambda: NoiseParams(sigma=1.0, a0=0.0), "a0 must be a positive"),
+    "noise-kernel": (lambda: NoiseParams(a0=2.0, kernel="bogus"), "unknown kernel 'bogus'"),
+    "noise-series-terms": (lambda: NoiseParams(a0=2.0, series_terms=0),
+                           "series_terms must be >= 1"),
+    "source-mode": (lambda: RandomSource("bogus"), "unknown RandomSource mode 'bogus'"),
+    "source-stream": (lambda: RandomSource.quasi(0), "quasi stream index starts at 1"),
+    "source-count": (lambda: RandomSource.pseudo(1).normals(-1), "count must be non-negative"),
+    "kl-sum-shape": (lambda: ou_integral_series(_NOISE, 0.5, np.zeros((1, 1, 3))),
+                     "coefficients must be a non-empty vector"),
+    "variance-time": (lambda: noise_variance(_NOISE, -1.0), "t must be non-negative"),
+    "covariance-time": (lambda: noise_covariance(_NOISE, 0.5, -1.0),
+                        "times must be non-negative"),
+    "exact-time": (lambda: ou_integral_exact(_NOISE, 0.0, RandomSource.pseudo(1)),
+                   "t0 must be positive"),
+    "series-time": (lambda: ou_integral_series(_NOISE, [0.5, -1.0], np.zeros(3)),
+                    "t0 must be a non-negative time"),
+    "series-variant": (lambda: ou_integral_series(_NOISE, 0.5, np.zeros(3), "bogus"),
+                       "unknown series variant 'bogus'"),
+    "pairs-time": (lambda: ou_joint_pairs(_NOISE, -1.0, 0.5, 3, RandomSource.pseudo(1)),
+                   "times and count must be non-negative"),
+    "scenario-mode-count": (lambda: make_config(theta=FourierSignal.build(c0=1.0), mode_count=0),
+                            "mode_count must be >= 1"),
+    "scenario-form": (lambda: make_config(observation_form="bogus"),
+                      "unknown observation form 'bogus'"),
+    "scenario-sampler": (lambda: make_config(sampler="bogus"), "unknown sampler 'bogus'"),
+    "scenario-quasi-base": (lambda: make_config(quasi_base=0), "quasi_base starts at 1"),
+    "source-seed": (lambda: sample_source(make_config(seed=None)),
+                    "pseudo-random sampling needs a resolved seed"),
+    "sample-set-form": (lambda: SampleSet(make_config(), "bogus", iter),
+                        "unknown observation form 'bogus'"),
+    "frames-noise": (lambda: evolve_frames(make_config(), [0.0], noise="bogus"),
+                     "unknown noise mode 'bogus'"),
+    "build-mode-index": (lambda: FourierSignal.build(cos={0: 1.0}, mode_count=2),
+                         "mode indices start at 1"),
+    "evaluate-grid-points": (lambda: FourierSignal.build(c0=1.0).evaluate_grid(0),
+                             "grid_points must be >= 1"),
+    "padded-fewer": (lambda: FourierSignal.build(cos={2: 1.0}).padded(1),
+                     "cannot pad to fewer modes"),
+    "grid-half-period": (lambda: GridSignal(-1.0, np.zeros(3)), "half_period must be a positive"),
+    "grid-finite": (lambda: GridSignal(math.pi, [0.0, math.nan]), "grid values must be finite"),
+    "extract-mode-count": (lambda: extract_coefficients(_GRID, 0), "mode_count must be >= 1"),
+    "operator-finite": (lambda: OperatorSpec((1.0, math.inf, 0.0)),
+                        "operator coefficients must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_public_api_guards_refuse_bad_input(case):
+    call, message = GUARDS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_quasi_endpoint_is_clamped_by_machine_epsilon():
+    # 2**53 sqrt(2) is an integral double, so its fractional part is 0: clamped to epsilon
+    with pytest.warns(UserWarning, match="hit an endpoint"):
+        value = quasi_gaussian(1, 2**53)
+    assert value == pytest.approx(-8.1259, abs=1e-4)
