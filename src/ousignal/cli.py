@@ -118,8 +118,8 @@ def cmd_estimate(args, run: RunConfig, out_dir: Path):
                 else run_estimate(samples)) for name, samples in sets]
     converged = all(r.converged for _, r in reports)
     for report in (r for _, r in reports if not r.converged):
-        print(f"no convergence after {report.n_used} samples (epsilon={run.epsilon:g})",
-              file=sys.stderr)
+        print(f"no convergence after {report.n_used} samples at sigma = {report.sigma:g} "
+              f"(epsilon={run.epsilon:g})", file=sys.stderr)
 
     outputs = [out_dir / name for name, _ in reports]
     for path, (_, report) in zip(outputs, reports):

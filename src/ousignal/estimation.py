@@ -153,10 +153,10 @@ def convergence_study(config: ScenarioConfig, n_grid, trials: int) -> Convergenc
     """Repeat the estimation for each sample size and fit the error decay.
 
     Trial (n, t) draws its samples from streams keyed on (seed, n, t, i), so
-    runs are reproducible and trials are independent; with quasi drivers each
-    trial gets a disjoint block of streams. The slope is _loglog_slope of the
-    mean sup errors, left undefined when the errors sit at roundoff level
-    (noiseless channel).
+    runs are reproducible and trials are independent; with quasi drivers
+    trial k is quasi batch k, whose streams no other trial reads. The slope
+    is _loglog_slope of the mean sup errors, left undefined when the errors
+    sit at roundoff level (noiseless channel).
     """
     n_grid = [int(n) for n in n_grid]
     if n_grid != sorted(n_grid) or len(set(n_grid)) != len(n_grid):
@@ -170,7 +170,7 @@ def convergence_study(config: ScenarioConfig, n_grid, trials: int) -> Convergenc
         cfg = replace(config, n=n)
         for trial in range(trials):
             report = run_estimate(sample_batch(cfg, (n, trial), quasi_shift))
-            quasi_shift += n
+            quasi_shift += 1
             rows.append((n, trial, report.sup_error, report.c0_error, report.max_mode_error))
         errors = np.array([row[2] for row in rows[-trials:]])
         sd = float(errors.std(ddof=1)) if trials > 1 else 0.0

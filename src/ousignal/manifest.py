@@ -19,7 +19,7 @@ from .noise import _block_sizes
 
 # Bumped whenever the same config and seed stop giving the same bytes; replay
 # refuses manifests written under another version.
-ARTIFACT_VERSION = "0.9.0"
+ARTIFACT_VERSION = "0.10.0"
 
 
 def fmt(value) -> str:

@@ -3,9 +3,10 @@
 Every observed sample is the deterministically propagated input plus a single
 scalar noise draw times the constant-one function, so the randomness lives
 entirely in the constant mode. Samples are reproducible: a batch or stream
-draws from one source, sample i taking row i of it (RandomSource.blocks), so
-sample i depends only on (seed, subkey, i) in pseudo mode and on quasi stream
-quasi_base + quasi_shift + i in quasi mode, never on how draws are grouped.
+draws from one source, sample i taking its point i + 1 (RandomSource.blocks),
+so sample i depends only on (seed, subkey, i) in pseudo mode and on
+(quasi_base + quasi_shift w, i) in quasi mode, w the draws a row takes, never
+on how draws are grouped.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _row_blocks(config: ScenarioConfig, subkey: tuple[int, ...] = (), quasi_shif
     term). Draws and rows come in the blocks of _block_sizes."""
     base = _noiseless(config)
     width = 1 if config.sampler == SAMPLER_EXACT else config.noise.series_terms + 1
-    rng = sample_source(config, subkey, quasi_shift)
+    rng = sample_source(config, subkey, quasi_shift * width)
     for draws in _block_sizes(config.n, width):
         g = rng.blocks(draws, width)
         if config.sampler == SAMPLER_EXACT:
@@ -234,7 +235,8 @@ def _noiseless_row(theta: FourierSignal, op: OperatorSpec, t0: float, form: str,
 
 def sample_batch(config: ScenarioConfig, subkey: tuple[int, ...] = (),
                  quasi_shift: int = 0) -> SampleSet:
-    """Draw n independent observations: the first n of the stream with the same keys."""
+    """Draw n independent observations: the first n of the stream with the same keys. Quasi
+    batch quasi_shift = k starts at quasi stream quasi_base + k w, for rows of w values."""
     return SampleSet(config, config.observation_form,
                      lambda: _row_blocks(config, subkey, quasi_shift))
 
@@ -271,7 +273,7 @@ def evolve_frames(config: ScenarioConfig, times,
     rng = sample_source(config) if noise != NOISE_NONE else None
     noisy = [t for t in times if t > 0] if config.noise.sigma > 0 and noise != NOISE_NONE else []
     if noise == NOISE_PATH:
-        coeffs = rng.normals(config.noise.series_terms + 1)
+        coeffs = rng.blocks(1, config.noise.series_terms + 1)[0]
         etas = iter(ou_integral_series(config.noise, noisy, coeffs, config.series_variant))
 
     def frames():

@@ -139,11 +139,11 @@ def quasi_gaussian(stream, index):
 
 
 class RandomSource:
-    """Deterministic Gaussian stream with a draw counter.
+    """Deterministic Gaussian source whose draws are its next points, one row each.
 
-    pseudo mode wraps numpy's PCG64 seeded by the key path (seed, path...);
-    quasi mode reads quasi_gaussian(stream, j) for j = 1, 2, ... The pair
-    (mode/key, counter) fully determines every draw.
+    pseudo mode wraps numpy's PCG64 seeded by the key path (seed, path...), a point of width w
+    being the stream's next w values; quasi mode reads the Kronecker sequence whose point i
+    has coordinates quasi_gaussian(stream + j, i), j = 0, 1, ... counter counts the points.
     """
 
     PSEUDO = "pseudo"
@@ -177,28 +177,23 @@ class RandomSource:
         return float(self.normals(1)[0])
 
     def normals(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if self.mode == self.PSEUDO:
-            values = self._generator().standard_normal(count)
-        else:
-            values = quasi_gaussian(self.stream, np.arange(self.counter + 1, self.counter + count + 1))
-        self.counter += count
-        return values
+        return self.blocks(count, 1)[:, 0]
 
     def blocks(self, rows: int, width: int) -> np.ndarray:
-        """A (rows, width) array of Gaussians whose rows are independent draws.
+        """The source's next rows points of width values, as a (rows, width) array.
 
-        Pseudo rows are consecutive stretches of the stream. Quasi row r is
-        stream + r from the current index on, and the source then moves past
-        those streams: a later stretch of one Weyl sequence is a shifted copy
-        of an earlier one, so it cannot serve as an independent row.
+        Pseudo rows are consecutive stretches of the stream. Quasi rows are points
+        counter + 1, ..., counter + rows of the Kronecker sequence: column j is quasi stream
+        stream + j, read at those indices.
         """
+        if rows < 0:
+            raise ValueError("count must be non-negative")
         if self.mode == self.PSEUDO:
-            return self.normals(rows * width).reshape(rows, width)
-        streams = self.stream + np.arange(rows)[:, None]
-        values = quasi_gaussian(streams, np.arange(self.counter + 1, self.counter + width + 1))
-        self.stream += rows
+            values = self._generator().standard_normal(rows * width).reshape(rows, width)
+        else:
+            points = np.arange(self.counter + 1, self.counter + rows + 1)[:, None]
+            values = quasi_gaussian(self.stream + np.arange(width), points)
+        self.counter += rows
         return values
 
 
@@ -299,11 +294,11 @@ def ou_integral_series(params: NoiseParams, t0, coeffs,
 
 def ou_joint_pairs(params: NoiseParams, s: float, t: float, count: int,
                    rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
-    """Exact joint draws (noise(s), noise(t)) sharing one driving path, rng.blocks(2, count)
-    driving them: the Markov step of _markov_pair on its two rows."""
+    """Exact joint draws (noise(s), noise(t)) sharing one driving path, the next count points
+    of width 2 of rng driving them: the Markov step of _markov_pair on their two columns."""
     if s < 0 or t < 0 or count < 0:
         raise ValueError("times and count must be non-negative")
-    early, late = _markov_pair(params, min(s, t), max(s, t), *rng.blocks(2, count))
+    early, late = _markov_pair(params, min(s, t), max(s, t), *rng.blocks(count, 2).T)
     return (late, early) if s > t else (early, late)
 
 

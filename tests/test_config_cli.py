@@ -599,12 +599,13 @@ def test_cli_series_outputs_on_the_unit_clock_match_pinned_digests(tmp_path, cas
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == SERIES_DIGESTS[case]
 
 
-# SHA-256 of quasi batches under ARTIFACT_VERSION 0.8.0, whose Gaussians are the standard
-# library's normal quantile: ex42's grid sample, and a series sample of coefficient rows
-# (ex42 at t0 = 0.1, 100 Gaussians a row)
+# SHA-256 of quasi batches under ARTIFACT_VERSION 0.10.0, whose Gaussians are the standard
+# library's normal quantile and whose sample i is point i + 1 of the Kronecker sequence:
+# ex42's grid sample, and a series sample of coefficient rows (ex42 at t0 = 0.1, 100
+# Gaussians a row)
 QUASI_DIGESTS = {
-    "grid": "a9852ae514e73fc38128bb5f8d252bfd46beaa6cf7ec659b43dd02fc055459ac",
-    "series-fourier": "898222071d4c5bf4ec1ad3ec3d62a6e9209f365cf2cacb0fdc9472428d823eb3",
+    "grid": "d11c8ddcabaf57afe081e5fc6f6c75af03314b3bbeb7d3e2828fa09dd5f44218",
+    "series-fourier": "d5e9053c3d338db38a8716a1fb35d1c75c2c1dff82be008ef80b49b2caf2730a",
 }
 
 
@@ -1057,6 +1058,16 @@ def test_cli_estimate_infinite_mode_exit_codes(tmp_path):
                     "K = 20\nG = 200\nseed = 2\nestimator = infinite\n"
                     "epsilon = 1e-6\nwindow = 2\nn_max = 20\n")
     assert run_cli("estimate", "--config", str(easy), "--out", str(tmp_path / "y")) == 0
+
+
+def test_cli_infinite_sweep_names_each_sigma_that_does_not_converge(tmp_path, capsys):
+    # the four lines once read alike, "no convergence after 30 samples (epsilon=1e-09)"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(preset_text("ex43") + "estimator = infinite\nepsilon = 1e-9\nn_max = 30\n")
+    assert run_cli("estimate", "--config", str(cfg), "--seed", "2", "--out", str(tmp_path)) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"no convergence after 30 samples at sigma = {sigma} (epsilon=1e-09)"
+        for sigma in (150, 1500, 7500, 15000)]
 
 
 @pytest.mark.parametrize("line, message", [

@@ -16,6 +16,7 @@ from ousignal import (
     OperatorSpec,
     RandomSource,
     ScenarioConfig,
+    convergence_study,
     evolve_frames,
     extract_coefficients,
     noise_covariance,
@@ -263,11 +264,72 @@ def test_batch_mean_noise_obeys_clt_band():
 
 
 def test_batch_quasi_uses_consecutive_streams():
+    # sample i is point i + 1 of the Kronecker sequence; batch k starts at stream 1 + k w
     cfg = make_config(n=3, quasi=True, observation_form=OBSERVE_FOURIER)
-    batch = sample_batch(cfg)
     v = math.sqrt(noise_variance(cfg.noise, cfg.t0))
-    expected = [v * quasi_gaussian(stream, 1) for stream in (1, 2, 3)]
-    assert batch.etas == pytest.approx(expected, abs=1e-12)
+    for shift in (0, 2):
+        batch = sample_batch(cfg, quasi_shift=shift)
+        expected = [v * quasi_gaussian(1 + shift, index) for index in (1, 2, 3)]
+        assert batch.etas == pytest.approx(expected, abs=1e-12)
+    coeffs = np.array([[quasi_gaussian(1 + 2 * 5 + j, i) for j in range(5)] for i in (1, 2, 3)])
+    series = make_config(n=3, quasi=True, observation_form=OBSERVE_FOURIER, sampler="series",
+                         series_terms=4)
+    expected = ou_integral_series(series.noise, series.t0, coeffs)
+    assert sample_batch(series, quasi_shift=2).etas == pytest.approx(expected, abs=1e-12)
+
+
+# A quasi batch's sample i is point i + 1 of one Kronecker sequence whose coordinate j is
+# quasi stream quasi_base + j. The first four checks below failed when sample i was quasi
+# stream quasi_base + i instead; the fifth guards the joint pairs' layout. Together they are
+# budgeted at 3 s (they take 0.7 s on a 2-core machine).
+
+
+@pytest.mark.parametrize("base", [1, 7])
+def test_quasi_exact_batch_has_the_analytic_variance(base):
+    # sample i was Phi^-1({sqrt(p_i)}) over consecutive primes: z = -3.10 and -3.07 here
+    cfg = make_config(n=100000, quasi=True, quasi_base=base, observation_form=OBSERVE_FOURIER)
+    v = noise_variance(cfg.noise, cfg.t0)
+    assert abs(sample_batch(cfg).etas.var(ddof=1) - v) < 3 * v * math.sqrt(2.0 / (cfg.n - 1))
+
+
+def test_quasi_series_batch_has_the_truncated_series_variance():
+    # a sample's coefficients j and 2 j were functions of one fractional part: ratio 1.33
+    cfg = make_config(n=2000, t0=0.1, quasi=True, observation_form=OBSERVE_FOURIER,
+                      sampler="series", series_terms=199)
+    # the series is linear in its coefficients: its variance is its unit responses' squares
+    v = float(np.sum(ou_integral_series(cfg.noise, cfg.t0, np.eye(200)) ** 2))
+    ratio = sample_batch(cfg).etas.var(ddof=1) / v
+    assert abs(ratio - 1.0) < 3 * math.sqrt(2.0 / (cfg.n - 1))
+
+
+def test_quasi_trials_of_a_study_are_uncorrelated():
+    # trial k + 1 once read the primes just past trial k's: lag-1 correlation -0.63
+    trials = 200
+    cfg = make_config(quasi=True, observation_form=OBSERVE_FOURIER, sampler="series",
+                      series_terms=199)
+    c0_errors = np.array([row[3] for row in convergence_study(cfg, [10], trials).rows])
+    lag1 = np.corrcoef(c0_errors[:-1], c0_errors[1:])[0, 1]
+    assert abs(lag1) < 3 / math.sqrt(trials - 1)
+
+
+def test_quasi_batch_sieves_no_more_primes_than_a_row_has_draws(monkeypatch):
+    # sample i read prime quasi_base + i, so the sieve, kept for the process, grew with n
+    asked, nth_prime = [], noise.nth_prime
+    monkeypatch.setattr(noise, "nth_prime",
+                        lambda index: asked.append(int(np.max(index))) or nth_prime(index))
+    cfg = make_config(n=100000, quasi=True, quasi_base=7, observation_form=OBSERVE_FOURIER)
+    assert sample_batch(cfg).n == cfg.n
+    assert max(asked) <= cfg.quasi_base + 1
+
+
+def test_quasi_joint_pairs_match_covariance():
+    # a pair's two Gaussians are two coordinates of one point; drawn as two points of width
+    # count instead (blocks(2, count)), the covariance reads z = +143
+    p = NoiseParams(sigma=1.0, a0=2.0)
+    early, late = ou_joint_pairs(p, 0.1, 0.3, 100000, RandomSource.quasi(3))
+    analytic = noise_covariance(p, 0.1, 0.3)
+    spread = noise_variance(p, 0.1) * noise_variance(p, 0.3) + analytic**2
+    assert abs(float(np.cov(early, late)[0, 1]) - analytic) < 3 * math.sqrt(spread / 99999)
 
 
 def test_noise_lives_only_in_constant_mode():

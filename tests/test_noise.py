@@ -187,12 +187,14 @@ def test_blocks_rows_are_independent_draws():
     # pseudo rows are consecutive stretches of one stream
     assert np.array_equal(RandomSource.pseudo(8).blocks(3, 4).ravel(),
                           RandomSource.pseudo(8).normals(12))
-    # quasi rows are consecutive streams, never a shifted stretch of one sequence
+    # quasi rows are the Kronecker sequence's next points: column j is stream 3 + j, read at
+    # the point's index, and the stream never moves
     src = RandomSource.quasi(3)
     rows = src.blocks(2, 5)
-    for r, stream in enumerate((3, 4)):
-        assert rows[r].tolist() == [quasi_gaussian(stream, j) for j in range(1, 6)]
-    assert src.blocks(1, 1)[0, 0] == quasi_gaussian(5, 1)
+    for i, row in enumerate(rows, start=1):
+        assert row.tolist() == [quasi_gaussian(stream, i) for stream in range(3, 8)]
+    assert src.blocks(1, 1)[0, 0] == quasi_gaussian(3, 3)
+    assert src.normals(2).tolist() == [quasi_gaussian(3, j) for j in (4, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +337,7 @@ def test_joint_pairs_are_the_markov_step_of_two_rows_and_advance_the_source_alik
         paired.normals(drawn)
         whole.normals(drawn)
         early, late = ou_joint_pairs(p, s, t, count, paired)
-        g_early, g_inc = whole.blocks(2, count)
+        g_early, g_inc = whole.blocks(count, 2).T
         lo, hi = min(s, t), max(s, t)
         first = math.sqrt(noise_variance(p, lo)) * g_early
         second = (math.exp(-1.5 * (hi - lo)) * first
